@@ -190,14 +190,9 @@ def _cmd_member(args) -> int:
 def _cmd_triple(args) -> int:
     with open(args.file, encoding="utf-8") as handle:
         text = handle.read()
-    term_texts: list[str] = []
-    numbered_lines = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        kind, pre, prog, post = logic.split_triple_line(line)
-        term_texts += [pre, prog, post]
-        numbered_lines.append((lineno, kind, pre, prog, post))
+    numbered_lines = [(lineno, *logic.split_triple_line(line))
+                      for lineno, line in logic.split_triple_file(text)]
+    term_texts = [part for _, _, *parts in numbered_lines for part in parts]
     alphabet = _build_alphabet(args, term_texts)
     human, results, code = [], [], 0
     for lineno, kind, pre, prog, post in numbered_lines:
@@ -216,33 +211,31 @@ def _cmd_triple(args) -> int:
     return code
 
 
-def _search_payload(hit: SearchHit | None, absent_word: str, found_word: str,
-                    budget: SearchBudget) -> tuple[list[str], dict, int]:
-    payload: dict = {}
-    if not budget.exhaustive:
-        payload["seed"] = budget.seed
+def _search_payload(hit: SearchHit | None, budget: SearchBudget,
+                    rule_budget: str | None) -> tuple[list[str], dict, int]:
+    """Output of `search`, or of `rule` given the rule's budget description."""
+    seed: dict = {} if budget.exhaustive else {"seed": budget.seed}
+    seed_line = [] if budget.exhaustive else [f"seed: {budget.seed}"]
     if hit is None:
-        human = [absent_word]
-        if not budget.exhaustive:
-            human.append(f"seed: {budget.seed}")
-        return human, {"verdict": absent_word.replace(" ", "-"), **payload}, 0
+        if rule_budget is None:
+            return ["no countermodel"] + seed_line, {"verdict": "no-countermodel", **seed}, 0
+        return ([f"no refutation found (budget {rule_budget})"] + seed_line,
+                {"verdict": "no-refutation", "budget": rule_budget, **seed}, 0)
     carrier = [str(i) for i in range(hit.interp.n)]
     extra: dict = {}
-    human = [found_word]
+    found = "countermodel" if rule_budget is None else "refuted"
+    human = [found] + _countermodel_lines(carrier, hit.interp)
     if hit.violating_point is not None:
         extra["violating_point"] = str(hit.violating_point)
-    if hit.violating_pair is not None:
-        extra["violating_pair"] = list(hit.violating_pair)
-    human += _countermodel_lines(carrier, hit.interp)
-    if hit.violating_point is not None:
         human.append(f"violating point: {hit.violating_point}")
     if hit.violating_pair is not None:
+        extra["violating_pair"] = list(hit.violating_pair)
         human.append(f"violating pair: ({hit.violating_pair[0]},{hit.violating_pair[1]})")
-    if not budget.exhaustive:
-        human.append(f"seed: {budget.seed}")
-    payload = {"verdict": found_word.replace(" ", "-"), **payload,
+    payload = {"verdict": found, **seed,
                "countermodel": _countermodel_payload(carrier, hit.interp, extra)}
-    return human, payload, 1
+    if rule_budget is not None:
+        payload["budget"] = rule_budget
+    return human + seed_line, payload, 1
 
 
 def _cmd_search(args) -> int:
@@ -256,8 +249,7 @@ def _cmd_search(args) -> int:
     budget = _budget(args)
     hit = relmodel.search_countermodel(kind, t1, t2, alphabet, args.max_states,
                                        budget, ceiling=args.ceiling)
-    human, payload, code = _search_payload(hit, "no countermodel",
-                                           "countermodel", budget)
+    human, payload, code = _search_payload(hit, budget, None)
     _emit(args, human, payload)
     return code
 
@@ -269,14 +261,7 @@ def _cmd_rule(args) -> int:
     budget = _budget(args)
     report = logic.check_rule_instance(args.name, terms, alphabet,
                                        args.max_states, budget)
-    human, payload, code = _search_payload(
-        report.hit, f"no refutation found (budget {report.budget})",
-        "refuted", budget)
-    if report.hit is None:
-        payload = {"verdict": "no-refutation", "budget": report.budget,
-                   **({"seed": budget.seed} if not budget.exhaustive else {})}
-    else:
-        payload["budget"] = report.budget
+    human, payload, code = _search_payload(report.hit, budget, report.budget)
     _emit(args, human, payload)
     return code
 
@@ -383,16 +368,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
+    """Parse argv with terms before, between or after the flags: argparse
+    fills TERM from the first run of positionals only, so the terms left
+    over are appended in order (GSTRING stays the last positional)."""
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if "terms" not in vars(args) or any(arg.startswith("-") for arg in extra):
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if "string" in vars(args):
+            *args.terms, args.string = args.terms + [args.string] + extra
+        else:
+            args.terms += extra
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        # too deep or too large to decide: no verdict was computed
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (TopkatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

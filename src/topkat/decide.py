@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import TopNotAllowedError, TopkatError
-from .semantics import ATOM_CAP, Atom, GuardedString, all_atoms
+from .semantics import Atom, GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Zero, ZERO,
     check_over, contains_top, occurring,
@@ -59,14 +59,7 @@ def light_normalize(t: Term) -> Term:
                 out = Plus(out, p)
             return out
         case Dot(left, right):
-            left, right = light_normalize(left), light_normalize(right)
-            if left == ZERO or right == ZERO:
-                return ZERO
-            if left == ONE:
-                return right
-            if right == ONE:
-                return left
-            return Dot(left, right)
+            return _sdot(light_normalize(left), light_normalize(right))
         case Star(arg):
             return Star(light_normalize(arg))
         case Not(arg):
@@ -191,8 +184,7 @@ class _UnionFind:
             self.parent[rx] = ry
 
 
-def equivalent(t1: Term, t2: Term, alphabet: Alphabet, *,
-               atom_cap: int = ATOM_CAP) -> Verdict:
+def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     """Decide language equality of two top-free terms.
 
     Breadth-first exploration of state-set pairs with union-find merging;
@@ -203,7 +195,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet, *,
         if contains_top(t):
             raise TopNotAllowedError("equivalence is decided on top-free terms")
         check_over(t, alphabet)
-    atoms = all_atoms(alphabet, cap=atom_cap)
+    atoms = all_atoms(alphabet)
     occ = occurring(t1)[0] | occurring(t2)[0]
     acts = [a for a in alphabet.actions if a in occ]
 
@@ -250,6 +242,6 @@ def _reconstruct(parents: dict, pair: tuple, final_atom: Atom) -> GuardedString:
     return GuardedString(atoms, acts)
 
 
-def leq(t1: Term, t2: Term, alphabet: Alphabet, *, atom_cap: int = ATOM_CAP) -> Verdict:
+def leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     """Decide t1 <= t2 (as t1 + t2 = t2); a witness lies in L(t1) \\ L(t2)."""
-    return equivalent(Plus(t1, t2), t2, alphabet, atom_cap=atom_cap)
+    return equivalent(Plus(t1, t2), t2, alphabet)

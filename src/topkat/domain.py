@@ -14,10 +14,10 @@ from typing import Union
 
 from .decide import Equivalent, member
 from .errors import TopkatError, TopNotAllowedError
-from .reduction import ExtendedAlphabet, prune_alphabet, reduce, topkat_leq
+from .reduction import ExtendedAlphabet, reduce, topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
-from .semantics import ATOM_CAP, GuardedString, satisfies
-from .syntax import Alphabet, Dot, Term, Test, TOP, contains_top, reverse
+from .semantics import GuardedString, satisfies
+from .syntax import Alphabet, Dot, Term, Test, TOP, contains_top, prune_alphabet, reverse
 
 
 @dataclass(frozen=True)
@@ -56,55 +56,34 @@ def _require_top_free(t1: Term, t2: Term) -> None:
                 "for top-free terms")
 
 
-def cod_geq(t1: Term, t2: Term, alphabet: Alphabet, *,
-            atom_cap: int = ATOM_CAP) -> ComparisonVerdict:
+def cod_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
     """Does cod(t1) contain cod(t2) in every relational model?
 
     Decided as T t2 <= T t1 over the extended alphabet; a failure yields
     a verified prefix-model countermodel.
     """
     _require_top_free(t1, t2)
-    verdict = topkat_leq(Dot(TOP, t2), Dot(TOP, t1), alphabet, atom_cap=atom_cap)
+    verdict = topkat_leq(Dot(TOP, t2), Dot(TOP, t1), alphabet)
     if isinstance(verdict, Equivalent):
         return Provable()
     return build_cod_countermodel(verdict.string, t1, t2, alphabet)
 
 
-def dom_geq(t1: Term, t2: Term, alphabet: Alphabet, *,
-            atom_cap: int = ATOM_CAP) -> ComparisonVerdict:
+def dom_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
     """Does dom(t1) contain dom(t2) in every relational model?
 
     Decided as t2 T <= t1 T; cross-checked against the codomain decision
     on the reversed terms, which must agree.
     """
     _require_top_free(t1, t2)
-    verdict = topkat_leq(Dot(t2, TOP), Dot(t1, TOP), alphabet, atom_cap=atom_cap)
-    mirrored = topkat_leq(Dot(TOP, reverse(t2)), Dot(TOP, reverse(t1)), alphabet,
-                          atom_cap=atom_cap)
+    verdict = topkat_leq(Dot(t2, TOP), Dot(t1, TOP), alphabet)
+    mirrored = topkat_leq(Dot(TOP, reverse(t2)), Dot(TOP, reverse(t1)), alphabet)
     if isinstance(verdict, Equivalent) != isinstance(mirrored, Equivalent):
         raise TopkatError("internal error: domain decision disagrees with "
                           "the reversed codomain decision")
     if isinstance(verdict, Equivalent):
         return Provable()
     return build_dom_countermodel(verdict.string, t1, t2, alphabet)
-
-
-def _countermodel_alphabet(t1: Term, t2: Term, alphabet: Alphabet) -> ExtendedAlphabet:
-    return ExtendedAlphabet(prune_alphabet(alphabet, t1, t2))
-
-
-def _primitive_maps(ext: ExtendedAlphabet, steps: frozenset[tuple[int, int, str]],
-                    key_atoms: list, n: int):
-    action_map = {
-        name: Relation.from_pairs(n, [(i, j) for i, j, act in steps if act == name])
-        for name in ext.alphabet.actions
-    }
-    test_map = {
-        name: Relation.from_pairs(
-            n, [(i, i) for i, atom in enumerate(key_atoms) if satisfies(atom, Test(name))])
-        for name in ext.base.tests
-    }
-    return action_map, test_map
 
 
 def build_cod_countermodel(w: GuardedString, t1: Term, t2: Term,
@@ -115,43 +94,44 @@ def build_cod_countermodel(w: GuardedString, t1: Term, t2: Term,
     test holds at the prefixes whose last atom satisfies it.  The full
     witness then lies in cod(t2)'s value but not in cod(t1)'s.
     """
-    ext = _countermodel_alphabet(t1, t2, alphabet)
-    _check_witness(w, Dot(TOP, t2), Dot(TOP, t1), ext)
-    prefixes = [GuardedString(w.atoms[:j + 1], w.acts[:j])
-                for j in range(len(w.atoms))]
-    steps = frozenset((j, j + 1, act) for j, act in enumerate(w.acts))
-    action_map, test_map = _primitive_maps(
-        ext, steps, [p.last_atom for p in prefixes], len(prefixes))
-    interp = RelInterpretation(len(prefixes), action_map, test_map)
-    point = len(prefixes) - 1
-    in_t2 = point in evaluate(t2, interp).cod()
-    in_t1 = point in evaluate(t1, interp).cod()
-    if not in_t2 or in_t1:
-        raise TopkatError("internal error: prefix countermodel failed verification")
-    return RelCountermodel(interp, tuple(prefixes), prefixes[point], w, "right")
+    return _build_countermodel(w, t1, t2, alphabet, domain=False)
 
 
 def build_dom_countermodel(w: GuardedString, t1: Term, t2: Term,
                            alphabet: Alphabet) -> RelCountermodel:
     """Suffix model: carrier = atom-aligned suffixes of w, tests keyed on
     first atoms; the full witness lies in dom(t2)'s value only."""
-    ext = _countermodel_alphabet(t1, t2, alphabet)
-    _check_witness(w, Dot(t2, TOP), Dot(t1, TOP), ext)
-    suffixes = [GuardedString(w.atoms[j:], w.acts[j:])
-                for j in range(len(w.atoms))]
-    steps = frozenset((j, j + 1, act) for j, act in enumerate(w.acts))
-    action_map, test_map = _primitive_maps(
-        ext, steps, [s.first_atom for s in suffixes], len(suffixes))
-    interp = RelInterpretation(len(suffixes), action_map, test_map)
-    in_t2 = 0 in evaluate(t2, interp).dom()
-    in_t1 = 0 in evaluate(t1, interp).dom()
-    if not in_t2 or in_t1:
-        raise TopkatError("internal error: suffix countermodel failed verification")
-    return RelCountermodel(interp, tuple(suffixes), suffixes[0], w, "right")
+    return _build_countermodel(w, t1, t2, alphabet, domain=True)
 
 
-def _check_witness(w: GuardedString, smaller: Term, larger: Term,
-                   ext: ExtendedAlphabet) -> None:
-    base = ext.base
-    if not member(w, reduce(smaller, base)) or member(w, reduce(larger, base)):
+def _build_countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet,
+                        domain: bool) -> RelCountermodel:
+    """The suffix (domain) or prefix (codomain) model of witness w.
+
+    Element j is keyed on atom j of w, the first atom of suffix j and the
+    last atom of prefix j; each action step of w relates j to j + 1.
+    """
+    ext = ExtendedAlphabet(prune_alphabet(alphabet, t1, t2))
+    smaller, larger = (Dot(t2, TOP), Dot(t1, TOP)) if domain else (Dot(TOP, t2), Dot(TOP, t1))
+    if not member(w, reduce(smaller, ext.base)) or member(w, reduce(larger, ext.base)):
         raise ValueError(f"not a separating witness: {w.render()!r}")
+    n = len(w.atoms)
+    if domain:
+        carrier, point = [GuardedString(w.atoms[j:], w.acts[j:]) for j in range(n)], 0
+    else:
+        carrier, point = [GuardedString(w.atoms[:j + 1], w.acts[:j]) for j in range(n)], n - 1
+    action_map = {
+        name: Relation.from_pairs(n, [(j, j + 1) for j, act in enumerate(w.acts) if act == name])
+        for name in ext.alphabet.actions
+    }
+    test_map = {
+        name: Relation.from_pairs(
+            n, [(j, j) for j, atom in enumerate(w.atoms) if satisfies(atom, Test(name))])
+        for name in ext.base.tests
+    }
+    interp = RelInterpretation(n, action_map, test_map)
+    reach = Relation.dom if domain else Relation.cod
+    if point not in reach(evaluate(t2, interp)) or point in reach(evaluate(t1, interp)):
+        raise TopkatError(f"internal error: {'suffix' if domain else 'prefix'} "
+                          "countermodel failed verification")
+    return RelCountermodel(interp, tuple(carrier), carrier[point], w, "right")

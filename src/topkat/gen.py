@@ -56,12 +56,5 @@ def random_relation(rng: random.Random, n: int) -> Relation:
 def random_interpretation(rng: random.Random, n: int,
                           alphabet: Alphabet) -> RelInterpretation:
     actions = {name: random_relation(rng, n) for name in alphabet.actions}
-    tests = {}
-    for name in alphabet.tests:
-        diag = rng.getrandbits(n)
-        mask = 0
-        for i in range(n):
-            if diag >> i & 1:
-                mask |= 1 << (i * n + i)
-        tests[name] = Relation(n, mask)
+    tests = {name: Relation.diagonal(n, rng.getrandbits(n)) for name in alphabet.tests}
     return RelInterpretation(n, actions, tests)

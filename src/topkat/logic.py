@@ -17,7 +17,6 @@ from .decide import Verdict, equivalent
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
 from .relmodel import SearchBudget, SearchHit, falsify_implication
-from .semantics import ATOM_CAP
 from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, ZERO, contains_top, is_test_only, parse
 
 DIRECTIONS = ("under", "as-printed")
@@ -68,8 +67,8 @@ def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedIne
     return EncodedInequality(smaller=reach, larger=claim)
 
 
-def check_triple(tr: Triple, alphabet: Alphabet, direction: str = "under", *,
-                 atom_cap: int = ATOM_CAP) -> Union[Verdict, ComparisonVerdict]:
+def check_triple(tr: Triple, alphabet: Alphabet,
+                 direction: str = "under") -> Union[Verdict, ComparisonVerdict]:
     """Hoare triples via the equational decision; incorrectness triples via
     the codomain comparison, so refutations carry relational countermodels."""
     if direction not in DIRECTIONS:
@@ -77,11 +76,11 @@ def check_triple(tr: Triple, alphabet: Alphabet, direction: str = "under", *,
     if tr.kind == "hoare":
         enc = encode(tr)
         assert isinstance(enc, EncodedEquation)
-        return equivalent(enc.left, enc.right, alphabet, atom_cap=atom_cap)
+        return equivalent(enc.left, enc.right, alphabet)
     prog = Dot(tr.pre, tr.prog)
     if direction == "under":
-        return cod_geq(prog, tr.post, alphabet, atom_cap=atom_cap)
-    return cod_geq(tr.post, prog, alphabet, atom_cap=atom_cap)
+        return cod_geq(prog, tr.post, alphabet)
+    return cod_geq(tr.post, prog, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +170,12 @@ def parse_triple_line(line: str, alphabet: Alphabet) -> Triple:
                   parse(post, alphabet))
 
 
+def split_triple_file(text: str) -> list[tuple[int, str]]:
+    """The triple lines of a file's text, numbered from 1."""
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
 def parse_triple_file(text: str, alphabet: Alphabet) -> list[tuple[int, Triple]]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        out.append((lineno, parse_triple_line(line, alphabet)))
-    return out
+    return [(lineno, parse_triple_line(line, alphabet))
+            for lineno, line in split_triple_file(text)]

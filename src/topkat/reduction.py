@@ -10,29 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decide import Verdict, equivalent, leq
-from .semantics import ATOM_CAP
 from .syntax import (
-    Act, Alphabet, Dot, Not, Plus, Star, Term, TOP, Top,
-    check_over, occurring,
+    Act, Alphabet, Plus, Star, Term, TOP, Top,
+    check_over, prune_alphabet, rebuild,
 )
 
 TOP_ACTION = "__top__"
 
-
 @dataclass(frozen=True)
 class ExtendedAlphabet:
-    """A base alphabet plus the reserved action standing in for T."""
+    """A base alphabet plus the reserved action TOP_ACTION standing in for T."""
 
     base: Alphabet
-    top_action: str = TOP_ACTION
 
     def __post_init__(self) -> None:
-        if self.top_action in self.base.actions or self.top_action in self.base.tests:
-            raise ValueError(f"{self.top_action!r} must not be declared in the base alphabet")
+        if TOP_ACTION in self.base.actions or TOP_ACTION in self.base.tests:
+            raise ValueError(f"{TOP_ACTION!r} must not be declared in the base alphabet")
 
     @property
     def alphabet(self) -> Alphabet:
-        return Alphabet(self.base.actions + (self.top_action,), self.base.tests)
+        return Alphabet(self.base.actions + (TOP_ACTION,), self.base.tests)
 
     def sum_star(self) -> Term:
         """The largest element of the extended KAT: (a1 + ... + ak + top)*."""
@@ -46,78 +43,35 @@ class ExtendedAlphabet:
 def reduce(t: Term, alphabet: Alphabet) -> Term:
     """Replace every T with the extended sum-star; homomorphic elsewhere."""
     check_over(t, alphabet)
-    ext = ExtendedAlphabet(alphabet)
-    sum_star = ext.sum_star()
-
-    def go(t: Term) -> Term:
-        match t:
-            case Top():
-                return sum_star
-            case Not(arg):
-                return Not(go(arg))
-            case Star(arg):
-                return Star(go(arg))
-            case Plus(left, right):
-                return Plus(go(left), go(right))
-            case Dot(left, right):
-                return Dot(go(left), go(right))
-            case _:
-                return t
-
-    return go(t)
+    sum_star = ExtendedAlphabet(alphabet).sum_star()
+    return rebuild(t, lambda s: sum_star if isinstance(s, Top) else s)
 
 
-def embed_back(t: Term, top_action: str = TOP_ACTION) -> Term:
+def embed_back(t: Term) -> Term:
     """Map the reserved action back to T; homomorphic on everything else."""
-    match t:
-        case Act(name) if name == top_action:
-            return TOP
-        case Not(arg):
-            return Not(embed_back(arg, top_action))
-        case Star(arg):
-            return Star(embed_back(arg, top_action))
-        case Plus(left, right):
-            return Plus(embed_back(left, top_action), embed_back(right, top_action))
-        case Dot(left, right):
-            return Dot(embed_back(left, top_action), embed_back(right, top_action))
-        case _:
-            return t
+    return rebuild(t, lambda s: TOP if s == Act(TOP_ACTION) else s)
 
 
-def prune_alphabet(alphabet: Alphabet, *terms: Term) -> Alphabet:
-    """Drop primitives that occur in none of the terms, keeping order."""
-    acts: frozenset[str] = frozenset()
-    tsts: frozenset[str] = frozenset()
-    for t in terms:
-        a, b = occurring(t)
-        acts |= a
-        tsts |= b
-    return Alphabet(tuple(n for n in alphabet.actions if n in acts),
-                    tuple(n for n in alphabet.tests if n in tsts))
+def _reducts(t1: Term, t2: Term, alphabet: Alphabet) -> tuple[Term, Term, Alphabet]:
+    """Both reducts over the alphabet pruned to the terms' primitives, and
+    the extended alphabet they are decided over.
 
-
-def topkat_equivalent(t1: Term, t2: Term, alphabet: Alphabet, *,
-                      atom_cap: int = ATOM_CAP) -> Verdict:
-    """Decide a TopKAT equation by deciding the reducts as plain KAT.
-
-    The alphabet is first pruned to the primitives of the two terms, so
-    the reserved sum-star mentions only relevant actions.  Witnesses are
-    guarded strings over the extended alphabet.
+    Pruning first keeps the reserved sum-star to the relevant actions.
     """
     for t in (t1, t2):
         check_over(t, alphabet)
     pruned = prune_alphabet(alphabet, t1, t2)
-    ext = ExtendedAlphabet(pruned)
-    return equivalent(reduce(t1, pruned), reduce(t2, pruned), ext.alphabet,
-                      atom_cap=atom_cap)
+    return reduce(t1, pruned), reduce(t2, pruned), ExtendedAlphabet(pruned).alphabet
 
 
-def topkat_leq(t1: Term, t2: Term, alphabet: Alphabet, *,
-               atom_cap: int = ATOM_CAP) -> Verdict:
+def topkat_equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
+    """Decide a TopKAT equation by deciding the reducts as plain KAT.
+
+    Witnesses are guarded strings over the extended alphabet.
+    """
+    return equivalent(*_reducts(t1, t2, alphabet))
+
+
+def topkat_leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     """Decide t1 <= t2 in TopKAT; a witness lies in L(r(t1)) \\ L(r(t2))."""
-    for t in (t1, t2):
-        check_over(t, alphabet)
-    pruned = prune_alphabet(alphabet, t1, t2)
-    ext = ExtendedAlphabet(pruned)
-    return leq(reduce(t1, pruned), reduce(t2, pruned), ext.alphabet,
-               atom_cap=atom_cap)
+    return leq(*_reducts(t1, t2, alphabet))

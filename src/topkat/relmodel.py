@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 from .errors import ResourceLimitError, UndeclaredIdentifierError
 from .syntax import (
     Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,
-    occurring,
+    contains_top, prune_alphabet,
 )
 
 
@@ -54,6 +54,15 @@ class Relation:
         return cls(n, mask)
 
     @classmethod
+    def diagonal(cls, n: int, bits: int) -> Relation:
+        """The sub-identity holding at every i whose bit i is set in bits."""
+        mask = 0
+        for i in range(n):
+            if bits >> i & 1:
+                mask |= 1 << (i * n + i)
+        return cls(n, mask)
+
+    @classmethod
     def full(cls, n: int) -> Relation:
         return cls(n, (1 << (n * n)) - 1)
 
@@ -61,9 +70,6 @@ class Relation:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(self.n) for j in range(self.n)
                      if self.mask >> (i * self.n + j) & 1)
-
-    def contains(self, i: int, j: int) -> bool:
-        return bool(self.mask >> (i * self.n + j) & 1)
 
     def union(self, other: Relation) -> Relation:
         return Relation(self.n, self.mask | other.mask)
@@ -258,7 +264,7 @@ def _interpretations(actions: Sequence[str], tests: Sequence[str], max_n: int,
             test_space = [range(1 << n)] * len(tests)
             for masks in itertools.product(*act_space, *test_space):
                 action_map = {name: Relation(n, masks[i]) for i, name in enumerate(actions)}
-                test_map = {name: _diag_relation(n, masks[len(actions) + i])
+                test_map = {name: Relation.diagonal(n, masks[len(actions) + i])
                             for i, name in enumerate(tests)}
                 yield RelInterpretation(n, action_map, test_map)
     else:
@@ -266,16 +272,8 @@ def _interpretations(actions: Sequence[str], tests: Sequence[str], max_n: int,
         for _ in range(budget.samples):
             n = rng.randint(1, max_n)
             action_map = {name: Relation(n, rng.getrandbits(n * n)) for name in actions}
-            test_map = {name: _diag_relation(n, rng.getrandbits(n)) for name in tests}
+            test_map = {name: Relation.diagonal(n, rng.getrandbits(n)) for name in tests}
             yield RelInterpretation(n, action_map, test_map)
-
-
-def _diag_relation(n: int, diag_mask: int) -> Relation:
-    mask = 0
-    for i in range(n):
-        if diag_mask >> i & 1:
-            mask |= 1 << (i * n + i)
-    return Relation(n, mask)
 
 
 def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
@@ -290,8 +288,8 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    acts, tsts = _occurring_primitives(alphabet, t1, t2)
-    for interp in _interpretations(acts, tsts, max_n, budget, ceiling):
+    pruned = prune_alphabet(alphabet, t1, t2)
+    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget, ceiling):
         found = _violation(kind, evaluate(t1, interp), evaluate(t2, interp))
         if found is not None:
             shape, where = found
@@ -299,17 +297,6 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
                              violating_pair=where if shape == "pair" else None,
                              violating_point=where if shape == "point" else None)
     return None
-
-
-def _occurring_primitives(alphabet: Alphabet, *terms: Term):
-    acts: set[str] = set()
-    tsts: set[str] = set()
-    for t in terms:
-        a, b = occurring(t)
-        acts |= a
-        tsts |= b
-    return ([n for n in alphabet.actions if n in acts],
-            [n for n in alphabet.tests if n in tsts])
 
 
 def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
@@ -320,7 +307,6 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
     Hypotheses and goal are pairs (u, v) read as `T u <= T v`, i.e. as the
     codomain inclusion cod(u) <= cod(v).  Sound refuter only.
     """
-    from .syntax import contains_top
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     pairs = list(hyps) + [goal]
@@ -328,8 +314,8 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
         if contains_top(u) or contains_top(v):
             raise ValueError("comparison sides must be top-free")
     every = [t for pair in pairs for t in pair]
-    acts, tsts = _occurring_primitives(alphabet, *every)
-    for interp in _interpretations(acts, tsts, max_n, budget, ceiling):
+    pruned = prune_alphabet(alphabet, *every)
+    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget, ceiling):
         if any(not evaluate(u, interp).cod() <= evaluate(v, interp).cod()
                for u, v in hyps):
             continue

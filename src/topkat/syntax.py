@@ -1,4 +1,5 @@
-"""Alphabets, term abstract syntax, parsing, printing, and term reversal.
+"""Alphabets, term abstract syntax, traversals (reversal, rebuilding,
+alphabet pruning), parsing, and printing.
 
 Terms are immutable trees.  The grammar (precedence `!` > `*` > sequence
 > `+`, sequence left-associative, juxtaposition means sequence):
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ParseError, SortError, UndeclaredIdentifierError
 
@@ -132,68 +133,69 @@ TOP = Top()
 
 def is_test_only(t: Term) -> bool:
     """True iff t is built from 0, 1, tests, !, + and sequence only."""
-    match t:
-        case Zero() | One() | Test():
-            return True
-        case Not(arg):
-            return is_test_only(arg)
-        case Plus(left, right) | Dot(left, right):
-            return is_test_only(left) and is_test_only(right)
-        case _:
-            return False
+    return all(isinstance(s, (Zero, One, Test, Not, Plus, Dot)) for s in subterms(t))
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Every subterm of t, t itself first, in pre-order, left before right."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        match node:
+            case Not(arg) | Star(arg):
+                stack.append(arg)
+            case Plus(left, right) | Dot(left, right):
+                stack.append(right)
+                stack.append(left)
 
 
 def contains_top(t: Term) -> bool:
-    match t:
-        case Top():
-            return True
-        case Not(arg) | Star(arg):
-            return contains_top(arg)
-        case Plus(left, right) | Dot(left, right):
-            return contains_top(left) or contains_top(right)
-        case _:
-            return False
+    return any(isinstance(s, Top) for s in subterms(t))
+
+
+def rebuild(t: Term, leaf: Callable[[Term], Term], flip: bool = False) -> Term:
+    """Copy t bottom-up with every leaf s replaced by leaf(s); with flip,
+    the operands of every sequential composition are swapped too."""
+
+    def go(t: Term) -> Term:
+        match t:
+            case Dot(left, right):
+                return Dot(go(right), go(left)) if flip else Dot(go(left), go(right))
+            case Plus(left, right):
+                return Plus(go(left), go(right))
+            case Star(arg):
+                return Star(go(arg))
+            case Not(arg):
+                return Not(go(arg))
+            case _:
+                return leaf(t)
+
+    return go(t)
 
 
 def reverse(t: Term) -> Term:
     """Flip every sequential composition, recursively; an involution."""
-    match t:
-        case Dot(left, right):
-            return Dot(reverse(right), reverse(left))
-        case Plus(left, right):
-            return Plus(reverse(left), reverse(right))
-        case Star(arg):
-            return Star(reverse(arg))
-        case Not(arg):
-            return Not(reverse(arg))
-        case _:
-            return t
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    match t:
-        case Not(arg) | Star(arg):
-            yield from subterms(arg)
-        case Plus(left, right) | Dot(left, right):
-            yield from subterms(left)
-            yield from subterms(right)
-        case _:
-            pass
+    return rebuild(t, lambda s: s, flip=True)
 
 
 def occurring(t: Term) -> tuple[frozenset[str], frozenset[str]]:
     """The sets of primitive action and test names occurring in t."""
-    acts, tsts = set(), set()
-    for s in subterms(t):
-        match s:
-            case Act(name):
-                acts.add(name)
-            case Test(name):
-                tsts.add(name)
-            case _:
-                pass
-    return frozenset(acts), frozenset(tsts)
+    subs = list(subterms(t))
+    return (frozenset(s.name for s in subs if isinstance(s, Act)),
+            frozenset(s.name for s in subs if isinstance(s, Test)))
+
+
+def prune_alphabet(alphabet: Alphabet, *terms: Term) -> Alphabet:
+    """Drop primitives that occur in none of the terms, keeping order."""
+    acts: frozenset[str] = frozenset()
+    tsts: frozenset[str] = frozenset()
+    for t in terms:
+        a, b = occurring(t)
+        acts |= a
+        tsts |= b
+    return Alphabet(tuple(n for n in alphabet.actions if n in acts),
+                    tuple(n for n in alphabet.tests if n in tsts))
 
 
 def check_over(t: Term, alphabet: Alphabet) -> None:
@@ -380,20 +382,3 @@ def render(t: Term) -> str:
         case Dot(left, right):
             return _wrap(left, _PREC_DOT) + " " + _wrap(right, _PREC_STAR)
     raise TypeError(f"not a term: {t!r}")
-
-
-_ORDER = (Zero, One, Top, Test, Act, Not, Plus, Dot, Star)
-_RANK = {cls: i for i, cls in enumerate(_ORDER)}
-
-
-def term_key(t: Term):
-    """A total order on terms, for canonical display of term sets."""
-    match t:
-        case Act(name) | Test(name):
-            return (_RANK[type(t)], name)
-        case Not(arg) | Star(arg):
-            return (_RANK[type(t)], term_key(arg))
-        case Plus(left, right) | Dot(left, right):
-            return (_RANK[type(t)], term_key(left), term_key(right))
-        case _:
-            return (_RANK[type(t)],)

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 
+from topkat import logic
 from topkat.cli import main
+from topkat.relmodel import Relation, RelInterpretation, SearchHit
 
 
 def run(capsys, *argv):
@@ -120,6 +123,71 @@ def test_rule_subcommand(capsys):
     code, _, err = run(capsys, "rule", "sequencing", "1", "1", "--exhaustive",
                        "--tests", "")
     assert code == 2 and "5 terms" in err
+
+
+def test_rule_json_without_refutation(capsys):
+    code, out, _ = run(capsys, "rule", "choice", "b", "c", "p", "p", "--tests", "b,c",
+                       "--exhaustive", "--json")
+    assert code == 0
+    assert out == '{"v": 1, "verdict": "no-refutation", "budget": "exhaustive n<=2"}\n'
+    code, out, _ = run(capsys, "rule", "choice", "b", "c", "p", "p", "--tests", "b,c",
+                       "--samples", "50", "--seed", "3", "--json")
+    assert code == 0
+    assert out == ('{"v": 1, "verdict": "no-refutation", '
+                   '"budget": "50 samples n<=2 seed=3", "seed": 3}\n')
+
+
+# The built-in rules are sound, so a refuted rule is only reachable with a
+# hand-built hit in place of the search result.
+REFUTING_HIT = SearchHit(
+    RelInterpretation(2, {"p": Relation.from_pairs(2, [(0, 1)])},
+                      {"b": Relation.from_pairs(2, [(0, 0)]), "c": Relation.empty(2)}),
+    "cod_geq", violating_point=1)
+REFUTED_MODEL = ('"countermodel": {"carrier": ["0", "1"], "relations": '
+                 '{"p": [[0, 1]], "b": [[0, 0]], "c": []}, "violating_point": "1"}')
+REFUTED_HUMAN = ("refuted\ncarrier:\n  0 = 0\n  1 = 1\nrelations:\n  p = {(0,1)}\n"
+                 "  b = {(0,0)}\n  c = {}\nviolating point: 1\n")
+
+
+def test_rule_refuted_output(capsys, monkeypatch):
+    real = logic.check_rule_instance
+    monkeypatch.setattr(logic, "check_rule_instance",
+                        lambda *args: dataclasses.replace(real(*args), hit=REFUTING_HIT))
+    rule = ("rule", "choice", "b", "c", "p", "p", "--tests", "b,c")
+    code, out, _ = run(capsys, *rule, "--exhaustive", "--json")
+    assert code == 1
+    assert out == ('{"v": 1, "verdict": "refuted", ' + REFUTED_MODEL
+                   + ', "budget": "exhaustive n<=2"}\n')
+    code, out, _ = run(capsys, *rule, "--samples", "50", "--seed", "3", "--json")
+    assert code == 1
+    assert out == ('{"v": 1, "verdict": "refuted", "seed": 3, ' + REFUTED_MODEL
+                   + ', "budget": "50 samples n<=2 seed=3"}\n')
+    code, out, _ = run(capsys, *rule, "--exhaustive")
+    assert code == 1 and out == REFUTED_HUMAN
+    code, out, _ = run(capsys, *rule, "--samples", "50", "--seed", "3")
+    assert code == 1 and out == REFUTED_HUMAN + "seed: 3\n"
+
+
+def test_flags_may_follow_or_precede_terms(capsys):
+    terms = ("a", "b", "c", "p", "q")
+    flags = ("--tests", "a,b,c", "--exhaustive", "--max-states", "1")
+    first = run(capsys, "rule", "sequencing", *terms, *flags)
+    assert first[0] == 0 and first[1] == "no refutation found (budget exhaustive n<=1)\n"
+    assert run(capsys, "rule", "sequencing", *flags, *terms) == first
+    assert run(capsys, "rule", "sequencing", "a", "b", "--tests", "a,b,c", "c", "p",
+               "--exhaustive", "q", "--max-states", "1") == first
+    member = run(capsys, "member", "--tests", "b", "p*", "[b] p [!b]")
+    assert member[:2] == (0, "member\n")
+    assert run(capsys, "member", "p*", "--tests", "b", "[b] p [!b]") == member
+    code, _, err = run(capsys, "rule", "sequencing", *terms, *flags, "--bogus")
+    assert code == 2 and "--bogus" in err
+    code, _, err = run(capsys, "decide", "--bogus", "p", "p")
+    assert code == 2 and "--bogus" in err
+
+
+def test_too_deep_term_is_a_resource_error(capsys):
+    code, out, err = run(capsys, "decide", " ".join(["p"] * 1200), "p")
+    assert code == 3 and out == "" and err.startswith("error: ")
 
 
 def test_usage_errors(capsys):

@@ -5,7 +5,8 @@ import pytest
 from conftest import ALPHABET
 from topkat.decide import Witness
 from topkat.domain import (
-    Provable, RelCountermodel, build_cod_countermodel, cod_geq, dom_geq,
+    Provable, RelCountermodel, build_cod_countermodel, build_dom_countermodel, cod_geq,
+    dom_geq,
 )
 from topkat.errors import TopNotAllowedError
 from topkat.gen import random_term
@@ -63,24 +64,57 @@ def test_dom_geq_agrees_with_reversed_cod_geq():
         assert isinstance(direct, Provable) == isinstance(mirrored, Provable)
 
 
-def test_build_cod_countermodel_shape():
+# Each countermodel direction: its builder, how a compared term is padded
+# with T for the decision, and where the violating point lies.
+DIRECTIONS = {
+    "cod": (build_cod_countermodel, lambda t: Dot(TOP, t), lambda n: n - 1),
+    "dom": (build_dom_countermodel, lambda t: Dot(t, TOP), lambda n: 0),
+}
+
+
+def _check_countermodel_shape(direction):
+    build, pad, violating = DIRECTIONS[direction]
     t1, t2 = parse("p b", AL_PB), parse("p", AL_PB)
-    verdict = topkat_leq(Dot(TOP, t2), Dot(TOP, t1), AL_PB)
+    verdict = topkat_leq(pad(t2), pad(t1), AL_PB)
     assert isinstance(verdict, Witness)
-    model = build_cod_countermodel(verdict.string, t1, t2, AL_PB)
-    assert len(model.carrier) == model.witness.num_actions + 1
-    # prefixes grow one step at a time and primitive steps only move forward
+    w = verdict.string
+    model = build(w, t1, t2, AL_PB)
+    assert len(model.carrier) == w.num_actions + 1
+    assert model.violating_index == violating(len(model.carrier))
+    assert model.violating_point == w
+    # carrier element i is keyed on the witness's i-th atom: the last atom
+    # of a prefix, the first atom of a suffix
+    for i, s in enumerate(model.carrier):
+        assert (s.last_atom if direction == "cod" else s.first_atom) == w.atoms[i]
+    # the carrier grows one step at a time and primitive steps only move forward
     for name, rel in model.interp.action_map.items():
         assert all(j == i + 1 for i, j in rel.pairs), name
     for name, rel in model.interp.test_map.items():
         assert all(i == j for i, j in rel.pairs), name
 
 
-def test_build_cod_countermodel_rejects_non_witness():
+def _check_rejects_non_witness(direction):
+    build, pad, _ = DIRECTIONS[direction]
     t1, t2 = parse("p b", AL_PB), parse("p", AL_PB)
-    good = topkat_leq(Dot(TOP, t2), Dot(TOP, t1), AL_PB).string
+    good = topkat_leq(pad(t2), pad(t1), AL_PB).string
     with pytest.raises(ValueError, match="witness"):
-        build_cod_countermodel(good, t2, t1, AL_PB)  # sides swapped
+        build(good, t2, t1, AL_PB)  # sides swapped
+
+
+def test_build_cod_countermodel_shape():
+    _check_countermodel_shape("cod")
+
+
+def test_build_dom_countermodel_shape():
+    _check_countermodel_shape("dom")
+
+
+def test_build_cod_countermodel_rejects_non_witness():
+    _check_rejects_non_witness("cod")
+
+
+def test_build_dom_countermodel_rejects_non_witness():
+    _check_rejects_non_witness("dom")
 
 
 def test_bounded_prefix_image_matches_reduct_language():
