@@ -13,13 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import decide, domain, logic, relmodel
 from .errors import ResourceLimitError, TopkatError
 from .reduction import reduce, topkat_equivalent, topkat_leq
 from .relmodel import SearchBudget, SearchHit
-from .semantics import GuardedString, gs_sort_key, lang_bounded, parse_guarded_string
+from .semantics import gs_sort_key, lang_bounded, parse_guarded_string
 from .syntax import Alphabet, declare_alphabet, parse, render, scan_identifiers
+
+# A handler takes the parsed arguments, the alphabet and the parsed terms,
+# and returns the human-readable lines, the JSON payload and the exit code.
+Output = tuple[list[str], dict, int]
 
 
 class UsageError(TopkatError):
@@ -27,9 +33,7 @@ class UsageError(TopkatError):
 
 
 def _split_names(flag: str | None) -> tuple[str, ...]:
-    if not flag:
-        return ()
-    return tuple(name.strip() for name in flag.split(",") if name.strip())
+    return tuple(name.strip() for name in (flag or "").split(",") if name.strip())
 
 
 def _build_alphabet(args, texts: list[str]) -> Alphabet:
@@ -43,29 +47,31 @@ def _build_alphabet(args, texts: list[str]) -> Alphabet:
     return declare_alphabet(actions, tests)
 
 
-def _read_terms(args, expected: int) -> list[str]:
-    texts = list(args.terms or [])
-    if args.file is not None:
+def _read_terms(args, expected: int | None) -> list[str]:
+    texts = list(args.terms)
+    if getattr(args, "file", None) is not None:
         if texts:
             raise UsageError("give terms positionally or via --file, not both")
         with open(args.file, encoding="utf-8") as handle:
             texts = [line.strip() for line in handle if line.strip()]
-    if len(texts) != expected:
+    if expected is not None and len(texts) != expected:
         raise UsageError(f"expected {expected} term(s), got {len(texts)}")
     return texts
 
 
-def _emit(args, human: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps({"v": 1, **payload}))
-    else:
-        for line in human:
-            print(line)
+def _read_triples(args, expected: int | None) -> list[str]:
+    """The pre, program and post texts of every triple in the file, in
+    order; each triple's line number and kind go to `args.lines`."""
+    with open(args.file, encoding="utf-8") as handle:
+        split = [(lineno, *logic.split_triple_line(line))
+                 for lineno, line in logic.split_triple_file(handle.read())]
+    args.lines = [(lineno, kind) for lineno, kind, *_ in split]
+    return [text for _, _, *texts in split for text in texts]
 
 
 def _countermodel_payload(carrier: list[str], interp, extra: dict) -> dict:
     relations = {name: [list(pair) for pair in rel.pairs]
-                 for name, rel in list(interp.action_map.items()) + list(interp.test_map.items())}
+                 for name, rel in {**interp.action_map, **interp.test_map}.items()}
     return {"carrier": carrier, "relations": relations, **extra}
 
 
@@ -73,7 +79,7 @@ def _countermodel_lines(carrier: list[str], interp) -> list[str]:
     lines = ["carrier:"]
     lines += [f"  {i} = {label}" for i, label in enumerate(carrier)]
     lines.append("relations:")
-    for name, rel in list(interp.action_map.items()) + list(interp.test_map.items()):
+    for name, rel in {**interp.action_map, **interp.test_map}.items():
         body = " ".join(f"({i},{j})" for i, j in rel.pairs)
         lines.append(f"  {name} = {{{body}}}")
     return lines
@@ -83,7 +89,7 @@ def _budget(args) -> SearchBudget:
     if args.exhaustive and args.samples is not None:
         raise UsageError("choose either --exhaustive or --samples, not both")
     if args.exhaustive:
-        return SearchBudget(exhaustive=True)
+        return SearchBudget(exhaustive=True, ceiling=args.ceiling)
     if args.samples is None:
         raise UsageError("choose a search mode: --exhaustive or --samples N --seed S")
     if args.seed is None:
@@ -91,128 +97,31 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(exhaustive=False, samples=args.samples, seed=args.seed)
 
 
-def _verdict_payload(equal: bool, ok_word: str, bad_word: str,
-                     witness_verdict) -> tuple[list[str], dict, int]:
-    if equal:
+def _verdict_payload(verdict: decide.Verdict, ok_word: str, bad_word: str,
+                     side: str | None = None) -> Output:
+    if isinstance(verdict, decide.Equivalent):
         return [ok_word], {"verdict": ok_word}, 0
-    w: GuardedString = witness_verdict.string
-    human = [bad_word, f"witness: {w.render()}", f"side: {witness_verdict.side}"]
-    payload = {"verdict": bad_word.replace(" ", "-"), "witness": w.render(),
-               "side": witness_verdict.side}
+    w, side = verdict.string.render(), side or verdict.side
+    human = [bad_word, f"witness: {w}", f"side: {side}"]
+    return human, {"verdict": bad_word.replace(" ", "-"), "witness": w, "side": side}, 1
+
+
+def _comparison_payload(args, cm: domain.ComparisonVerdict) -> Output:
+    if isinstance(cm, domain.Provable):
+        return ["provable"], {"verdict": "provable"}, 0
+    carrier = [s.render() for s in cm.carrier]
+    witness, point = cm.witness.render(), cm.violating_point.render()
+    labels = [str(i) for i in range(len(carrier))] if args.numeric else carrier
+    human = ["not provable", f"witness: {witness}", *_countermodel_lines(labels, cm.interp),
+             f"violating point: {cm.violating_index}" + ("" if args.numeric else f" = {point}")]
+    payload = {"verdict": "not-provable", "witness": witness,
+               "countermodel": _countermodel_payload(carrier, cm.interp, {
+                   "violating_point": point, "witness": witness, "side": cm.side})}
     return human, payload, 1
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-
-
-def _cmd_decide(args) -> int:
-    texts = _read_terms(args, 2)
-    alphabet = _build_alphabet(args, texts)
-    t1, t2 = (parse(text, alphabet) for text in texts)
-    verdict = topkat_equivalent(t1, t2, alphabet)
-    human, payload, code = _verdict_payload(
-        isinstance(verdict, decide.Equivalent), "equivalent", "not equivalent", verdict)
-    _emit(args, human, payload)
-    return code
-
-
-def _cmd_leq(args) -> int:
-    texts = _read_terms(args, 2)
-    alphabet = _build_alphabet(args, texts)
-    upper, lower = (parse(text, alphabet) for text in texts)
-    verdict = topkat_leq(lower, upper, alphabet)
-    if isinstance(verdict, decide.Equivalent):
-        _emit(args, ["provable"], {"verdict": "provable"})
-        return 0
-    w = verdict.string
-    # the witness lies in the lower term's language only, i.e. the right argument
-    _emit(args, ["not provable", f"witness: {w.render()}", "side: right"],
-          {"verdict": "not-provable", "witness": w.render(), "side": "right"})
-    return 1
-
-
-def _cmd_comparison(args, op) -> int:
-    texts = _read_terms(args, 2)
-    alphabet = _build_alphabet(args, texts)
-    t1, t2 = (parse(text, alphabet) for text in texts)
-    verdict = op(t1, t2, alphabet)
-    if isinstance(verdict, domain.Provable):
-        _emit(args, ["provable"], {"verdict": "provable"})
-        return 0
-    cm: domain.RelCountermodel = verdict
-    carrier = [s.render() for s in cm.carrier]
-    human = ["not provable", f"witness: {cm.witness.render()}"]
-    if args.numeric:
-        human += _countermodel_lines([str(i) for i in range(len(carrier))], cm.interp)
-        human.append(f"violating point: {cm.violating_index}")
-    else:
-        human += _countermodel_lines(carrier, cm.interp)
-        human.append(f"violating point: {cm.violating_index} = {cm.violating_point.render()}")
-    payload = {"verdict": "not-provable", "witness": cm.witness.render(),
-               "countermodel": _countermodel_payload(carrier, cm.interp, {
-                   "violating_point": cm.violating_point.render(),
-                   "witness": cm.witness.render(),
-                   "side": cm.side,
-               })}
-    _emit(args, human, payload)
-    return 1
-
-
-def _cmd_reduce(args) -> int:
-    texts = _read_terms(args, 1)
-    alphabet = _build_alphabet(args, texts)
-    reduct = reduce(parse(texts[0], alphabet), alphabet)
-    _emit(args, [render(reduct)], {"reduct": render(reduct)})
-    return 0
-
-
-def _cmd_lang(args) -> int:
-    texts = _read_terms(args, 1)
-    alphabet = _build_alphabet(args, texts)
-    strings = lang_bounded(parse(texts[0], alphabet), alphabet, args.max_actions)
-    ordered = sorted(strings, key=lambda s: gs_sort_key(s, alphabet))
-    _emit(args, [s.render() for s in ordered], {"strings": [s.render() for s in ordered]})
-    return 0
-
-
-def _cmd_member(args) -> int:
-    texts = _read_terms(args, 1)
-    alphabet = _build_alphabet(args, texts + [args.string])
-    t = parse(texts[0], alphabet)
-    s = parse_guarded_string(args.string, alphabet)
-    inside = decide.member(s, t)
-    _emit(args, ["member" if inside else "not member"],
-          {"verdict": "member" if inside else "not-member"})
-    return 0 if inside else 1
-
-
-def _cmd_triple(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        text = handle.read()
-    numbered_lines = [(lineno, *logic.split_triple_line(line))
-                      for lineno, line in logic.split_triple_file(text)]
-    term_texts = [part for _, _, *parts in numbered_lines for part in parts]
-    alphabet = _build_alphabet(args, term_texts)
-    human, results, code = [], [], 0
-    for lineno, kind, pre, prog, post in numbered_lines:
-        tr = logic.Triple(kind, parse(pre, alphabet), parse(prog, alphabet),
-                          parse(post, alphabet))
-        verdict = logic.check_triple(tr, alphabet, direction=args.direction)
-        ok = isinstance(verdict, (decide.Equivalent, domain.Provable))
-        word = "provable" if ok else "not provable"
-        human.append(f"line {lineno}: {kind} {word}")
-        results.append({"line": lineno, "kind": kind,
-                        "verdict": word.replace(" ", "-")})
-        if not ok:
-            code = 1
-    _emit(args, human, {"verdict": "provable" if code == 0 else "not-provable",
-                        "results": results})
-    return code
-
-
 def _search_payload(hit: SearchHit | None, budget: SearchBudget,
-                    rule_budget: str | None) -> tuple[list[str], dict, int]:
+                    rule_budget: str | None) -> Output:
     """Output of `search`, or of `rule` given the rule's budget description."""
     seed: dict = {} if budget.exhaustive else {"seed": budget.seed}
     seed_line = [] if budget.exhaustive else [f"seed: {budget.seed}"]
@@ -238,159 +147,186 @@ def _search_payload(hit: SearchHit | None, budget: SearchBudget,
     return human + seed_line, payload, 1
 
 
-def _cmd_search(args) -> int:
-    texts = _read_terms(args, 2)
-    alphabet = _build_alphabet(args, texts)
-    t1, t2 = (parse(text, alphabet) for text in texts)
+# ---------------------------------------------------------------------------
+# Subcommand handlers
+
+
+def _cmd_decide(args, alphabet, t1, t2) -> Output:
+    return _verdict_payload(topkat_equivalent(t1, t2, alphabet), "equivalent", "not equivalent")
+
+
+def _cmd_leq(args, alphabet, upper, lower) -> Output:
+    # the witness lies in the lower term's language only, i.e. the right argument
+    return _verdict_payload(topkat_leq(lower, upper, alphabet), "provable", "not provable", "right")
+
+
+def _cmd_cod_geq(args, alphabet, t1, t2) -> Output:
+    return _comparison_payload(args, domain.cod_geq(t1, t2, alphabet))
+
+
+def _cmd_dom_geq(args, alphabet, t1, t2) -> Output:
+    return _comparison_payload(args, domain.dom_geq(t1, t2, alphabet))
+
+
+def _cmd_reduce(args, alphabet, t) -> Output:
+    reduct = render(reduce(t, alphabet))
+    return [reduct], {"reduct": reduct}, 0
+
+
+def _cmd_lang(args, alphabet, t) -> Output:
+    strings = lang_bounded(t, alphabet, args.max_actions)
+    ordered = [s.render() for s in sorted(strings, key=lambda s: gs_sort_key(s, alphabet))]
+    return ordered, {"strings": ordered}, 0
+
+
+def _cmd_member(args, alphabet, t) -> Output:
+    inside = decide.member(parse_guarded_string(args.string, alphabet), t)
+    return (["member" if inside else "not member"],
+            {"verdict": "member" if inside else "not-member"}, 0 if inside else 1)
+
+
+def _cmd_triple(args, alphabet, *terms) -> Output:
+    human, results = [], []
+    for i, (lineno, kind) in enumerate(args.lines):
+        tr = logic.Triple(kind, *terms[3 * i:3 * i + 3])
+        verdict = logic.check_triple(tr, alphabet, direction=args.direction)
+        word = ("provable" if isinstance(verdict, (decide.Equivalent, domain.Provable))
+                else "not provable")
+        human.append(f"line {lineno}: {kind} {word}")
+        results.append({"line": lineno, "kind": kind, "verdict": word.replace(" ", "-")})
+    code = int(any(r["verdict"] != "provable" for r in results))
+    return human, {"verdict": ("provable", "not-provable")[code], "results": results}, code
+
+
+def _cmd_search(args, alphabet, t1, t2) -> Output:
     kind = args.kind.replace("-", "_")
     if kind == "leq":
         # CLI order is (claimed larger, claimed smaller)
         t1, t2 = t2, t1
     budget = _budget(args)
-    hit = relmodel.search_countermodel(kind, t1, t2, alphabet, args.max_states,
-                                       budget, ceiling=args.ceiling)
-    human, payload, code = _search_payload(hit, budget, None)
-    _emit(args, human, payload)
-    return code
+    hit = relmodel.search_countermodel(kind, t1, t2, alphabet, args.max_states, budget)
+    return _search_payload(hit, budget, None)
 
 
-def _cmd_rule(args) -> int:
-    texts = list(args.terms)
-    alphabet = _build_alphabet(args, texts)
-    terms = [parse(text, alphabet) for text in texts]
+def _cmd_rule(args, alphabet, *terms) -> Output:
     budget = _budget(args)
-    report = logic.check_rule_instance(args.name, terms, alphabet,
-                                       args.max_states, budget)
-    human, payload, code = _search_payload(report.hit, budget, report.budget)
-    _emit(args, human, payload)
-    return code
+    report = logic.check_rule_instance(args.name, terms, alphabet, args.max_states, budget)
+    return _search_payload(report.hit, budget, report.budget)
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# The command table
 
 
-def _add_common(sub, terms: int | None) -> None:
-    sub.add_argument("--tests", default="", help="comma-separated test identifiers")
-    sub.add_argument("--actions", default=None,
-                     help="comma-separated action identifiers "
-                          "(default: inferred from the terms)")
-    sub.add_argument("--json", action="store_true", help="emit a JSON object")
-    if terms is not None:
-        sub.add_argument("terms", nargs="*", metavar="TERM")
-        sub.add_argument("--file", default=None,
-                         help="read the term(s) from a file, one per line")
+def _arg(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one `add_argument` call."""
+    return names, options
 
 
-def _add_search_flags(sub) -> None:
-    sub.add_argument("--max-states", type=int, default=2,
-                     help="largest carrier size to try (default 2)")
-    sub.add_argument("--exhaustive", action="store_true",
-                     help="enumerate every interpretation up to --max-states")
-    sub.add_argument("--samples", type=int, default=None,
-                     help="number of random interpretations to try")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for random sampling (required with --samples)")
-    sub.add_argument("--ceiling", type=int, default=relmodel.ENUM_CEILING,
-                     help="refuse exhaustive searches larger than this")
+COMMON_ARGS = (
+    _arg("--tests", default="", help="comma-separated test identifiers"),
+    _arg("--actions", default=None,
+         help="comma-separated action identifiers (default: inferred from the terms)"),
+    _arg("--json", action="store_true", help="emit a JSON object"),
+)
+TERM_ARGS = (
+    _arg("terms", nargs="*", metavar="TERM"),
+    _arg("--file", default=None, help="read the term(s) from a file, one per line"),
+)
+NUMERIC_ARG = _arg("--numeric", action="store_true",
+                   help="label carrier elements 0..n-1 instead of guarded strings")
+SEARCH_ARGS = (
+    _arg("--max-states", type=int, default=2, help="largest carrier size to try (default 2)"),
+    _arg("--exhaustive", action="store_true",
+         help="enumerate every interpretation up to --max-states"),
+    _arg("--samples", type=int, default=None, help="number of random interpretations to try"),
+    _arg("--seed", type=int, default=None,
+         help="seed for random sampling (required with --samples)"),
+    _arg("--ceiling", type=int, default=relmodel.ENUM_CEILING,
+         help="refuse exhaustive searches larger than this"),
+)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: `main` reads its term texts with `read`, checking
+    there are `terms` of them (None: the handler checks), parses them and
+    passes them to `handler`; `args` follow the common flags."""
+
+    help: str
+    handler: Callable[..., Output]
+    terms: int | None = 2
+    args: tuple = TERM_ARGS
+    read: Callable[..., list[str]] = _read_terms
+
+
+COMMANDS: dict[str, Command] = {
+    "decide": Command("decide TERM1 = TERM2 in TopKAT", _cmd_decide),
+    "leq": Command("decide TERM1 >= TERM2 in TopKAT", _cmd_leq),
+    "cod-geq": Command("decide cod(TERM1) >= cod(TERM2) over all relational models",
+                       _cmd_cod_geq, args=TERM_ARGS + (NUMERIC_ARG,)),
+    "dom-geq": Command("decide dom(TERM1) >= dom(TERM2) over all relational models",
+                       _cmd_dom_geq, args=TERM_ARGS + (NUMERIC_ARG,)),
+    "reduce": Command("print the top-free reduct of TERM", _cmd_reduce, 1),
+    "lang": Command("dump the bounded guarded-string language", _cmd_lang, 1, TERM_ARGS + (
+        _arg("--max-actions", type=int, required=True,
+             help="largest number of actions per string"),)),
+    "member": Command("is the guarded string in TERM's language?", _cmd_member, 1, TERM_ARGS + (
+        _arg("string", metavar="GSTRING", help="guarded string, e.g. '[b&!c] p [b&c]'"),)),
+    "triple": Command("check Hoare/incorrectness triples from a file", _cmd_triple, None, (
+        _arg("--file", required=True, help="triples, one per line"),
+        _arg("--direction", choices=logic.DIRECTIONS, default="under",
+             help="incorrectness encoding orientation (default under)"),
+    ), read=_read_triples),
+    "search": Command("search finite relational countermodels", _cmd_search, 2, TERM_ARGS + (
+        _arg("--kind", required=True, choices=["equality", "leq", "dom-geq", "cod-geq"],
+             help="comparison to refute (term order as in the other subcommands)"),
+    ) + SEARCH_ARGS),
+    "rule": Command("try to refute a proof-rule instance", _cmd_rule, None, (
+        _arg("name", choices=sorted(logic.RULES), help="rule to instantiate"),
+        _arg("terms", nargs="*", metavar="TERM",
+             help="instantiation, in the rule's parameter order"),
+    ) + SEARCH_ARGS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: a command name and that command's arguments,
+    which `main` parses with the command's own parser."""
+    width = max(map(len, COMMANDS)) + 2
     parser = argparse.ArgumentParser(
-        prog="topkat",
-        description="Decide KAT/TopKAT (in)equalities, compare (co)domains, "
-                    "and extract finite relational countermodels.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("decide", help="decide TERM1 = TERM2 in TopKAT")
-    _add_common(sub, terms=2)
-    sub.set_defaults(handler=_cmd_decide)
-
-    sub = subs.add_parser("leq", help="decide TERM1 >= TERM2 in TopKAT")
-    _add_common(sub, terms=2)
-    sub.set_defaults(handler=_cmd_leq)
-
-    sub = subs.add_parser("cod-geq", help="decide cod(TERM1) >= cod(TERM2) "
-                                          "over all relational models")
-    _add_common(sub, terms=2)
-    sub.add_argument("--numeric", action="store_true",
-                     help="label carrier elements 0..n-1 instead of guarded strings")
-    sub.set_defaults(handler=lambda args: _cmd_comparison(args, domain.cod_geq))
-
-    sub = subs.add_parser("dom-geq", help="decide dom(TERM1) >= dom(TERM2) "
-                                          "over all relational models")
-    _add_common(sub, terms=2)
-    sub.add_argument("--numeric", action="store_true",
-                     help="label carrier elements 0..n-1 instead of guarded strings")
-    sub.set_defaults(handler=lambda args: _cmd_comparison(args, domain.dom_geq))
-
-    sub = subs.add_parser("reduce", help="print the top-free reduct of TERM")
-    _add_common(sub, terms=1)
-    sub.set_defaults(handler=_cmd_reduce)
-
-    sub = subs.add_parser("lang", help="dump the bounded guarded-string language")
-    _add_common(sub, terms=1)
-    sub.add_argument("--max-actions", type=int, required=True,
-                     help="largest number of actions per string")
-    sub.set_defaults(handler=_cmd_lang)
-
-    sub = subs.add_parser("member", help="is the guarded string in TERM's language?")
-    _add_common(sub, terms=1)
-    sub.add_argument("string", metavar="GSTRING",
-                     help="guarded string, e.g. '[b&!c] p [b&c]'")
-    sub.set_defaults(handler=_cmd_member)
-
-    sub = subs.add_parser("triple", help="check Hoare/incorrectness triples from a file")
-    _add_common(sub, terms=None)
-    sub.add_argument("--file", required=True, help="triples, one per line")
-    sub.add_argument("--direction", choices=logic.DIRECTIONS, default="under",
-                     help="incorrectness encoding orientation (default under)")
-    sub.set_defaults(handler=_cmd_triple)
-
-    sub = subs.add_parser("search", help="search finite relational countermodels")
-    _add_common(sub, terms=2)
-    sub.add_argument("--kind", required=True,
-                     choices=["equality", "leq", "dom-geq", "cod-geq"],
-                     help="comparison to refute (term order as in the other "
-                          "subcommands)")
-    _add_search_flags(sub)
-    sub.set_defaults(handler=_cmd_search)
-
-    sub = subs.add_parser("rule", help="try to refute a proof-rule instance")
-    _add_common(sub, terms=None)
-    sub.add_argument("name", choices=sorted(logic.RULES),
-                     help="rule to instantiate")
-    sub.add_argument("terms", nargs="*", metavar="TERM",
-                     help="instantiation, in the rule's parameter order")
-    _add_search_flags(sub)
-    sub.set_defaults(handler=_cmd_rule)
-
+        prog="topkat", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Decide KAT/TopKAT (in)equalities, compare (co)domains, and extract\n"
+                    "finite relational countermodels.",
+        epilog="commands:\n" + "\n".join(f"  {name:<{width}}{command.help}"
+                                         for name, command in COMMANDS.items()))
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                        help="one of the commands below")
+    parser.add_argument("args", nargs=argparse.REMAINDER, metavar="ARG",
+                        help="terms and flags of the command (see topkat COMMAND --help)")
     return parser
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
-    """Parse argv with terms before, between or after the flags: argparse
-    fills TERM from the first run of positionals only, so the terms left
-    over are appended in order (GSTRING stays the last positional)."""
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        if "terms" not in vars(args) or any(arg.startswith("-") for arg in extra):
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        if "string" in vars(args):
-            *args.terms, args.string = args.terms + [args.string] + extra
-        else:
-            args.terms += extra
-    return args
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"topkat {name}", description=COMMANDS[name].help)
+    for names, options in COMMON_ARGS + COMMANDS[name].args:
+        parser.add_argument(*names, **options)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
+        top = build_parser().parse_args(argv)
+        # terms may come before, between or after the flags
+        args = _command_parser(top.command).parse_intermixed_args(top.args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = COMMANDS[top.command]
     try:
-        return args.handler(args)
+        texts = command.read(args, command.terms)
+        alphabet = _build_alphabet(args, texts + [args.string] if "string" in args else texts)
+        human, payload, code = command.handler(
+            args, alphabet, *(parse(text, alphabet) for text in texts))
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         # too deep or too large to decide: no verdict was computed
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -398,6 +334,12 @@ def main(argv: list[str] | None = None) -> int:
     except (TopkatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps({"v": 1, **payload}))
+    else:
+        for line in human:
+            print(line)
+    return code
 
 
 def entry() -> None:

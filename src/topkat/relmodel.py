@@ -205,15 +205,19 @@ KINDS = ("equality", "leq", "dom_geq", "cod_geq")
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Either exhaustive enumeration up to max_n, or seeded sampling."""
+    """Either exhaustive enumeration up to max_n, refused when it would
+    enumerate more than `ceiling` interpretations, or seeded sampling."""
 
     exhaustive: bool = True
     samples: int | None = None
     seed: int | None = None
+    ceiling: int = ENUM_CEILING
 
     def __post_init__(self) -> None:
         if not self.exhaustive and (self.samples is None or self.seed is None):
             raise ValueError("random search needs both samples and seed")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("samples must be >= 1")
 
     def describe(self, max_n: int) -> str:
         if self.exhaustive:
@@ -250,15 +254,34 @@ def _violation(kind: str, r1: Relation, r2: Relation) -> tuple | None:
     return None
 
 
+def _check_ceiling(actions: Sequence[str], tests: Sequence[str], max_n: int,
+                   ceiling: int) -> None:
+    """Refuse an exhaustive search over more than `ceiling` interpretations.
+
+    Carrier size n has 2^(n*n*|actions| + n*|tests|) interpretations.  When
+    the largest size alone has over 2^64 times the ceiling, the exponent
+    decides, so no oversized count is built or printed.
+    """
+    def exponent(n: int) -> int:
+        return n * n * len(actions) + n * len(tests)
+
+    top = exponent(max_n)
+    if top >= ceiling.bit_length() + 64:
+        count = f"at least 2^{top}"
+    else:
+        # exponents rise with n unless both lists are empty: one model per size
+        total = sum(1 << exponent(n) for n in range(1, max_n + 1)) if top else max_n
+        if total <= ceiling:
+            return
+        count = str(total)
+    raise ResourceLimitError(f"exhaustive search would enumerate {count} "
+                             f"interpretations, over the ceiling of {ceiling}")
+
+
 def _interpretations(actions: Sequence[str], tests: Sequence[str], max_n: int,
-                     budget: SearchBudget, ceiling: int) -> Iterator[RelInterpretation]:
+                     budget: SearchBudget) -> Iterator[RelInterpretation]:
     if budget.exhaustive:
-        total = sum((1 << (n * n)) ** len(actions) * (1 << n) ** len(tests)
-                    for n in range(1, max_n + 1))
-        if total > ceiling:
-            raise ResourceLimitError(
-                f"exhaustive search would enumerate {total} interpretations, "
-                f"over the ceiling of {ceiling}")
+        _check_ceiling(actions, tests, max_n, budget.ceiling)
         for n in range(1, max_n + 1):
             act_space = [range(1 << (n * n))] * len(actions)
             test_space = [range(1 << n)] * len(tests)
@@ -277,8 +300,7 @@ def _interpretations(actions: Sequence[str], tests: Sequence[str], max_n: int,
 
 
 def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
-                        max_n: int, budget: SearchBudget,
-                        ceiling: int = ENUM_CEILING) -> SearchHit | None:
+                        max_n: int, budget: SearchBudget) -> SearchHit | None:
     """First interpretation violating the stated comparison, else None.
 
     Enumeration order is fixed (carrier size, then actions in declared
@@ -289,7 +311,7 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     pruned = prune_alphabet(alphabet, t1, t2)
-    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget, ceiling):
+    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget):
         found = _violation(kind, evaluate(t1, interp), evaluate(t2, interp))
         if found is not None:
             shape, where = found
@@ -300,8 +322,8 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
 
 
 def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
-                        alphabet: Alphabet, max_n: int, budget: SearchBudget,
-                        ceiling: int = ENUM_CEILING) -> SearchHit | None:
+                        alphabet: Alphabet, max_n: int,
+                        budget: SearchBudget) -> SearchHit | None:
     """Search for a model of all hypotheses violating the goal.
 
     Hypotheses and goal are pairs (u, v) read as `T u <= T v`, i.e. as the
@@ -315,7 +337,7 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
             raise ValueError("comparison sides must be top-free")
     every = [t for pair in pairs for t in pair]
     pruned = prune_alphabet(alphabet, *every)
-    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget, ceiling):
+    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget):
         if any(not evaluate(u, interp).cod() <= evaluate(v, interp).cod()
                for u, v in hyps):
             continue

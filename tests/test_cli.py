@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import re
+import time
+
+import pytest
 
 from topkat import logic
-from topkat.cli import main
+from topkat.cli import COMMANDS, main
 from topkat.relmodel import Relation, RelInterpretation, SearchHit
 
 
@@ -116,6 +120,27 @@ def test_search_ceiling_exit_code(capsys):
     assert code == 3 and "ceiling" in err
 
 
+def test_rule_honours_the_ceiling(capsys):
+    code, out, err = run(capsys, "rule", "choice", "--tests", "a,b", "a", "b", "p", "q",
+                         "--exhaustive", "--max-states", "2", "--ceiling", "10")
+    assert code == 3 and out == "" and "ceiling" in err
+
+
+def test_oversized_exhaustive_budget_is_refused_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--kind", "leq", "--tests", "a", "p", "q",
+                         "--exhaustive", "--max-states", "1500")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "ceiling" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_search_needs_at_least_one_sample(capsys, samples):
+    code, out, err = run(capsys, "search", "--kind", "leq", "--samples", samples,
+                         "--seed", "1", "--tests", "", "p", "q")
+    assert code == 2 and out == "" and "samples" in err
+
+
 def test_rule_subcommand(capsys):
     code, out, _ = run(capsys, "rule", "sequencing", "1", "1", "1", "p", "p",
                        "--exhaustive", "--max-states", "2", "--tests", "")
@@ -201,3 +226,17 @@ def test_identical_invocations_are_byte_identical(capsys):
     first = run(capsys, "cod-geq", "--json", "--tests", "b,c", "p b", "p c + q")
     second = run(capsys, "cod-geq", "--json", "--tests", "b,c", "p b", "p c + q")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [("--help",), *((name, "--help") for name in COMMANDS), ()],
+                         ids=lambda argv: " ".join(argv) or "bare")
+def test_help_and_bare_invocation(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    if not argv:
+        assert code == 2 and out == ""
+    elif len(argv) == 1:
+        assert code == 0 and len(COMMANDS) == 10
+        for name, command in COMMANDS.items():
+            assert re.search(rf"^  {name} +{re.escape(command.help)}$", out, re.M)
+    else:
+        assert code == 0 and out.startswith(f"usage: topkat {argv[0]} ")

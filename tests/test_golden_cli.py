@@ -1,0 +1,29 @@
+"""Replay every desk-mix benchmark query through `cli.main` and compare
+each exit code and stdout byte for byte with the committed corpus."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from topkat import cli
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "desk-mix.json"
+WORK_PREFIX = "perfbench/_work/"
+
+
+def test_desk_mix_corpus_replays_byte_identical(tmp_path):
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    for name, text in corpus["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    mismatched = []
+    for query in corpus["queries"]:
+        argv = [str(tmp_path / arg[len(WORK_PREFIX):]) if arg.startswith(WORK_PREFIX)
+                else arg for arg in query["argv"]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if (code, out.getvalue()) != (query["code"], query["stdout"]):
+            mismatched.append(query["id"])
+    assert len(corpus["queries"]) == 1150
+    assert mismatched == []

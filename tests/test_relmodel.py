@@ -158,11 +158,17 @@ def test_search_budget_requires_seed():
         SearchBudget(exhaustive=False, samples=10)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_search_budget_requires_a_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        SearchBudget(exhaustive=False, samples=samples, seed=1)
+
+
 def test_exhaustive_ceiling():
     wide = Alphabet(("p", "q", "r"), ())
     with pytest.raises(ResourceLimitError, match="134221832 interpretations"):
         search_countermodel("leq", parse("p q r", wide), parse("p", wide),
-                            wide, 3, EXHAUSTIVE, ceiling=10_000)
+                            wide, 3, SearchBudget(exhaustive=True, ceiling=10_000))
 
 
 def test_test_relations_must_be_sub_identity():
