@@ -65,6 +65,8 @@ def _read_triples(args, expected: int | None) -> list[str]:
     with open(args.file, encoding="utf-8") as handle:
         split = [(lineno, *logic.split_triple_line(line))
                  for lineno, line in logic.split_triple_file(handle.read())]
+    if not split:
+        raise UsageError(f"no triples in {args.file}")
     args.lines = [(lineno, kind) for lineno, kind, *_ in split]
     return [text for _, _, *texts in split for text in texts]
 

@@ -38,42 +38,12 @@ Verdict = Union[Equivalent, Witness]
 StateSet = frozenset  # of Term
 
 
-def light_normalize(t: Term) -> Term:
-    """Flatten nested sums, drop 0 summands, collapse products with 0/1."""
-    match t:
-        case Plus():
-            parts: list[Term] = []
-            stack = [t]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Plus):
-                    stack.append(node.right)
-                    stack.append(node.left)
-                else:
-                    parts.append(light_normalize(node))
-            parts = [p for p in parts if p != ZERO]
-            if not parts:
-                return ZERO
-            out = parts[0]
-            for p in parts[1:]:
-                out = Plus(out, p)
-            return out
-        case Dot(left, right):
-            return _sdot(light_normalize(left), light_normalize(right))
-        case Star(arg):
-            return Star(light_normalize(arg))
-        case Not(arg):
-            return Not(light_normalize(arg))
-        case _:
-            return t
-
-
 def _sdot(left: Term, right: Term) -> Term:
-    if left == ZERO or right == ZERO:
+    if left is ZERO or right is ZERO:
         return ZERO
-    if left == ONE:
+    if left is ONE:
         return right
-    if right == ONE:
+    if right is ONE:
         return left
     return Dot(left, right)
 
@@ -124,10 +94,10 @@ class _Engine:
                 parts = {_sdot(d, right) for d in self.deriv(left, atom, act)}
                 if self.epsilon(left, atom):
                     parts |= self.deriv(right, atom, act)
-                value = frozenset(p for p in parts if p != ZERO)
+                value = frozenset(p for p in parts if p is not ZERO)
             case Star(arg):
                 value = frozenset(d for d in (_sdot(x, t) for x in self.deriv(arg, atom, act))
-                                  if d != ZERO)
+                                  if d is not ZERO)
             case _:
                 raise TopNotAllowedError("cannot differentiate T")
         self._der[key] = value
@@ -158,7 +128,7 @@ def member(s: GuardedString, t: Term) -> bool:
     if contains_top(t):
         raise TopNotAllowedError("membership is defined for top-free terms")
     engine = _Engine()
-    states: StateSet = frozenset((light_normalize(t),))
+    states: StateSet = frozenset((t,))
     for atom, act in zip(s.atoms, s.acts):
         states = engine.step(states, atom, act)
         if not states:
@@ -189,7 +159,11 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
 
     Breadth-first exploration of state-set pairs with union-find merging;
     the returned witness is shortest, with ties broken by atom bit order
-    and then declared action order.
+    and then declared action order (`semantics.gs_sort_key`).  It is the
+    least separating string in that order: had the union-find or the
+    seen-check skipped a pair on its path, an earlier-popped pair would
+    give a smaller separating string.  So witness and verdict depend only
+    on the two languages, and rewriting the terms beforehand changes neither.
     """
     for t in (t1, t2):
         if contains_top(t):
@@ -200,7 +174,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     acts = [a for a in alphabet.actions if a in occ]
 
     engine = _Engine()
-    start = (frozenset((light_normalize(t1),)), frozenset((light_normalize(t2),)))
+    start = (frozenset((t1,)), frozenset((t2,)))
     parents: dict[tuple, tuple | None] = {start: None}
     classes = _UnionFind()
     queue: deque[tuple] = deque((start,))

@@ -16,8 +16,8 @@ from .decide import Equivalent, member
 from .errors import TopkatError, TopNotAllowedError
 from .reduction import ExtendedAlphabet, reduce, topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
-from .semantics import GuardedString, satisfies
-from .syntax import Alphabet, Dot, Term, Test, TOP, contains_top, prune_alphabet, reverse
+from .semantics import GuardedString
+from .syntax import Alphabet, Dot, Term, TOP, contains_top, prune_alphabet, reverse
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _build_countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet
     }
     test_map = {
         name: Relation.from_pairs(
-            n, [(j, j) for j, atom in enumerate(w.atoms) if satisfies(atom, Test(name))])
+            n, [(j, j) for j, atom in enumerate(w.atoms) if atom.value(name)])
         for name in ext.base.tests
     }
     interp = RelInterpretation(n, action_map, test_map)

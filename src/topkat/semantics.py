@@ -14,21 +14,22 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
-    Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Zero,
+    Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Zero,
     check_over, contains_top, is_test_only,
 )
 
 ATOM_CAP = 10
+# The most guarded strings any set built by `lang_bounded` may hold.
+STRING_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A total truth assignment to the test alphabet, in declared order."""
+class Atom(Interned):
+    """A total truth assignment to the test alphabet, in declared order:
+    `tests` names the tests and `bits` gives one polarity per test."""
 
-    tests: tuple[str, ...]
-    bits: tuple[bool, ...]
+    __slots__ = ("tests", "bits")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.tests) != len(self.bits):
             raise ValueError("one polarity per declared test")
 
@@ -88,20 +89,23 @@ def satisfies(atom: Atom, t: Term) -> bool:
     """Boolean evaluation of a test-only term under the atom's assignment."""
     if not is_test_only(t):
         raise SortError(f"not a test-only term: {t!r}")
-    match t:
-        case Zero():
-            return False
-        case One():
-            return True
-        case Test(name):
-            return atom.value(name)
-        case Not(arg):
-            return not satisfies(atom, arg)
-        case Plus(left, right):
-            return satisfies(atom, left) or satisfies(atom, right)
-        case Dot(left, right):
-            return satisfies(atom, left) and satisfies(atom, right)
-    raise SortError(f"not a test-only term: {t!r}")
+
+    def go(t: Term) -> bool:
+        match t:
+            case Zero():
+                return False
+            case One():
+                return True
+            case Test(name):
+                return atom.value(name)
+            case Not(arg):
+                return not go(arg)
+            case Plus(left, right):
+                return go(left) or go(right)
+            case Dot(left, right):
+                return go(left) and go(right)
+
+    return go(t)
 
 
 def fuse(s1: GuardedString, s2: GuardedString) -> GuardedString | None:
@@ -128,6 +132,12 @@ def gs_sort_key(s: GuardedString, alphabet: Alphabet):
 _Raw = tuple[tuple[int, ...], tuple[str, ...]]
 
 
+def _check_count(count: int) -> None:
+    if count > STRING_CAP:
+        raise ResourceLimitError(f"more than {STRING_CAP} guarded strings "
+                                 "within the action bound")
+
+
 def _fuse_sets(left: set[_Raw], right: set[_Raw], max_actions: int) -> set[_Raw]:
     by_first: dict[int, list[_Raw]] = {}
     for s in right:
@@ -138,12 +148,14 @@ def _fuse_sets(left: set[_Raw], right: set[_Raw], max_actions: int) -> set[_Raw]
         for atoms2, acts2 in by_first.get(atoms1[-1], ()):
             if len(acts2) <= budget:
                 out.add((atoms1 + atoms2[1:], acts1 + acts2))
+                _check_count(len(out))
     return out
 
 
 def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int,
                  cap: int = ATOM_CAP) -> frozenset[GuardedString]:
-    """Exactly the guarded strings of t's language with <= max_actions actions."""
+    """Exactly the guarded strings of t's language with <= max_actions actions;
+    ResourceLimitError once any set built on the way exceeds STRING_CAP."""
     if contains_top(t):
         raise TopNotAllowedError("term contains T; eliminate it first")
     check_over(t, alphabet)
@@ -162,6 +174,7 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int,
             match t:
                 case Act(name):
                     if max_actions >= 1:
+                        _check_count(len(atoms) ** 2)
                         result = frozenset(((i, j), (name,))
                                            for i in range(len(atoms))
                                            for j in range(len(atoms)))
@@ -176,12 +189,13 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int,
                     acc: set[_Raw] = {((i,), ()) for i in range(len(atoms))}
                     frontier = set(acc)
                     while frontier:
-                        fresh = _fuse_sets(frontier, body, max_actions) - acc
-                        acc |= fresh
-                        frontier = fresh
+                        frontier = _fuse_sets(frontier, body, max_actions) - acc
+                        acc |= frontier
+                        _check_count(len(acc))
                     result = frozenset(acc)
                 case _:
                     raise SortError(f"cannot interpret {t!r}")
+        _check_count(len(result))
         memo[t] = result
         return result
 

@@ -1,8 +1,9 @@
 """Alphabets, term abstract syntax, traversals (reversal, rebuilding,
 alphabet pruning), parsing, and printing.
 
-Terms are immutable trees.  The grammar (precedence `!` > `*` > sequence
-> `+`, sequence left-associative, juxtaposition means sequence):
+Terms are immutable, hash-consed trees: equal terms are the same object.
+The grammar (precedence `!` > `*` > sequence > `+`, sequence
+left-associative, juxtaposition means sequence):
 
     term    := sum
     sum     := seq ("+" seq)*
@@ -18,6 +19,8 @@ star may occur beneath `!`.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -70,60 +73,93 @@ def declare_alphabet(actions: tuple[str, ...] | list[str],
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
+class Interned:
+    """A hash-consed immutable value: one live object per class and field
+    values, so equality and hashing are object identity.  A subclass lists
+    its fields in `__slots__`, which are also its `__match_args__`, and may
+    override `_check`, which validates a value when it is first built."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            with _INTERN_LOCK:  # threads racing on one value must get one object
+                node = _INTERNED.get(key)
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(cls.__slots__, fields, strict=True):
+                        object.__setattr__(node, name, value)
+                    node._check()
+                    _INTERNED[key] = node
+        return node
+
+    def _check(self) -> None:
+        pass
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickling and copying give back the interned object
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Term(Interned):
+    __slots__ = ()
+
+
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Act(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Test(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not is_test_only(self.arg):
             raise SortError(f"negation requires a test-only term, got {render(self.arg)!r}")
 
 
-@dataclass(frozen=True)
 class Plus(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Dot(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Star(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
 ZERO = Zero()

@@ -75,6 +75,13 @@ def test_lang_sorted_output(capsys):
     assert code == 0 and out == "[!b]\n[b]\n"
 
 
+def test_lang_refuses_an_oversized_language(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lang", "--tests", "b,c,d", "--max-actions", "16", "(p + q)*")
+    assert code == 3 and out == "" and "250000 guarded strings" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "terms.txt"
     path.write_text("p*\n1 + p p*\n", encoding="utf-8")
@@ -94,6 +101,14 @@ def test_triple_file(tmp_path, capsys):
                        "--direction", "as-printed", "--json")
     payload = json.loads(out)
     assert [r["verdict"] for r in payload["results"]] == ["provable", "provable"]
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])
+def test_triple_file_without_triples_is_a_usage_error(tmp_path, capsys, mode):
+    path = tmp_path / "specs.txt"
+    path.write_text("# no triples here\n\n   # nor here\n", encoding="utf-8")
+    code, out, err = run(capsys, "triple", "--file", str(path), "--tests", "b", *mode)
+    assert code == 2 and out == "" and "no triples" in err
 
 
 def test_search_modes_and_seed_echo(capsys):

@@ -4,12 +4,12 @@ import pytest
 
 from conftest import ALPHABET
 from topkat.decide import (
-    Equivalent, Witness, deriv, epsilon, equivalent, leq, light_normalize, member,
+    Equivalent, Witness, deriv, epsilon, equivalent, leq, member,
 )
 from topkat.errors import TopNotAllowedError
 from topkat.gen import random_term
-from topkat.semantics import GuardedString, all_atoms, lang_bounded
-from topkat.syntax import Alphabet, Dot, ONE, parse
+from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
+from topkat.syntax import Alphabet, Dot, ONE, Plus, ZERO, parse
 
 
 AL_PQ = Alphabet(("p", "q"), ())
@@ -110,9 +110,14 @@ def test_leq():
 
 def test_witnesses_are_deterministic_and_minimal():
     rng = random.Random(23)
+    pairs = []
     for _ in range(60):
         t1 = random_term(rng, ALPHABET, 3)
         t2 = random_term(rng, ALPHABET, 3)
+        # the plain pair, then units, zeros and right-nested sums around it
+        pairs += [(t1, t2), (Plus(ZERO, t1), t2), (Dot(ONE, t1), Dot(t2, ONE)),
+                  (Plus(t1, Plus(ZERO, t2)), t2)]
+    for t1, t2 in pairs:
         first = equivalent(t1, t2, ALPHABET)
         second = equivalent(t1, t2, ALPHABET)
         assert first == second
@@ -121,14 +126,9 @@ def test_witnesses_are_deterministic_and_minimal():
             for shorter in range(n):
                 assert (lang_bounded(t1, ALPHABET, shorter)
                         == lang_bounded(t2, ALPHABET, shorter))
-            assert lang_bounded(t1, ALPHABET, n) != lang_bounded(t2, ALPHABET, n)
-
-
-def test_light_normalize_preserves_language():
-    rng = random.Random(29)
-    for _ in range(40):
-        t = random_term(rng, ALPHABET, 4)
-        assert lang_bounded(t, ALPHABET, 2) == lang_bounded(light_normalize(t), ALPHABET, 2)
+            separating = [s for s in lang_bounded(t1, ALPHABET, n) ^ lang_bounded(t2, ALPHABET, n)
+                          if s.num_actions == n]
+            assert first.string == min(separating, key=lambda s: gs_sort_key(s, ALPHABET))
 
 
 def test_equivalent_rejects_top():

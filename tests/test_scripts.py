@@ -1,0 +1,28 @@
+"""The experiment scripts under scripts/ run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_incompleteness_frontier_runs():
+    done = run_script("incompleteness_frontier.py", "--max-states", "2")
+    assert done.returncode == 0, done.stderr
+    assert "p T p T <= p T, equationally:" in done.stdout
+
+
+def test_roundtrip_stress_runs():
+    done = run_script("roundtrip_stress.py", "--count", "20", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("20/20") == 2

@@ -9,13 +9,21 @@ from topkat.errors import ParseError, ResourceLimitError, SortError, TopNotAllow
 from topkat.gen import random_term
 from topkat.semantics import (
     Atom, GuardedString, all_atoms, all_strings_bounded, fuse, gs_sort_key,
-    lang_bounded, parse_guarded_string, satisfies,
+    STRING_CAP, lang_bounded, parse_guarded_string, satisfies,
 )
 from topkat.syntax import Alphabet, parse
 
 
 def atom(bits, tests=("b", "c")):
     return Atom(tuple(tests), tuple(bits))
+
+
+def test_atoms_are_interned_and_immutable():
+    first, second = all_atoms(ALPHABET), all_atoms(ALPHABET)
+    assert all(a is b for a, b in zip(first, second))
+    assert parse_guarded_string("[b&!c]", ALPHABET).first_atom is atom((True, False))
+    with pytest.raises(AttributeError):
+        first[0].bits = (True, True)
 
 
 def test_all_atoms_orders_and_counts():
@@ -103,6 +111,14 @@ def test_lang_bounded_star_by_hand():
         GuardedString((e, e), ("p",)),
         GuardedString((e, e, e), ("p", "p")),
     })
+
+
+def test_lang_bounded_refuses_more_than_the_string_cap():
+    nine = Alphabet(("p",), tuple("bcdefghij"))
+    assert len(all_atoms(nine)) ** 2 > STRING_CAP
+    with pytest.raises(ResourceLimitError, match="guarded strings"):
+        lang_bounded(parse("p", nine), nine, 1)
+    assert len(lang_bounded(parse("p", nine), nine, 0)) == 0
 
 
 def test_lang_bounded_rejects_top():

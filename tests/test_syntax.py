@@ -1,4 +1,10 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -6,7 +12,7 @@ from hypothesis import given
 from conftest import ALPHABET, terms
 from topkat import syntax
 from topkat.decide import Equivalent, equivalent
-from topkat.errors import ParseError
+from topkat.errors import ParseError, SortError
 from topkat.gen import random_term
 from topkat.syntax import (
     Act, Alphabet, Dot, Not, ONE, Plus, Star, TOP, ZERO,
@@ -111,3 +117,51 @@ def test_alphabet_validation():
 def test_scan_identifiers():
     assert scan_identifiers("p (b + !c)* q T p") == ("p", "b", "c", "q")
     assert scan_identifiers("[b&!c] p [b&c]") == ("b", "c", "p")
+
+
+def test_equal_terms_are_one_object():
+    assert parse("p (b + !c)* q", ALPHABET) is parse("p (b + !c)* q", ALPHABET)
+    assert Plus(Act("p"), ONE) is Plus(Act("p"), ONE)
+    assert Act("p") is not syntax.Test("p")
+    t = parse("p + b", ALPHABET)
+    with pytest.raises(AttributeError):
+        t.left = ONE
+    with pytest.raises(AttributeError):
+        del t.right
+    assert t.left is Act("p") and repr(t) == "Plus(left=Act(name='p'), right=Test(name='b'))"
+    assert pickle.loads(pickle.dumps(t)) is t and copy.deepcopy(t) is t
+
+
+def test_negation_sort_check_runs_on_every_build():
+    for _ in range(3):
+        with pytest.raises(SortError):
+            Not(Act("p"))
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.collect()
+    before = len(syntax._INTERNED)
+    built = [Plus(Act(f"gone{i}"), ONE) for i in range(10_000)]
+    assert len(syntax._INTERNED) == before + 20_000
+    del built
+    gc.collect()
+    assert len(syntax._INTERNED) == before
+
+
+def test_threads_building_the_same_terms_get_one_object():
+    barrier = threading.Barrier(4)
+
+    def build():
+        barrier.wait(timeout=10)
+        return [Star(Dot(Act(f"shared{i}"), syntax.Test(f"shared{i}"))) for i in range(500)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(build) for _ in range(4)]
+            results = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))
