@@ -20,7 +20,7 @@ from . import decide, domain, logic, relmodel
 from .errors import ResourceLimitError, TopkatError
 from .reduction import reduce, topkat_equivalent, topkat_leq
 from .relmodel import SearchBudget, SearchHit
-from .semantics import gs_sort_key, lang_bounded, parse_guarded_string
+from .semantics import lang_bounded, parse_guarded_string, render_sorted
 from .syntax import Alphabet, declare_alphabet, parse, render, scan_identifiers
 
 # A handler takes the parsed arguments, the alphabet and the parsed terms,
@@ -176,8 +176,7 @@ def _cmd_reduce(args, alphabet, t) -> Output:
 
 
 def _cmd_lang(args, alphabet, t) -> Output:
-    strings = lang_bounded(t, alphabet, args.max_actions)
-    ordered = [s.render() for s in sorted(strings, key=lambda s: gs_sort_key(s, alphabet))]
+    ordered = render_sorted(lang_bounded(t, alphabet, args.max_actions), alphabet)
     return ordered, {"strings": ordered}, 0
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import TopNotAllowedError, TopkatError
 from .semantics import Atom, GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Zero, ZERO,
-    check_over, contains_top, occurring,
+    check_over, contains_top, occurring, postorder,
 )
 
 
@@ -41,99 +41,105 @@ StateSet = frozenset  # of Term
 def _sdot(left: Term, right: Term) -> Term:
     if left is ZERO or right is ZERO:
         return ZERO
-    if left is ONE:
-        return right
-    if right is ONE:
-        return left
-    return Dot(left, right)
+    return right if left is ONE else left if right is ONE else Dot(left, right)
 
 
 class _Engine:
-    """Per-invocation memo tables for epsilon and derivative computation."""
+    """Per-invocation memo of one fact per term over a fixed list of atoms:
+    the mask of atoms at which the term accepts (bit i for atom i), and its
+    linear form, mapping each action to the term's partial derivatives,
+    each with the mask of atoms for which it is one.  The cases are those
+    of the atom-by-atom derivative (1 for an action, union for `+`, `d r`
+    plus D(r) where l accepts for `l r`, `d s*` for `s*`, composites equal
+    to 0 dropped), so every derivative set and state is the same as atom
+    by atom; a fact is built from its children's in one `postorder` loop.
+    """
 
-    def __init__(self) -> None:
-        self._eps: dict[tuple[Term, Atom], bool] = {}
-        self._der: dict[tuple[Term, Atom, str], frozenset[Term]] = {}
+    def __init__(self, atoms: Sequence[Atom]) -> None:
+        self.atoms = atoms
+        self.full = (1 << len(atoms)) - 1
+        self._facts: dict[Term, tuple[int, dict[str, dict[Term, int]]]] = {}
 
-    def epsilon(self, t: Term, atom: Atom) -> bool:
-        key = (t, atom)
-        cached = self._eps.get(key)
-        if cached is not None:
-            return cached
+    def facts(self, t: Term) -> tuple[int, dict[str, dict[Term, int]]]:
+        if t not in self._facts:
+            for s in postorder(t):
+                if s not in self._facts:
+                    self._facts[s] = self._fact(s)
+        return self._facts[t]
+
+    def _fact(self, t: Term) -> tuple[int, dict[str, dict[Term, int]]]:
+        facts = self._facts
+        parts: list[tuple[str, Term, int]] = []  # (action, derivative, mask)
         match t:
-            case Zero() | Act():
-                value = False
-            case One() | Star():
-                value = True
+            case Zero():
+                acc = 0
+            case One():
+                acc = self.full
             case Test(name):
-                value = atom.value(name)
+                acc = sum(1 << i for i, atom in enumerate(self.atoms) if atom.value(name))
             case Not(arg):
-                value = not self.epsilon(arg, atom)
-            case Plus(left, right):
-                value = self.epsilon(left, atom) or self.epsilon(right, atom)
-            case Dot(left, right):
-                value = self.epsilon(left, atom) and self.epsilon(right, atom)
-            case _:
-                raise TopNotAllowedError("cannot accept atoms for T")
-        self._eps[key] = value
-        return value
-
-    def deriv(self, t: Term, atom: Atom, act: str) -> frozenset[Term]:
-        key = (t, atom, act)
-        cached = self._der.get(key)
-        if cached is not None:
-            return cached
-        match t:
-            case Zero() | One() | Test() | Not():
-                value = frozenset()
+                acc = self.full & ~facts[arg][0]
             case Act(name):
-                value = frozenset((ONE,)) if name == act else frozenset()
+                acc, parts = 0, [(name, ONE, self.full)]
             case Plus(left, right):
-                value = self.deriv(left, atom, act) | self.deriv(right, atom, act)
+                acc = facts[left][0] | facts[right][0]
+                parts = _triples(facts[left][1]) + _triples(facts[right][1])
             case Dot(left, right):
-                parts = {_sdot(d, right) for d in self.deriv(left, atom, act)}
-                if self.epsilon(left, atom):
-                    parts |= self.deriv(right, atom, act)
-                value = frozenset(p for p in parts if p is not ZERO)
+                (acc_l, lf_l), (acc_r, lf_r) = facts[left], facts[right]
+                acc = acc_l & acc_r
+                parts = [(act, _sdot(d, right), m) for act, d, m in _triples(lf_l)]
+                parts += [(act, d, m & acc_l) for act, d, m in _triples(lf_r)]
             case Star(arg):
-                value = frozenset(d for d in (_sdot(x, t) for x in self.deriv(arg, atom, act))
-                                  if d is not ZERO)
+                acc = self.full
+                parts = [(act, _sdot(d, t), m) for act, d, m in _triples(facts[arg][1])]
             case _:
-                raise TopNotAllowedError("cannot differentiate T")
-        self._der[key] = value
-        return value
+                raise TopNotAllowedError("T has no derivatives; eliminate it first")
+        linear: dict[str, dict[Term, int]] = {}
+        for act, d, mask in parts:
+            if mask and d is not ZERO:
+                ds = linear.setdefault(act, {})
+                ds[d] = ds.get(d, 0) | mask
+        return acc, linear
 
-    def step(self, states: StateSet, atom: Atom, act: str) -> StateSet:
-        out: set[Term] = set()
+    def step(self, states: StateSet, i: int, act: str) -> StateSet:
+        """The derivatives of the states for atom i and the action."""
+        return frozenset(d for t in states for d, mask in self.facts(t)[1].get(act, {}).items()
+                         if mask >> i & 1)
+
+    def accepts(self, states: StateSet) -> int:
+        """The mask of the atoms at which some state accepts."""
+        acc = 0
         for t in states:
-            out |= self.deriv(t, atom, act)
-        return frozenset(out)
+            acc |= self.facts(t)[0]
+        return acc
 
-    def accepts(self, states: StateSet, atom: Atom) -> bool:
-        return any(self.epsilon(t, atom) for t in states)
+
+def _triples(linear: dict[str, dict[Term, int]]) -> list[tuple[str, Term, int]]:
+    return [(act, d, mask) for act, ds in linear.items() for d, mask in ds.items()]
 
 
 def epsilon(t: Term, atom: Atom) -> bool:
     """True iff the single-atom string <atom> is in t's language."""
-    return _Engine().epsilon(t, atom)
+    return bool(_Engine([atom]).accepts((t,)))
 
 
 def deriv(t: Term, atom: Atom, act: str) -> frozenset[Term]:
     """Partial derivative: the set D with  atom act s in L(t)  iff  s in L(D)."""
-    return _Engine().deriv(t, atom, act)
+    return _Engine([atom]).step((t,), 0, act)
 
 
 def member(s: GuardedString, t: Term) -> bool:
     """Decide s in L(t) by folding derivatives over the action steps."""
     if contains_top(t):
         raise TopNotAllowedError("membership is defined for top-free terms")
-    engine = _Engine()
+    index = {atom: i for i, atom in enumerate(dict.fromkeys(s.atoms))}
+    engine = _Engine(list(index))
     states: StateSet = frozenset((t,))
     for atom, act in zip(s.atoms, s.acts):
-        states = engine.step(states, atom, act)
+        states = engine.step(states, index[atom], act)
         if not states:
             return False
-    return engine.accepts(states, s.last_atom)
+    return bool(engine.accepts(states) >> index[s.last_atom] & 1)
 
 
 class _UnionFind:
@@ -170,10 +176,10 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
             raise TopNotAllowedError("equivalence is decided on top-free terms")
         check_over(t, alphabet)
     atoms = all_atoms(alphabet)
-    occ = occurring(t1)[0] | occurring(t2)[0]
+    occ = occurring(t1, t2)[0]
     acts = [a for a in alphabet.actions if a in occ]
 
-    engine = _Engine()
+    engine = _Engine(atoms)
     start = (frozenset((t1,)), frozenset((t2,)))
     parents: dict[tuple, tuple | None] = {start: None}
     classes = _UnionFind()
@@ -184,20 +190,20 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
         left, right = pair
         if classes.find(left) == classes.find(right):
             continue
-        for atom in atoms:
-            a1, a2 = engine.accepts(left, atom), engine.accepts(right, atom)
-            if a1 != a2:
-                witness = _reconstruct(parents, pair, atom)
-                m1, m2 = member(witness, t1), member(witness, t2)
-                if m1 == m2:
-                    raise TopkatError(
-                        "internal error: unsound witness "
-                        f"{witness.render()!r} for {pair!r}")
-                return Witness(witness, "left" if m1 else "right")
+        differ = engine.accepts(left) ^ engine.accepts(right)
+        if differ:
+            # the least atom at which exactly one side accepts
+            witness = _reconstruct(parents, pair, atoms[(differ & -differ).bit_length() - 1])
+            m1, m2 = member(witness, t1), member(witness, t2)
+            if m1 == m2:
+                raise TopkatError(
+                    "internal error: unsound witness "
+                    f"{witness.render()!r} for {pair!r}")
+            return Witness(witness, "left" if m1 else "right")
         classes.union(left, right)
-        for atom in atoms:
+        for i, atom in enumerate(atoms):
             for act in acts:
-                successor = (engine.step(left, atom, act), engine.step(right, atom, act))
+                successor = (engine.step(left, i, act), engine.step(right, i, act))
                 if successor not in parents:
                     parents[successor] = (pair, atom, act)
                     queue.append(successor)
@@ -206,14 +212,11 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
 
 def _reconstruct(parents: dict, pair: tuple, final_atom: Atom) -> GuardedString:
     steps: list[tuple[Atom, str]] = []
-    node = pair
-    while parents[node] is not None:
-        node, atom, act = parents[node]
+    while parents[pair] is not None:
+        pair, atom, act = parents[pair]
         steps.append((atom, act))
     steps.reverse()
-    atoms = tuple(a for a, _ in steps) + (final_atom,)
-    acts = tuple(p for _, p in steps)
-    return GuardedString(atoms, acts)
+    return GuardedString(tuple(a for a, _ in steps) + (final_atom,), tuple(p for _, p in steps))
 
 
 def leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:

@@ -12,41 +12,49 @@ from .relmodel import Relation, RelInterpretation
 from .syntax import Act, Alphabet, Dot, Not, ONE, Plus, Star, Term, Test, TOP, ZERO
 
 
+# (bound, constructor) pairs: a node is the first whose bound exceeds its
+# roll; None draws a leaf.
+_TEST_SHAPES = ((0.4, None), (0.6, Not), (0.8, Plus), (1.0, Dot))
+_SHAPES = ((0.35, None), (0.55, Plus), (0.8, Dot), (0.92, Star), (1.0, Not))
+
+
 def random_test_term(rng: random.Random, alphabet: Alphabet, max_depth: int) -> Term:
-    leaves: list[Term] = [ZERO, ONE] + [Test(b) for b in alphabet.tests]
-    if max_depth <= 0:
-        return rng.choice(leaves)
-    roll = rng.random()
-    if roll < 0.4:
-        return rng.choice(leaves)
-    if roll < 0.6:
-        return Not(random_test_term(rng, alphabet, max_depth - 1))
-    op = Plus if roll < 0.8 else Dot
-    return op(random_test_term(rng, alphabet, max_depth - 1),
-              random_test_term(rng, alphabet, max_depth - 1))
+    return _grow(rng, alphabet, max_depth, tests=True, allow_top=False)
 
 
 def random_term(rng: random.Random, alphabet: Alphabet, max_depth: int,
                 allow_top: bool = False) -> Term:
-    leaves: list[Term] = [ZERO, ONE]
-    leaves += [Act(p) for p in alphabet.actions]
-    leaves += [Test(b) for b in alphabet.tests]
-    if allow_top:
-        leaves.append(TOP)
-    if max_depth <= 0:
-        return rng.choice(leaves)
-    roll = rng.random()
-    if roll < 0.35:
-        return rng.choice(leaves)
-    if roll < 0.55:
-        return Plus(random_term(rng, alphabet, max_depth - 1, allow_top),
-                    random_term(rng, alphabet, max_depth - 1, allow_top))
-    if roll < 0.8:
-        return Dot(random_term(rng, alphabet, max_depth - 1, allow_top),
-                   random_term(rng, alphabet, max_depth - 1, allow_top))
-    if roll < 0.92:
-        return Star(random_term(rng, alphabet, max_depth - 1, allow_top))
-    return Not(random_test_term(rng, alphabet, min(2, max_depth - 1)))
+    return _grow(rng, alphabet, max_depth, tests=False, allow_top=allow_top)
+
+
+def _grow(rng: random.Random, alphabet: Alphabet, max_depth: int, tests: bool,
+          allow_top: bool) -> Term:
+    """Draw a term top-down, left before right: a stack holds the nodes
+    still to draw, as (test-only, depth), and the (constructor, arity)
+    steps that build a node from the last terms made."""
+    made: list[Term] = []
+    stack: list[tuple] = [(tests, max_depth)]
+    while stack:
+        first, second = stack.pop()
+        if isinstance(first, type):
+            made.append(first(*reversed([made.pop() for _ in range(second)])))
+            continue
+        tests, depth = first, second
+        acts = () if tests else alphabet.actions
+        leaves = [ZERO, ONE, *map(Act, acts), *map(Test, alphabet.tests)]
+        leaves += [TOP] if allow_top and not tests else []
+        roll = rng.random() if depth > 0 else 0.0
+        op = next(op for bound, op in (_TEST_SHAPES if tests else _SHAPES) if roll < bound)
+        if op is None:
+            made.append(rng.choice(leaves))
+            continue
+        if op is Not:
+            kids = [(True, depth - 1 if tests else min(2, depth - 1))]
+        else:
+            kids = [(tests, depth - 1)] * (1 if op is Star else 2)
+        stack.append((op, len(kids)))
+        stack.extend(reversed(kids))
+    return made[0]
 
 
 def random_relation(rng: random.Random, n: int) -> Relation:

@@ -7,6 +7,7 @@ re-interpreting the reserved action as T.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .decide import Verdict, equivalent, leq
@@ -33,11 +34,7 @@ class ExtendedAlphabet:
 
     def sum_star(self) -> Term:
         """The largest element of the extended KAT: (a1 + ... + ak + top)*."""
-        total: Term | None = None
-        for name in self.alphabet.actions:
-            total = Act(name) if total is None else Plus(total, Act(name))
-        assert total is not None
-        return Star(total)
+        return Star(functools.reduce(Plus, map(Act, self.alphabet.actions)))
 
 
 def reduce(t: Term, alphabet: Alphabet) -> Term:

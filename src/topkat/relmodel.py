@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 from .errors import ResourceLimitError, UndeclaredIdentifierError
 from .syntax import (
     Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,
-    contains_top, prune_alphabet,
+    contains_top, postorder, prune_alphabet,
 )
 
 
@@ -136,33 +136,36 @@ class RelInterpretation:
 
 def evaluate(t: Term, interp: RelInterpretation) -> Relation:
     """Compositional relational value of t; T is the complete relation."""
+    return _values(postorder(t), interp)[t]
+
+
+def _values(order: list[Term], interp: RelInterpretation) -> dict[Term, Relation]:
+    """The value of every term of a `postorder` list, each computed once."""
     n = interp.n
-    match t:
-        case Zero():
-            return Relation.empty(n)
-        case One():
-            return Relation.identity(n)
-        case Top():
-            return Relation.full(n)
-        case Act(name):
-            try:
-                return interp.action_map[name]
-            except KeyError:
-                raise UndeclaredIdentifierError(f"no relation for action {name!r}") from None
-        case Test(name):
-            try:
-                return interp.test_map[name]
-            except KeyError:
-                raise UndeclaredIdentifierError(f"no relation for test {name!r}") from None
-        case Not(arg):
-            return Relation(n, Relation.identity(n).mask & ~evaluate(arg, interp).mask)
-        case Plus(left, right):
-            return evaluate(left, interp).union(evaluate(right, interp))
-        case Dot(left, right):
-            return evaluate(left, interp).compose(evaluate(right, interp))
-        case Star(arg):
-            return evaluate(arg, interp).star()
-    raise TypeError(f"not a term: {t!r}")
+    value: dict[Term, Relation] = {}
+    for t in order:
+        match t:
+            case Zero():
+                value[t] = Relation.empty(n)
+            case One():
+                value[t] = Relation.identity(n)
+            case Top():
+                value[t] = Relation.full(n)
+            case Act(name) | Test(name):
+                sort, table = (("action", interp.action_map) if isinstance(t, Act)
+                               else ("test", interp.test_map))
+                if name not in table:
+                    raise UndeclaredIdentifierError(f"no relation for {sort} {name!r}")
+                value[t] = table[name]
+            case Not(arg):
+                value[t] = Relation(n, Relation.identity(n).mask & ~value[arg].mask)
+            case Plus(left, right):
+                value[t] = value[left].union(value[right])
+            case Dot(left, right):
+                value[t] = value[left].compose(value[right])
+            case Star(arg):
+                value[t] = value[arg].star()
+    return value
 
 
 @dataclass(frozen=True)
@@ -311,8 +314,10 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     pruned = prune_alphabet(alphabet, t1, t2)
+    order = postorder(t1, t2)
     for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget):
-        found = _violation(kind, evaluate(t1, interp), evaluate(t2, interp))
+        value = _values(order, interp)
+        found = _violation(kind, value[t1], value[t2])
         if found is not None:
             shape, where = found
             return SearchHit(interp, kind,
@@ -337,12 +342,13 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
             raise ValueError("comparison sides must be top-free")
     every = [t for pair in pairs for t in pair]
     pruned = prune_alphabet(alphabet, *every)
+    order = postorder(*every)
     for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget):
-        if any(not evaluate(u, interp).cod() <= evaluate(v, interp).cod()
-               for u, v in hyps):
+        value = _values(order, interp)
+        if any(not value[u].cod() <= value[v].cod() for u, v in hyps):
             continue
         u, v = goal
-        escaped = evaluate(u, interp).cod() - evaluate(v, interp).cod()
+        escaped = value[u].cod() - value[v].cod()
         if escaped:
             return SearchHit(interp, "cod_geq", violating_point=min(escaped))
     return None

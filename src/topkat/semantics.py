@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
     Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Zero,
-    check_over, contains_top, is_test_only,
+    check_over, contains_top, is_test_only, postorder,
 )
 
 ATOM_CAP = 10
@@ -68,11 +69,12 @@ class GuardedString:
         return len(self.acts)
 
     def render(self) -> str:
-        parts = [self.atoms[0].render()]
-        for act, atom in zip(self.acts, self.atoms[1:]):
-            parts.append(act)
-            parts.append(atom.render())
-        return " ".join(parts)
+        return _joined(self, Atom.render)
+
+
+def _joined(s: GuardedString, atom_text: Callable[[Atom], str]) -> str:
+    return atom_text(s.atoms[0]) + "".join(f" {act} {atom_text(atom)}"
+                                           for act, atom in zip(s.acts, s.atoms[1:]))
 
 
 def all_atoms(alphabet: Alphabet, cap: int = ATOM_CAP) -> list[Atom]:
@@ -89,23 +91,22 @@ def satisfies(atom: Atom, t: Term) -> bool:
     """Boolean evaluation of a test-only term under the atom's assignment."""
     if not is_test_only(t):
         raise SortError(f"not a test-only term: {t!r}")
-
-    def go(t: Term) -> bool:
-        match t:
+    value: dict[Term, bool] = {}
+    for s in postorder(t):
+        match s:
             case Zero():
-                return False
+                value[s] = False
             case One():
-                return True
+                value[s] = True
             case Test(name):
-                return atom.value(name)
+                value[s] = atom.value(name)
             case Not(arg):
-                return not go(arg)
+                value[s] = not value[arg]
             case Plus(left, right):
-                return go(left) or go(right)
+                value[s] = value[left] or value[right]
             case Dot(left, right):
-                return go(left) and go(right)
-
-    return go(t)
+                value[s] = value[left] and value[right]
+    return value[t]
 
 
 def fuse(s1: GuardedString, s2: GuardedString) -> GuardedString | None:
@@ -115,14 +116,25 @@ def fuse(s1: GuardedString, s2: GuardedString) -> GuardedString | None:
     return GuardedString(s1.atoms + s2.atoms[1:], s1.acts + s2.acts)
 
 
-def gs_sort_key(s: GuardedString, alphabet: Alphabet):
-    """Canonical ordering: length, then atom bits and action order interleaved."""
-    act_index = {name: i for i, name in enumerate(alphabet.actions)}
+def _sort_key(s: GuardedString, act_index: dict[str, int]):
     flat: list = [s.atoms[0].bits]
     for act, atom in zip(s.acts, s.atoms[1:]):
-        flat.append(act_index[act])
-        flat.append(atom.bits)
+        flat += (act_index[act], atom.bits)
     return (len(s.acts), tuple(flat))
+
+
+def gs_sort_key(s: GuardedString, alphabet: Alphabet):
+    """Canonical ordering: length, then atom bits and action order interleaved."""
+    return _sort_key(s, {name: i for i, name in enumerate(alphabet.actions)})
+
+
+def render_sorted(strings: Iterable[GuardedString], alphabet: Alphabet) -> list[str]:
+    """The strings rendered, in `gs_sort_key` order; each distinct atom is
+    rendered once and the action order is indexed once."""
+    act_index = {name: i for i, name in enumerate(alphabet.actions)}
+    ordered = sorted(strings, key=lambda s: _sort_key(s, act_index))
+    texts = {atom: atom.render() for atom in {a for s in ordered for a in s.atoms}}
+    return [_joined(s, texts.__getitem__) for s in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +150,7 @@ def _check_count(count: int) -> None:
                                  "within the action bound")
 
 
-def _fuse_sets(left: set[_Raw], right: set[_Raw], max_actions: int) -> set[_Raw]:
+def _fuse_sets(left: Iterable[_Raw], right: Iterable[_Raw], max_actions: int) -> set[_Raw]:
     by_first: dict[int, list[_Raw]] = {}
     for s in right:
         by_first.setdefault(s[0][0], []).append(s)
@@ -152,8 +164,7 @@ def _fuse_sets(left: set[_Raw], right: set[_Raw], max_actions: int) -> set[_Raw]
     return out
 
 
-def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int,
-                 cap: int = ATOM_CAP) -> frozenset[GuardedString]:
+def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int) -> frozenset[GuardedString]:
     """Exactly the guarded strings of t's language with <= max_actions actions;
     ResourceLimitError once any set built on the way exceeds STRING_CAP."""
     if contains_top(t):
@@ -161,52 +172,43 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int,
     check_over(t, alphabet)
     if max_actions < 0:
         raise ValueError("max_actions must be >= 0")
-    atoms = all_atoms(alphabet, cap=cap)
-    memo: dict[Term, frozenset[_Raw]] = {}
-
-    def go(t: Term) -> frozenset[_Raw]:
-        cached = memo.get(t)
-        if cached is not None:
-            return cached
-        if is_test_only(t):
-            result = frozenset(((i,), ()) for i, a in enumerate(atoms) if satisfies(a, t))
-        else:
-            match t:
-                case Act(name):
-                    if max_actions >= 1:
-                        _check_count(len(atoms) ** 2)
-                        result = frozenset(((i, j), (name,))
-                                           for i in range(len(atoms))
-                                           for j in range(len(atoms)))
-                    else:
-                        result = frozenset()
-                case Plus(left, right):
-                    result = go(left) | go(right)
-                case Dot(left, right):
-                    result = frozenset(_fuse_sets(set(go(left)), set(go(right)), max_actions))
-                case Star(arg):
-                    body = set(go(arg))
-                    acc: set[_Raw] = {((i,), ()) for i in range(len(atoms))}
-                    frontier = set(acc)
-                    while frontier:
-                        frontier = _fuse_sets(frontier, body, max_actions) - acc
-                        acc |= frontier
-                        _check_count(len(acc))
-                    result = frozenset(acc)
-                case _:
-                    raise SortError(f"cannot interpret {t!r}")
+    atoms = all_atoms(alphabet)
+    ones = frozenset(((i,), ()) for i in range(len(atoms)))
+    lang: dict[Term, frozenset[_Raw]] = {}
+    for s in postorder(t):
+        match s:
+            case Zero():
+                result = frozenset()
+            case One():
+                result = ones
+            case Test(name):
+                result = frozenset(((i,), ()) for i, a in enumerate(atoms) if a.value(name))
+            case Not(arg):
+                result = ones - lang[arg]
+            case Act(name):
+                ends = range(len(atoms) if max_actions >= 1 else 0)
+                _check_count(len(ends) ** 2)
+                result = frozenset(((i, j), (name,)) for i in ends for j in ends)
+            case Plus(left, right):
+                result = lang[left] | lang[right]
+            case Dot(left, right):
+                result = frozenset(_fuse_sets(lang[left], lang[right], max_actions))
+            case Star(arg):
+                acc, frontier = set(ones), set(ones)
+                while frontier:
+                    frontier = _fuse_sets(frontier, lang[arg], max_actions) - acc
+                    acc |= frontier
+                    _check_count(len(acc))
+                result = frozenset(acc)
         _check_count(len(result))
-        memo[t] = result
-        return result
-
+        lang[s] = result
     return frozenset(GuardedString(tuple(atoms[i] for i in idxs), acts)
-                     for idxs, acts in go(t))
+                     for idxs, acts in lang[t])
 
 
-def all_strings_bounded(alphabet: Alphabet, max_actions: int,
-                        cap: int = ATOM_CAP) -> frozenset[GuardedString]:
+def all_strings_bounded(alphabet: Alphabet, max_actions: int) -> frozenset[GuardedString]:
     """Every guarded string over the alphabet with <= max_actions actions."""
-    atoms = all_atoms(alphabet, cap=cap)
+    atoms = all_atoms(alphabet)
     level: list[GuardedString] = [GuardedString((a,), ()) for a in atoms]
     out: list[GuardedString] = list(level)
     for _ in range(max_actions):

@@ -22,7 +22,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import ParseError, SortError, UndeclaredIdentifierError
 
@@ -81,7 +81,8 @@ class Interned:
     """A hash-consed immutable value: one live object per class and field
     values, so equality and hashing are object identity.  A subclass lists
     its fields in `__slots__`, which are also its `__match_args__`, and may
-    override `_check`, which validates a value when it is first built."""
+    override `_check`, which validates a value, and fills in what is derived
+    from its fields, when the value is first built."""
 
     __slots__ = ("__weakref__",)
 
@@ -119,7 +120,20 @@ class Interned:
 
 
 class Term(Interned):
-    __slots__ = ()
+    """A term node.  Besides its fields, a node holds three facts computed
+    from its children when it is first built: `kids`, the fields that are
+    terms, left before right; `test_only`, true iff the node is built from
+    0, 1, tests, `!`, `+` and sequence only; `has_top`, true iff T occurs."""
+
+    __slots__ = ("kids", "test_only", "has_top")
+    _test_like = True  # may be test-only: false for actions, T and star
+
+    def _check(self) -> None:
+        kids = tuple([value for value in map(self.__getattribute__, self.__slots__)
+                      if isinstance(value, Term)])
+        object.__setattr__(self, "kids", kids)
+        object.__setattr__(self, "test_only", self._test_like and all(k.test_only for k in kids))
+        object.__setattr__(self, "has_top", type(self) is Top or any(k.has_top for k in kids))
 
 
 class Zero(Term):
@@ -132,10 +146,12 @@ class One(Term):
 
 class Top(Term):
     __slots__ = ()
+    _test_like = False
 
 
 class Act(Term):
     __slots__ = ("name",)
+    _test_like = False
 
 
 class Test(Term):
@@ -146,7 +162,8 @@ class Not(Term):
     __slots__ = ("arg",)
 
     def _check(self) -> None:
-        if not is_test_only(self.arg):
+        super()._check()
+        if not self.arg.test_only:
             raise SortError(f"negation requires a test-only term, got {render(self.arg)!r}")
 
 
@@ -160,6 +177,7 @@ class Dot(Term):
 
 class Star(Term):
     __slots__ = ("arg",)
+    _test_like = False
 
 
 ZERO = Zero()
@@ -169,83 +187,72 @@ TOP = Top()
 
 def is_test_only(t: Term) -> bool:
     """True iff t is built from 0, 1, tests, !, + and sequence only."""
-    return all(isinstance(s, (Zero, One, Test, Not, Plus, Dot)) for s in subterms(t))
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Every subterm of t, t itself first, in pre-order, left before right."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        match node:
-            case Not(arg) | Star(arg):
-                stack.append(arg)
-            case Plus(left, right) | Dot(left, right):
-                stack.append(right)
-                stack.append(left)
+    return t.test_only
 
 
 def contains_top(t: Term) -> bool:
-    return any(isinstance(s, Top) for s in subterms(t))
+    return t.has_top
+
+
+def postorder(*terms: Term) -> list[Term]:
+    """The distinct subterms of the terms, each after its children, the
+    children left before right.  Every pass over a term is one loop over
+    this list with one result per node, so no pass recurses.  On the
+    stack, a 1-tuple marks a node whose children are all done."""
+    done: dict[Term, None] = {}
+    stack: list = list(reversed(terms))
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            done[node[0]] = None
+        elif node not in done:
+            if node.kids:
+                stack.append((node,))
+                stack.extend(reversed(node.kids))
+            else:
+                done[node] = None
+    return list(done)
 
 
 def rebuild(t: Term, leaf: Callable[[Term], Term], flip: bool = False) -> Term:
     """Copy t bottom-up with every leaf s replaced by leaf(s); with flip,
     the operands of every sequential composition are swapped too."""
-
-    def go(t: Term) -> Term:
-        match t:
-            case Dot(left, right):
-                return Dot(go(right), go(left)) if flip else Dot(go(left), go(right))
-            case Plus(left, right):
-                return Plus(go(left), go(right))
-            case Star(arg):
-                return Star(go(arg))
-            case Not(arg):
-                return Not(go(arg))
-            case _:
-                return leaf(t)
-
-    return go(t)
+    new: dict[Term, Term] = {}
+    for s in postorder(t):
+        if s.kids:
+            kids = [new[k] for k in s.kids]
+            new[s] = type(s)(*(reversed(kids) if flip and isinstance(s, Dot) else kids))
+        else:
+            new[s] = leaf(s)
+    return new[t]
 
 
 def reverse(t: Term) -> Term:
-    """Flip every sequential composition, recursively; an involution."""
+    """Flip every sequential composition; an involution."""
     return rebuild(t, lambda s: s, flip=True)
 
 
-def occurring(t: Term) -> tuple[frozenset[str], frozenset[str]]:
-    """The sets of primitive action and test names occurring in t."""
-    subs = list(subterms(t))
+def occurring(*terms: Term) -> tuple[frozenset[str], frozenset[str]]:
+    """The sets of primitive action and test names occurring in the terms."""
+    subs = postorder(*terms)
     return (frozenset(s.name for s in subs if isinstance(s, Act)),
             frozenset(s.name for s in subs if isinstance(s, Test)))
 
 
 def prune_alphabet(alphabet: Alphabet, *terms: Term) -> Alphabet:
     """Drop primitives that occur in none of the terms, keeping order."""
-    acts: frozenset[str] = frozenset()
-    tsts: frozenset[str] = frozenset()
-    for t in terms:
-        a, b = occurring(t)
-        acts |= a
-        tsts |= b
+    acts, tsts = occurring(*terms)
     return Alphabet(tuple(n for n in alphabet.actions if n in acts),
                     tuple(n for n in alphabet.tests if n in tsts))
 
 
 def check_over(t: Term, alphabet: Alphabet) -> None:
     """Raise unless every identifier in t is declared with its sort."""
-    for s in subterms(t):
-        match s:
-            case Act(name):
-                if name not in alphabet.actions:
-                    raise UndeclaredIdentifierError(f"undeclared action {name!r}")
-            case Test(name):
-                if name not in alphabet.tests:
-                    raise UndeclaredIdentifierError(f"undeclared test {name!r}")
-            case _:
-                pass
+    for s in postorder(t):
+        if isinstance(s, Act) and s.name not in alphabet.actions:
+            raise UndeclaredIdentifierError(f"undeclared action {s.name!r}")
+        if isinstance(s, Test) and s.name not in alphabet.tests:
+            raise UndeclaredIdentifierError(f"undeclared test {s.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,88 +285,67 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 _ATOM_STARTERS = {"zero", "one", "top", "ident", "!", "("}
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], alphabet: Alphabet, length: int):
-        self.tokens = tokens
-        self.alphabet = alphabet
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.length)
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def sum(self) -> Term:
-        t = self.seq()
-        while self.peek() == "+":
-            self.next()
-            t = Plus(t, self.seq())
-        return t
-
-    def seq(self) -> Term:
-        t = self.star()
-        while True:
-            kind = self.peek()
-            if kind in (";", "."):
-                self.next()
-                t = Dot(t, self.star())
-            elif kind in _ATOM_STARTERS:
-                t = Dot(t, self.star())
-            else:
-                return t
-
-    def star(self) -> Term:
-        t = self.atomexp()
-        while self.peek() == "*":
-            self.next()
-            t = Star(t)
-        return t
-
-    def atomexp(self) -> Term:
-        kind, text, pos = self.next()
-        if kind == "zero":
-            return ZERO
-        if kind == "one":
-            return ONE
-        if kind == "top":
-            return TOP
-        if kind == "ident":
-            sort = self.alphabet.sort_of(text)
-            if sort == "action":
-                return Act(text)
-            if sort == "test":
-                return Test(text)
-            raise ParseError(f"undeclared identifier {text!r}", pos)
-        if kind == "!":
-            arg = self.atomexp()
-            if not is_test_only(arg):
-                raise ParseError(f"negation of non-test {render(arg)!r}", pos)
-            return Not(arg)
-        if kind == "(":
-            t = self.sum()
-            k, _, p = self.next()
-            if k != ")":
-                raise ParseError("expected ')'", p)
-            return t
-        raise ParseError(f"unexpected {text!r}", pos)
+_LEAVES = {"zero": ZERO, "one": ONE, "top": TOP}
 
 
 def parse(text: str, alphabet: Alphabet) -> Term:
-    """Parse a term over the given alphabet; round-trips with render."""
-    parser = _Parser(_tokenize(text), alphabet, len(text))
-    t = parser.sum()
-    if parser.i < len(parser.tokens):
-        _, text_, pos = parser.tokens[parser.i]
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return t
+    """Parse a term over the given alphabet; round-trips with render.
+
+    One loop reads an operand (its `!`s and `(`s, then a leaf), then closes
+    what it completes: negations, stars, a sequence, a sum and, at `)`, a
+    parenthesis.  Open `(`s and `!`s and the left operands of `+` and of
+    sequences wait on one stack, so any nesting depth parses."""
+    tokens = _tokenize(text) + [("end", "", len(text))]
+    stack: list[tuple[str, object]] = []
+    i = 0
+    while True:
+        kind, name, pos = tokens[i]
+        i += 1
+        if kind in ("!", "("):
+            stack.append((kind, pos))
+            continue
+        if kind in _LEAVES:
+            t = _LEAVES[kind]
+        elif kind == "ident":
+            sort = alphabet.sort_of(name)
+            if sort is None:
+                raise ParseError(f"undeclared identifier {name!r}", pos)
+            t = Act(name) if sort == "action" else Test(name)
+        else:
+            raise ParseError("unexpected end of input" if kind == "end"
+                             else f"unexpected {name!r}", pos)
+        while True:  # t is a complete atomexp
+            while stack and stack[-1][0] == "!":
+                if not t.test_only:
+                    raise ParseError(f"negation of non-test {render(t)!r}", stack[-1][1])
+                stack.pop()
+                t = Not(t)
+            while tokens[i][0] == "*":
+                i += 1
+                t = Star(t)
+            if stack and stack[-1][0] == ";":
+                t = Dot(stack.pop()[1], t)
+            kind = tokens[i][0]
+            if kind in (";", "."):
+                i += 1
+            if kind in (";", ".") or kind in _ATOM_STARTERS:
+                stack.append((";", t))
+                break
+            if stack and stack[-1][0] == "+":
+                t = Plus(stack.pop()[1], t)
+            if kind == "+":
+                i += 1
+                stack.append(("+", t))
+                break
+            if not stack:
+                if kind != "end":
+                    raise ParseError(f"trailing input {tokens[i][1]!r}", tokens[i][2])
+                return t
+            if kind != ")":
+                raise ParseError("unexpected end of input" if kind == "end"
+                                 else "expected ')'", tokens[i][2])
+            i += 1
+            stack.pop()
 
 
 def scan_identifiers(text: str) -> tuple[str, ...]:
@@ -378,43 +364,40 @@ def scan_identifiers(text: str) -> tuple[str, ...]:
 # Printing
 
 _PREC_PLUS, _PREC_DOT, _PREC_STAR = 0, 1, 2
-
-
-def _prec(t: Term) -> int:
-    match t:
-        case Plus():
-            return _PREC_PLUS
-        case Dot():
-            return _PREC_DOT
-        case Star():
-            return _PREC_STAR
-        case _:
-            return 3
-
-
-def _wrap(t: Term, minimum: int) -> str:
-    text = render(t)
-    return text if _prec(t) >= minimum else f"({text})"
+_PREC = {Plus: _PREC_PLUS, Dot: _PREC_DOT, Star: _PREC_STAR}  # other terms: 3
 
 
 def render(t: Term) -> str:
-    """Deterministic minimal-parenthesis rendering; parse(render(t)) == t."""
-    match t:
-        case Zero():
-            return "0"
-        case One():
-            return "1"
-        case Top():
-            return "T"
-        case Act(name) | Test(name):
-            return name
-        case Not(arg):
-            return "!" + _wrap(arg, 3)
-        case Star(arg):
-            # x** is grammatical, so a star operand needs no parentheses
-            return _wrap(arg, _PREC_STAR) + "*"
-        case Plus(left, right):
-            return _wrap(left, _PREC_PLUS) + " + " + _wrap(right, _PREC_DOT)
-        case Dot(left, right):
-            return _wrap(left, _PREC_DOT) + " " + _wrap(right, _PREC_STAR)
-    raise TypeError(f"not a term: {t!r}")
+    """Deterministic minimal-parenthesis rendering; parse(render(t)) == t.
+    The stack holds the pieces still to print, last first: text, or a term
+    and the least precedence it prints at without parentheses."""
+    out: list[str] = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, minimum = item
+        if _PREC.get(type(t), 3) < minimum:
+            out.append("(")
+            stack += [")", (t, 0)]
+            continue
+        match t:
+            case Zero() | One() | Top():
+                out.append({ZERO: "0", ONE: "1", TOP: "T"}[t])
+            case Act(name) | Test(name):
+                out.append(name)
+            case Not(arg):
+                out.append("!")
+                stack.append((arg, 3))
+            case Star(arg):
+                # x** is grammatical, so a star operand needs no parentheses
+                stack += ["*", (arg, _PREC_STAR)]
+            case Plus(left, right):
+                stack += [(right, _PREC_DOT), " + ", (left, _PREC_PLUS)]
+            case Dot(left, right):
+                stack += [(right, _PREC_STAR), " ", (left, _PREC_DOT)]
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+    return "".join(out)

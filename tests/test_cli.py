@@ -225,9 +225,9 @@ def test_flags_may_follow_or_precede_terms(capsys):
     assert code == 2 and "--bogus" in err
 
 
-def test_too_deep_term_is_a_resource_error(capsys):
+def test_deep_term_gets_a_verdict(capsys):
     code, out, err = run(capsys, "decide", " ".join(["p"] * 1200), "p")
-    assert code == 3 and out == "" and err.startswith("error: ")
+    assert (code, out, err) == (1, "not equivalent\nwitness: [] p []\nside: right\n", "")
 
 
 def test_usage_errors(capsys):

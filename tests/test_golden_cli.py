@@ -1,19 +1,24 @@
-"""Replay every desk-mix benchmark query through `cli.main` and compare
-each exit code and stdout byte for byte with the committed corpus."""
+"""Replay every query of the desk-mix and wide-guards benchmark corpora
+through `cli.main` and compare each exit code and stdout byte for byte
+with the committed corpus."""
 
 import contextlib
 import io
 import json
 from pathlib import Path
 
+import pytest
+
 from topkat import cli
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "desk-mix.json"
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 WORK_PREFIX = "perfbench/_work/"
 
 
-def test_desk_mix_corpus_replays_byte_identical(tmp_path):
-    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+@pytest.mark.parametrize("workload, size", [("desk-mix", 1150), ("wide-guards", 48)],
+                         ids=["desk-mix", "wide-guards"])
+def test_corpus_replays_byte_identical(tmp_path, workload, size):
+    corpus = json.loads((CORPUS_DIR / f"{workload}.json").read_text(encoding="utf-8"))
     for name, text in corpus["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     mismatched = []
@@ -25,5 +30,5 @@ def test_desk_mix_corpus_replays_byte_identical(tmp_path):
             code = cli.main(argv)
         if (code, out.getvalue()) != (query["code"], query["stdout"]):
             mismatched.append(query["id"])
-    assert len(corpus["queries"]) == 1150
+    assert len(corpus["queries"]) == size
     assert mismatched == []

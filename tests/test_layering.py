@@ -51,3 +51,112 @@ def test_oracles_do_not_import_the_engine():
     graph = internal_imports()
     for oracle in ("semantics", "relmodel"):
         assert not closure(graph, oracle) & ENGINE, oracle
+
+
+# ---------------------------------------------------------------------------
+# No recursion: every pass over a term is a loop, so no input depth can
+# exhaust the interpreter stack.
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function's body outside its nested functions and classes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def call_graph(source: str) -> dict[str, set[str]]:
+    """Qualified function name -> the functions of the same module it calls:
+    by name (module functions, and nested functions in scope), through
+    `self.`/`cls.`, and as `Class.method`."""
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    classes = {node.name: {m.name for m in node.body if isinstance(m, defs)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    graph: dict[str, set[str]] = {}
+    todo = [(node, "", {}, None) for node in tree.body]
+    module_scope = {node.name: node.name for node in tree.body if isinstance(node, defs)}
+    while todo:
+        node, prefix, scope, cls = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo += [(m, f"{node.name}.", {}, node.name) for m in node.body]
+            continue
+        if not isinstance(node, defs):
+            continue
+        name = prefix + node.name
+        nested = [m for m in _own_nodes(node) if isinstance(m, defs)]
+        inner = {**module_scope, **scope, **{m.name: f"{name}.{m.name}" for m in nested}}
+        callees = graph.setdefault(name, set())
+        for call in _own_nodes(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name) and func.id in inner:
+                callees.add(inner[func.id])
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                owner = cls if func.value.id in ("self", "cls") else func.value.id
+                if func.attr in classes.get(owner, ()):
+                    callees.add(f"{owner}.{func.attr}")
+        todo += [(m, f"{name}.", inner, cls) for m in nested]
+    return graph
+
+
+def on_cycles(graph: dict[str, set[str]]) -> set[str]:
+    """The functions that can reach themselves through calls."""
+    found = set()
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                found.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph.get(name, ()))
+    return found
+
+
+def test_call_cycles_are_found():
+    source = '''
+def plain(x):
+    return helper(x)
+
+def helper(x):
+    return x
+
+def self_call(x):
+    return self_call(x - 1) if x else 0
+
+def ping(x):
+    return pong(x)
+
+def pong(x):
+    return ping(x)
+
+def outer(t):
+    def go(t):
+        return go(t.left)
+    return go(t)
+
+class Engine:
+    def run(self, t):
+        return self.walk(t)
+
+    def walk(self, t):
+        return Engine.run(self, t)
+
+    def leaf(self, t):
+        return plain(t)
+'''
+    assert on_cycles(call_graph(source)) == {
+        "self_call", "ping", "pong", "outer.go", "Engine.run", "Engine.walk"}
+
+
+def test_no_function_recurses():
+    recursive = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name in on_cycles(call_graph(path.read_text(encoding="utf-8")))}
+    assert recursive == set()
