@@ -13,23 +13,27 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError, UndeclaredIdentifierError
 from .syntax import (
-    Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,
+    TOP, Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,
     contains_top, postorder, prune_alphabet,
 )
 
 
 @dataclass(frozen=True)
 class Relation:
-    """A relation over {0..n-1}; bit i*n+j set iff (i,j) is related."""
+    """A relation over {0..n-1}; bit i*n+j set iff (i,j) is related.  Searches
+    work on bare masks; `evaluate` of 0, 1, T, p + q, p q and p* gives the
+    empty, identity, complete, union, composite and star relations."""
 
     n: int
     mask: int
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("carrier size must be >= 0")
         if self.mask < 0 or self.mask >= 1 << (self.n * self.n):
             raise ValueError("relation mask out of range for carrier size")
 
@@ -43,77 +47,23 @@ class Relation:
         return cls(n, mask)
 
     @classmethod
-    def empty(cls, n: int) -> Relation:
-        return cls(n, 0)
-
-    @classmethod
-    def identity(cls, n: int) -> Relation:
-        mask = 0
-        for i in range(n):
-            mask |= 1 << (i * n + i)
-        return cls(n, mask)
-
-    @classmethod
     def diagonal(cls, n: int, bits: int) -> Relation:
         """The sub-identity holding at every i whose bit i is set in bits."""
-        mask = 0
-        for i in range(n):
-            if bits >> i & 1:
-                mask |= 1 << (i * n + i)
-        return cls(n, mask)
-
-    @classmethod
-    def full(cls, n: int) -> Relation:
-        return cls(n, (1 << (n * n)) - 1)
+        return cls(n, _diagonal(n, bits))
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(self.n) for j in range(self.n)
                      if self.mask >> (i * self.n + j) & 1)
 
-    def union(self, other: Relation) -> Relation:
-        return Relation(self.n, self.mask | other.mask)
-
-    def compose(self, other: Relation) -> Relation:
-        n = self.n
-        row_mask = (1 << n) - 1
-        out = 0
-        for i in range(n):
-            row = self.mask >> (i * n) & row_mask
-            acc = 0
-            j = 0
-            while row:
-                if row & 1:
-                    acc |= other.mask >> (j * n) & row_mask
-                row >>= 1
-                j += 1
-            out |= acc << (i * n)
-        return Relation(n, out)
-
-    def star(self) -> Relation:
-        result = Relation.identity(self.n)
-        while True:
-            grown = result.union(result.compose(self))
-            if grown == result:
-                return result
-            result = grown
-
     def converse(self) -> Relation:
-        out = 0
-        for i, j in self.pairs:
-            out |= 1 << (j * self.n + i)
-        return Relation(self.n, out)
+        return Relation.from_pairs(self.n, [(j, i) for i, j in self.pairs])
 
     def dom(self) -> frozenset[int]:
-        row_mask = (1 << self.n) - 1
-        return frozenset(i for i in range(self.n) if self.mask >> (i * self.n) & row_mask)
+        return frozenset(i for i, _ in self.pairs)
 
     def cod(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.n)
-                         if any(self.mask >> (i * self.n + j) & 1 for i in range(self.n)))
-
-    def subset_of(self, other: Relation) -> bool:
-        return self.mask | other.mask == other.mask
+        return frozenset(j for _, j in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -125,46 +75,84 @@ class RelInterpretation:
     test_map: Mapping[str, Relation]
 
     def __post_init__(self) -> None:
-        ident = Relation.identity(self.n)
         for rel in list(self.action_map.values()) + list(self.test_map.values()):
             if rel.n != self.n:
                 raise ValueError("relation carrier size mismatch")
+        ident = _diagonal(self.n, (1 << self.n) - 1)
         for name, rel in self.test_map.items():
-            if not rel.subset_of(ident):
+            if rel.mask & ~ident:
                 raise ValueError(f"test {name!r} is not a sub-identity relation")
+
+
+# Relations as n*n-bit masks: row i is bits i*n .. i*n+n-1.
+
+def _diagonal(n: int, bits: int) -> int:
+    return sum(1 << (i * n + i) for i in range(n) if bits >> i & 1)
+
+
+def _compose(n: int, a: int, b: int) -> int:
+    """Row j of b lands in every row i with (i, j) in a: column j of a,
+    moved to bit i*n of each row, times row j of b (n bits, so no carry)."""
+    row_mask = (1 << n) - 1
+    column = ((1 << n * n) - 1) // (row_mask or 1)  # bit i*n for every i < n
+    out = 0
+    for j in range(n):
+        out |= (a >> j & column) * (b >> (j * n) & row_mask)
+    return out
+
+
+def _dom(n: int, mask: int) -> int:
+    """Bit i set iff row i is non-empty."""
+    row_mask = (1 << n) - 1
+    return sum(1 << i for i in range(n) if mask >> (i * n) & row_mask)
+
+
+def _cod(n: int, mask: int) -> int:
+    """Bit j set iff column j is non-empty: the union of the rows."""
+    row_mask = (1 << n) - 1
+    out = 0
+    for i in range(n):
+        out |= mask >> (i * n) & row_mask
+    return out
 
 
 def evaluate(t: Term, interp: RelInterpretation) -> Relation:
     """Compositional relational value of t; T is the complete relation."""
-    return _values(postorder(t), interp)[t]
+    masks = [{name: rel.mask for name, rel in table.items()}
+             for table in (interp.action_map, interp.test_map)]
+    return Relation(interp.n, _values(postorder(t), interp.n, *masks)[t])
 
 
-def _values(order: list[Term], interp: RelInterpretation) -> dict[Term, Relation]:
-    """The value of every term of a `postorder` list, each computed once."""
-    n = interp.n
-    value: dict[Term, Relation] = {}
+def _values(order: list[Term], n: int, action_masks: Mapping[str, int],
+            test_masks: Mapping[str, int]) -> dict[Term, int]:
+    """The mask of every term of a `postorder` list, each computed once."""
+    ident = _diagonal(n, (1 << n) - 1)
+    value: dict[Term, int] = {}
     for t in order:
-        match t:
-            case Zero():
-                value[t] = Relation.empty(n)
-            case One():
-                value[t] = Relation.identity(n)
-            case Top():
-                value[t] = Relation.full(n)
+        match t:  # the commonest node kinds first: `match` tries cases in order
+            case Dot(left, right):
+                value[t] = _compose(n, value[left], value[right])
+            case Plus(left, right):
+                value[t] = value[left] | value[right]
             case Act(name) | Test(name):
-                sort, table = (("action", interp.action_map) if isinstance(t, Act)
-                               else ("test", interp.test_map))
+                sort, table = (("action", action_masks) if isinstance(t, Act)
+                               else ("test", test_masks))
                 if name not in table:
                     raise UndeclaredIdentifierError(f"no relation for {sort} {name!r}")
                 value[t] = table[name]
-            case Not(arg):
-                value[t] = Relation(n, Relation.identity(n).mask & ~value[arg].mask)
-            case Plus(left, right):
-                value[t] = value[left].union(value[right])
-            case Dot(left, right):
-                value[t] = value[left].compose(value[right])
             case Star(arg):
-                value[t] = value[arg].star()
+                step, closure = value[arg], ident
+                while (grown := closure | _compose(n, closure, step)) != closure:
+                    closure = grown
+                value[t] = closure
+            case Not(arg):
+                value[t] = ident & ~value[arg]
+            case Zero():
+                value[t] = 0
+            case One():
+                value[t] = ident
+            case Top():
+                value[t] = (1 << (n * n)) - 1
     return value
 
 
@@ -188,12 +176,14 @@ class EncodingReport:
 
 def check_encoding(interp: RelInterpretation, t1: Term, t2: Term) -> EncodingReport:
     """Evaluate R1 T >= R2 T against dom(R1) >= dom(R2), and the cod mirror."""
+    def within(smaller: Term, larger: Term) -> bool:
+        return not evaluate(smaller, interp).mask & ~evaluate(larger, interp).mask
+
     r1, r2 = evaluate(t1, interp), evaluate(t2, interp)
-    top = Relation.full(interp.n)
     return EncodingReport(
-        dom_via_top=r2.compose(top).subset_of(r1.compose(top)),
+        dom_via_top=within(Dot(t2, TOP), Dot(t1, TOP)),
         dom_direct=r2.dom() <= r1.dom(),
-        cod_via_top=top.compose(r2).subset_of(top.compose(r1)),
+        cod_via_top=within(Dot(TOP, t2), Dot(TOP, t1)),
         cod_direct=r2.cod() <= r1.cod(),
     )
 
@@ -221,6 +211,8 @@ class SearchBudget:
             raise ValueError("random search needs both samples and seed")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.ceiling < 0:
+            raise ValueError("ceiling must be >= 0")
 
     def describe(self, max_n: int) -> str:
         if self.exhaustive:
@@ -238,23 +230,15 @@ class SearchHit:
     violating_point: int | None = None
 
 
-def _violation(kind: str, r1: Relation, r2: Relation) -> tuple | None:
-    if kind == "equality":
-        if r1 != r2:
-            diff = min(set(r1.pairs) ^ set(r2.pairs))
-            return ("pair", diff)
-    elif kind == "leq":
-        if not r1.subset_of(r2):
-            return ("pair", min(set(r1.pairs) - set(r2.pairs)))
-    elif kind == "dom_geq":
-        if not r2.dom() <= r1.dom():
-            return ("point", min(r2.dom() - r1.dom()))
-    elif kind == "cod_geq":
-        if not r2.cod() <= r1.cod():
-            return ("point", min(r2.cod() - r1.cod()))
-    else:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    return None
+def _violation(kind: str, n: int, r1: int, r2: int) -> tuple | None:
+    """(least violating pair, None) or (None, least violating point), else
+    None.  Bit i*n+j rises with (i, j): the lowest set bit is the least pair."""
+    if kind in ("dom_geq", "cod_geq"):
+        proj = _dom if kind == "dom_geq" else _cod
+        escaped = proj(n, r2) & ~proj(n, r1)
+        return (None, (escaped & -escaped).bit_length() - 1) if escaped else None
+    diff = r1 ^ r2 if kind == "equality" else r1 & ~r2
+    return (divmod((diff & -diff).bit_length() - 1, n), None) if diff else None
 
 
 def _check_ceiling(actions: Sequence[str], tests: Sequence[str], max_n: int,
@@ -281,25 +265,39 @@ def _check_ceiling(actions: Sequence[str], tests: Sequence[str], max_n: int,
                              f"interpretations, over the ceiling of {ceiling}")
 
 
-def _interpretations(actions: Sequence[str], tests: Sequence[str], max_n: int,
-                     budget: SearchBudget) -> Iterator[RelInterpretation]:
+def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
+               alphabet: Alphabet, max_n: int, budget: SearchBudget) -> SearchHit | None:
+    """The first interpretation in which every hypothesis pair holds and the
+    goal pair violates `kind`, each pair read as `_violation` reads it."""
+    every = [t for pair in [*hyps, goal] for t in pair]
+    pruned = prune_alphabet(alphabet, *every)
+    actions, tests = pruned.actions, pruned.tests
+    order = postorder(*every)
     if budget.exhaustive:
         _check_ceiling(actions, tests, max_n, budget.ceiling)
-        for n in range(1, max_n + 1):
-            act_space = [range(1 << (n * n))] * len(actions)
-            test_space = [range(1 << n)] * len(tests)
-            for masks in itertools.product(*act_space, *test_space):
-                action_map = {name: Relation(n, masks[i]) for i, name in enumerate(actions)}
-                test_map = {name: Relation.diagonal(n, masks[len(actions) + i])
-                            for i, name in enumerate(tests)}
-                yield RelInterpretation(n, action_map, test_map)
+        candidates = (
+            (n, masks) for n in range(1, max_n + 1)
+            for masks in itertools.product(
+                *[range(1 << (n * n))] * len(actions),
+                *[[_diagonal(n, bits) for bits in range(1 << n)]] * len(tests)))
     else:
         rng = random.Random(budget.seed)
-        for _ in range(budget.samples):
-            n = rng.randint(1, max_n)
-            action_map = {name: Relation(n, rng.getrandbits(n * n)) for name in actions}
-            test_map = {name: Relation.diagonal(n, rng.getrandbits(n)) for name in tests}
-            yield RelInterpretation(n, action_map, test_map)
+        sizes = (rng.randint(1, max_n) for _ in range(budget.samples))
+        candidates = ((n, tuple(rng.getrandbits(n * n) for _ in actions)
+                       + tuple(_diagonal(n, rng.getrandbits(n)) for _ in tests))
+                      for n in sizes)
+    for n, masks in candidates:
+        value = _values(order, n, dict(zip(actions, masks)),
+                        dict(zip(tests, masks[len(actions):])))
+        if any(_violation(kind, n, value[a], value[b]) for a, b in hyps):
+            continue
+        found = _violation(kind, n, value[goal[0]], value[goal[1]])
+        if found is not None:
+            rels = [Relation(n, mask) for mask in masks]
+            interp = RelInterpretation(n, dict(zip(actions, rels)),
+                                       dict(zip(tests, rels[len(actions):])))
+            return SearchHit(interp, kind, *found)
+    return None
 
 
 def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
@@ -313,17 +311,7 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    pruned = prune_alphabet(alphabet, t1, t2)
-    order = postorder(t1, t2)
-    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget):
-        value = _values(order, interp)
-        found = _violation(kind, value[t1], value[t2])
-        if found is not None:
-            shape, where = found
-            return SearchHit(interp, kind,
-                             violating_pair=where if shape == "pair" else None,
-                             violating_point=where if shape == "point" else None)
-    return None
+    return _first_hit(kind, [], (t1, t2), alphabet, max_n, budget)
 
 
 def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
@@ -336,19 +324,8 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    pairs = list(hyps) + [goal]
-    for u, v in pairs:
-        if contains_top(u) or contains_top(v):
-            raise ValueError("comparison sides must be top-free")
-    every = [t for pair in pairs for t in pair]
-    pruned = prune_alphabet(alphabet, *every)
-    order = postorder(*every)
-    for interp in _interpretations(pruned.actions, pruned.tests, max_n, budget):
-        value = _values(order, interp)
-        if any(not value[u].cod() <= value[v].cod() for u, v in hyps):
-            continue
-        u, v = goal
-        escaped = value[u].cod() - value[v].cod()
-        if escaped:
-            return SearchHit(interp, "cod_geq", violating_point=min(escaped))
-    return None
+    if any(contains_top(t) for pair in [*hyps, goal] for t in pair):
+        raise ValueError("comparison sides must be top-free")
+    # cod_geq(r1, r2) is violated when cod(r2) escapes cod(r1)
+    return _first_hit("cod_geq", [(v, u) for u, v in hyps], (goal[1], goal[0]),
+                      alphabet, max_n, budget)

@@ -77,11 +77,11 @@ def _joined(s: GuardedString, atom_text: Callable[[Atom], str]) -> str:
                                            for act, atom in zip(s.acts, s.atoms[1:]))
 
 
-def all_atoms(alphabet: Alphabet, cap: int = ATOM_CAP) -> list[Atom]:
+def all_atoms(alphabet: Alphabet) -> list[Atom]:
     """All 2^|tests| atoms, lexicographic in bit order (negative first)."""
-    if len(alphabet.tests) > cap:
+    if len(alphabet.tests) > ATOM_CAP:
         raise ResourceLimitError(
-            f"{len(alphabet.tests)} tests exceed the atom cap of {cap} "
+            f"{len(alphabet.tests)} tests exceed the atom cap of {ATOM_CAP} "
             f"(2^{len(alphabet.tests)} atoms)")
     return [Atom(alphabet.tests, bits)
             for bits in itertools.product((False, True), repeat=len(alphabet.tests))]

@@ -135,6 +135,17 @@ def test_search_ceiling_exit_code(capsys):
     assert code == 3 and "ceiling" in err
 
 
+@pytest.mark.parametrize("command", [["search", "--kind", "leq", "p", "q"],
+                                     ["rule", "choice", "a", "b", "p", "q"]],
+                         ids=["search", "rule"])
+def test_negative_ceiling_is_malformed_and_zero_is_a_limit(capsys, command):
+    base = command + ["--exhaustive", "--tests", "a,b"]
+    code, out, err = run(capsys, *base, "--ceiling", "-5")
+    assert code == 2 and out == "" and "ceiling must be >= 0" in err
+    code, out, err = run(capsys, *base, "--ceiling", "0")
+    assert code == 3 and out == "" and "over the ceiling of 0" in err
+
+
 def test_rule_honours_the_ceiling(capsys):
     code, out, err = run(capsys, "rule", "choice", "--tests", "a,b", "a", "b", "p", "q",
                          "--exhaustive", "--max-states", "2", "--ceiling", "10")
@@ -181,7 +192,7 @@ def test_rule_json_without_refutation(capsys):
 # hand-built hit in place of the search result.
 REFUTING_HIT = SearchHit(
     RelInterpretation(2, {"p": Relation.from_pairs(2, [(0, 1)])},
-                      {"b": Relation.from_pairs(2, [(0, 0)]), "c": Relation.empty(2)}),
+                      {"b": Relation.from_pairs(2, [(0, 0)]), "c": Relation(2, 0)}),
     "cod_geq", violating_point=1)
 REFUTED_MODEL = ('"countermodel": {"carrier": ["0", "1"], "relations": '
                  '{"p": [[0, 1]], "b": [[0, 0]], "c": []}, "violating_point": "1"}')

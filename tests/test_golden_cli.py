@@ -1,4 +1,4 @@
-"""Replay every query of the desk-mix and wide-guards benchmark corpora
+"""Replay every query of the desk-mix, wide-guards and relsearch benchmark corpora
 through `cli.main` and compare each exit code and stdout byte for byte
 with the committed corpus."""
 
@@ -15,8 +15,9 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 WORK_PREFIX = "perfbench/_work/"
 
 
-@pytest.mark.parametrize("workload, size", [("desk-mix", 1150), ("wide-guards", 48)],
-                         ids=["desk-mix", "wide-guards"])
+@pytest.mark.parametrize("workload, size",
+                         [("desk-mix", 1150), ("wide-guards", 48), ("relsearch", 72)],
+                         ids=["desk-mix", "wide-guards", "relsearch"])
 def test_corpus_replays_byte_identical(tmp_path, workload, size):
     corpus = json.loads((CORPUS_DIR / f"{workload}.json").read_text(encoding="utf-8"))
     for name, text in corpus["files"].items():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,10 +9,11 @@ from conftest import ALPHABET
 from topkat.errors import ResourceLimitError, UndeclaredIdentifierError
 from topkat.gen import random_interpretation, random_relation, random_term
 from topkat.relmodel import (
-    Relation, RelInterpretation, SearchBudget, check_encoding, evaluate,
+    Relation, RelInterpretation, SearchBudget, SearchHit, check_encoding, evaluate,
     falsify_implication, search_countermodel,
 )
-from topkat.syntax import Alphabet, parse
+from topkat import syntax
+from topkat.syntax import Alphabet, parse, postorder, prune_alphabet
 
 
 AL_PQ = Alphabet(("p", "q"), ())
@@ -29,7 +31,7 @@ relations = st.integers(min_value=1, max_value=4).flatmap(
 
 def test_evaluate_top_is_complete_relation():
     model = interp(2)
-    assert evaluate(parse("T", ALPHABET), model) == Relation.full(2)
+    assert evaluate(parse("T", ALPHABET), model) == Relation(2, 0b1111)
     assert len(evaluate(parse("T", ALPHABET), model).pairs) == 4
 
 
@@ -42,7 +44,7 @@ def test_evaluate_star_is_reflexive_transitive_closure():
 def test_evaluate_contradiction_is_empty():
     for diag in range(4):
         model = interp(2, tests={"b": Relation(2, (diag & 1) | ((diag >> 1) << 3))})
-        assert evaluate(parse("b !b", ALPHABET), model) == Relation.empty(2)
+        assert evaluate(parse("b !b", ALPHABET), model) == Relation(2, 0)
 
 
 def test_evaluate_requires_interpretation():
@@ -60,6 +62,13 @@ def test_dom_cod_converse(r):
         assert i in r.dom() and j in r.cod()
 
 
+def test_relation_rejects_a_negative_carrier():
+    with pytest.raises(ValueError, match="carrier size"):
+        Relation(-1, 1)
+    with pytest.raises(ValueError, match="carrier size"):
+        Relation(-1, 0)
+
+
 def test_dom_cod_on_singleton():
     r = Relation.from_pairs(3, [(1, 2)])
     assert r.dom() == frozenset({1})
@@ -68,12 +77,11 @@ def test_dom_cod_on_singleton():
 
 @given(relations)
 def test_star_is_union_of_powers(r):
-    power = Relation.identity(r.n)
-    union = power
-    for _ in range(r.n):
-        power = power.compose(r)
-        union = union.union(power)
-    assert r.star() == union
+    # r* = 1 + r + r r + ... + r^n: paths longer than n repeat a point
+    model = interp(r.n, actions={"p": r})
+    powers = ["1"] + [" ".join(["p"] * k) for k in range(1, r.n + 1)]
+    union = evaluate(parse(" + ".join(powers), AL_PQ), model)
+    assert evaluate(parse("p*", AL_PQ), model) == union
 
 
 def test_evaluate_monotone_in_action_relations():
@@ -84,10 +92,10 @@ def test_evaluate_monotone_in_action_relations():
         small = random_interpretation(rng, n, ALPHABET)
         grown = RelInterpretation(
             n,
-            {name: rel.union(random_relation(rng, n))
+            {name: Relation(n, rel.mask | random_relation(rng, n).mask)
              for name, rel in small.action_map.items()},
             dict(small.test_map))
-        assert evaluate(t, small).subset_of(evaluate(t, grown))
+        assert set(evaluate(t, small).pairs) <= set(evaluate(t, grown).pairs)
 
 
 def test_check_encoding_trivial_cases():
@@ -164,6 +172,12 @@ def test_search_budget_requires_a_sample(samples):
         SearchBudget(exhaustive=False, samples=samples, seed=1)
 
 
+@pytest.mark.parametrize("ceiling", [-1, -5])
+def test_search_budget_rejects_a_negative_ceiling(ceiling):
+    with pytest.raises(ValueError, match="ceiling"):
+        SearchBudget(exhaustive=True, ceiling=ceiling)
+
+
 def test_exhaustive_ceiling():
     wide = Alphabet(("p", "q", "r"), ())
     with pytest.raises(ResourceLimitError, match="134221832 interpretations"):
@@ -198,3 +212,144 @@ def test_falsify_implication_unsatisfiable_hypothesis():
                               (parse("p", AL_PQ), parse("q", AL_PQ)),
                               AL_PQ, 2, EXHAUSTIVE)
     assert hit is None
+
+
+def test_exhaustive_search_without_a_hit_builds_no_relation(monkeypatch):
+    built = []
+    for cls in (Relation, RelInterpretation):
+        def counting(self, original=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert search_countermodel("leq", parse("p", AL_PQ), parse("p T p", AL_PQ),
+                               AL_PQ, 2, EXHAUSTIVE) is None
+    assert built == []
+    hit = search_countermodel("leq", parse("p", AL_PQ), parse("q", AL_PQ),
+                              AL_PQ, 2, EXHAUSTIVE)
+    assert hit is not None
+    assert built == ["Relation", "Relation", "RelInterpretation"]
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics and search, written over sets of pairs and validated
+# `Relation` values, for differential tests of the mask code.
+
+def reference_evaluate(t, model):
+    """The relational value of t as a set of pairs, from the definitions."""
+    n = model.n
+    ident = frozenset((i, i) for i in range(n))
+
+    def compose(r, s):
+        return frozenset((i, k) for i, j in r for j2, k in s if j == j2)
+
+    value = {}
+    for u in postorder(t):
+        match u:
+            case syntax.Zero():
+                value[u] = frozenset()
+            case syntax.One():
+                value[u] = ident
+            case syntax.Top():
+                value[u] = frozenset(itertools.product(range(n), repeat=2))
+            case syntax.Act(name):
+                value[u] = frozenset(model.action_map[name].pairs)
+            case syntax.Test(name):
+                value[u] = frozenset(model.test_map[name].pairs)
+            case syntax.Not(arg):
+                value[u] = ident - value[arg]
+            case syntax.Plus(left, right):
+                value[u] = value[left] | value[right]
+            case syntax.Dot(left, right):
+                value[u] = compose(value[left], value[right])
+            case syntax.Star(arg):
+                closure = ident
+                while (grown := closure | compose(closure, value[arg])) != closure:
+                    closure = grown
+                value[u] = closure
+    return value[t]
+
+
+def reference_interpretations(alphabet, max_n, budget):
+    """The documented order: carrier size, then actions in declared order,
+    then tests, each mask ascending; or the seeded draws of sampled mode."""
+    actions, tests = alphabet.actions, alphabet.tests
+
+    def model(n, masks):
+        return RelInterpretation(
+            n, {a: Relation(n, m) for a, m in zip(actions, masks)},
+            {b: Relation.diagonal(n, m) for b, m in zip(tests, masks[len(actions):])})
+
+    if budget.exhaustive:
+        for n in range(1, max_n + 1):
+            spaces = [range(1 << (n * n))] * len(actions) + [range(1 << n)] * len(tests)
+            for masks in itertools.product(*spaces):
+                yield model(n, masks)
+    else:
+        rng = random.Random(budget.seed)
+        for _ in range(budget.samples):
+            n = rng.randint(1, max_n)
+            acts = [rng.getrandbits(n * n) for _ in actions]
+            yield model(n, acts + [rng.getrandbits(n) for _ in tests])
+
+
+def reference_violation(kind, r1, r2):
+    if kind in ("equality", "leq"):
+        diff = r1 ^ r2 if kind == "equality" else r1 - r2
+        return (min(diff), None) if diff else None
+    side = 0 if kind == "dom_geq" else 1  # dom projects pairs on i, cod on j
+    escaped = {pair[side] for pair in r2} - {pair[side] for pair in r1}
+    return (None, min(escaped)) if escaped else None
+
+
+def reference_search(kind, hyps, goal, alphabet, max_n, budget):
+    every = [t for pair in [*hyps, goal] for t in pair]
+    for model in reference_interpretations(prune_alphabet(alphabet, *every), max_n, budget):
+        def violated(pair):
+            return reference_violation(kind, *(reference_evaluate(t, model) for t in pair))
+        if any(violated(pair) for pair in hyps):
+            continue
+        found = violated(goal)
+        if found is not None:
+            return SearchHit(model, kind, *found)
+    return None
+
+
+def test_evaluate_matches_the_set_of_pairs_reference():
+    rng = random.Random(67)
+    for _ in range(500):
+        t = random_term(rng, ALPHABET, 4, allow_top=True)
+        model = random_interpretation(rng, rng.randint(1, 3), ALPHABET)
+        assert set(evaluate(t, model).pairs) == reference_evaluate(t, model)
+
+
+BUDGETS = [(2, EXHAUSTIVE), (3, SearchBudget(exhaustive=False, samples=150, seed=5))]
+
+
+@pytest.mark.parametrize("kind", ["equality", "leq", "dom_geq", "cod_geq"])
+@pytest.mark.parametrize("max_n, budget", BUDGETS, ids=["exhaustive", "sampled"])
+def test_search_hit_matches_the_reference_search(kind, max_n, budget):
+    rng = random.Random(71)
+    hits = 0
+    for _ in range(40):
+        t1, t2 = (random_term(rng, ALPHABET, 3, allow_top=True) for _ in range(2))
+        got = search_countermodel(kind, t1, t2, ALPHABET, max_n, budget)
+        assert got == reference_search(kind, [], (t1, t2), ALPHABET, max_n, budget)
+        hits += got is not None
+    assert hits > 0
+
+
+@pytest.mark.parametrize("max_n, budget", BUDGETS, ids=["exhaustive", "sampled"])
+def test_falsify_implication_matches_the_reference_search(max_n, budget):
+    rng = random.Random(73)
+    hits = 0
+    for _ in range(40):
+        hyps = [(random_term(rng, ALPHABET, 2), random_term(rng, ALPHABET, 2))
+                for _ in range(rng.randint(0, 2))]
+        u, v = random_term(rng, ALPHABET, 3), random_term(rng, ALPHABET, 3)
+        got = falsify_implication(hyps, (u, v), ALPHABET, max_n, budget)
+        # the goal (u, v) reads cod(u) <= cod(v): cod_geq violated with v first
+        want = reference_search("cod_geq", [(b, a) for a, b in hyps], (v, u),
+                                ALPHABET, max_n, budget)
+        assert got == want
+        hits += got is not None
+    assert hits > 0
