@@ -10,6 +10,7 @@ absence of one proves nothing beyond the explored budget.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError, UndeclaredIdentifierError
 from .syntax import (
-    TOP, Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,
-    contains_top, postorder, prune_alphabet,
+    ONE, TOP, ZERO, Act, Alphabet, Dot, Plus, Star, Term, Test, contains_top,
+    postorder, prune_alphabet,
 )
 
 
@@ -78,7 +79,7 @@ class RelInterpretation:
         for rel in list(self.action_map.values()) + list(self.test_map.values()):
             if rel.n != self.n:
                 raise ValueError("relation carrier size mismatch")
-        ident = _diagonal(self.n, (1 << self.n) - 1)
+        ident = _constants(self.n)[1]
         for name, rel in self.test_map.items():
             if rel.mask & ~ident:
                 raise ValueError(f"test {name!r} is not a sub-identity relation")
@@ -86,8 +87,17 @@ class RelInterpretation:
 
 # Relations as n*n-bit masks: row i is bits i*n .. i*n+n-1.
 
+@functools.lru_cache(maxsize=16)  # few sizes: each entry holds two n*n-bit ints
+def _constants(n: int) -> tuple[int, int, int]:
+    """The empty, identity and complete relations on n points."""
+    return 0, sum(1 << (i * n + i) for i in range(n)), (1 << (n * n)) - 1
+
+
 def _diagonal(n: int, bits: int) -> int:
-    return sum(1 << (i * n + i) for i in range(n) if bits >> i & 1)
+    """The low n bits copied into every row, cut down to the diagonal."""
+    _, ident, full = _constants(n)
+    row_mask = (1 << n) - 1
+    return (bits & row_mask) * (full // (row_mask or 1)) & ident
 
 
 def _compose(n: int, a: int, b: int) -> int:
@@ -97,7 +107,8 @@ def _compose(n: int, a: int, b: int) -> int:
     column = ((1 << n * n) - 1) // (row_mask or 1)  # bit i*n for every i < n
     out = 0
     for j in range(n):
-        out |= (a >> j & column) * (b >> (j * n) & row_mask)
+        if column_j := a >> j & column:
+            out |= column_j * (b >> (j * n) & row_mask)
     return out
 
 
@@ -116,44 +127,54 @@ def _cod(n: int, mask: int) -> int:
     return out
 
 
+# A compiled `postorder` list.  Slots 0, 1 and 2 hold the empty, identity and
+# complete relations, then come the primitives (actions, then tests), then
+# one slot per compound term, computed by one (node class, slot, slot) entry
+# from its children's slots (a unary node names its child twice).
+
+def _compile(order: list[Term], actions: Sequence[str],
+             tests: Sequence[str]) -> tuple[list[tuple[type, int, int]], dict[Term, int]]:
+    """The program computing every term of `order`, and each term's slot."""
+    leaves = (ZERO, ONE, TOP, *map(Act, actions), *map(Test, tests))
+    slot = {t: i for i, t in enumerate(leaves)}
+    program: list[tuple[type, int, int]] = []
+    for t in order:
+        if t in slot:
+            continue
+        if not t.kids:  # an action or test without a relation
+            sort = "action" if isinstance(t, Act) else "test"
+            raise UndeclaredIdentifierError(f"no relation for {sort} {t.name!r}")
+        program.append((type(t), slot[t.kids[0]], slot[t.kids[-1]]))
+        slot[t] = len(slot)
+    return program, slot
+
+
+def _run(program: list[tuple[type, int, int]], n: int, values: list[int]) -> list[int]:
+    """Append every entry's mask to `values`, which holds the leaf slots."""
+    ident = values[1]
+    for op, x, y in program:
+        if op is Dot:
+            values.append(_compose(n, values[x], values[y]))
+        elif op is Plus:
+            values.append(values[x] | values[y])
+        elif op is Star:
+            # closure holds 1, so squaring only grows it: paths up to 2, 4, 8, ...
+            closure = ident | values[x]
+            while (grown := _compose(n, closure, closure)) != closure:
+                closure = grown
+            values.append(closure)
+        else:  # Not
+            values.append(ident & ~values[x])
+    return values
+
+
 def evaluate(t: Term, interp: RelInterpretation) -> Relation:
     """Compositional relational value of t; T is the complete relation."""
-    masks = [{name: rel.mask for name, rel in table.items()}
-             for table in (interp.action_map, interp.test_map)]
-    return Relation(interp.n, _values(postorder(t), interp.n, *masks)[t])
-
-
-def _values(order: list[Term], n: int, action_masks: Mapping[str, int],
-            test_masks: Mapping[str, int]) -> dict[Term, int]:
-    """The mask of every term of a `postorder` list, each computed once."""
-    ident = _diagonal(n, (1 << n) - 1)
-    value: dict[Term, int] = {}
-    for t in order:
-        match t:  # the commonest node kinds first: `match` tries cases in order
-            case Dot(left, right):
-                value[t] = _compose(n, value[left], value[right])
-            case Plus(left, right):
-                value[t] = value[left] | value[right]
-            case Act(name) | Test(name):
-                sort, table = (("action", action_masks) if isinstance(t, Act)
-                               else ("test", test_masks))
-                if name not in table:
-                    raise UndeclaredIdentifierError(f"no relation for {sort} {name!r}")
-                value[t] = table[name]
-            case Star(arg):
-                step, closure = value[arg], ident
-                while (grown := closure | _compose(n, closure, step)) != closure:
-                    closure = grown
-                value[t] = closure
-            case Not(arg):
-                value[t] = ident & ~value[arg]
-            case Zero():
-                value[t] = 0
-            case One():
-                value[t] = ident
-            case Top():
-                value[t] = (1 << (n * n)) - 1
-    return value
+    tables = (interp.action_map, interp.test_map)
+    program, slot = _compile(postorder(t), *map(tuple, tables))
+    masks = [rel.mask for table in tables for rel in table.values()]
+    values = _run(program, interp.n, [*_constants(interp.n), *masks])
+    return Relation(interp.n, values[slot[t]])
 
 
 @dataclass(frozen=True)
@@ -234,6 +255,8 @@ def _violation(kind: str, n: int, r1: int, r2: int) -> tuple | None:
     """(least violating pair, None) or (None, least violating point), else
     None.  Bit i*n+j rises with (i, j): the lowest set bit is the least pair."""
     if kind in ("dom_geq", "cod_geq"):
+        if not r2 & ~r1:  # r2 within r1: its projection is too
+            return None
         proj = _dom if kind == "dom_geq" else _cod
         escaped = proj(n, r2) & ~proj(n, r1)
         return (None, (escaped & -escaped).bit_length() - 1) if escaped else None
@@ -265,33 +288,85 @@ def _check_ceiling(actions: Sequence[str], tests: Sequence[str], max_n: int,
                              f"interpretations, over the ceiling of {ceiling}")
 
 
+def _swapped(mask: int, swap: tuple[int, int, int, int]) -> int:
+    """The relation with points i < j exchanged: a delta swap of rows i and
+    j, then one of columns i and j.  `swap` holds the shift and the mask of
+    row i, then of column i."""
+    row_shift, row, column_shift, column = swap
+    moved = (mask >> row_shift ^ mask) & row
+    mask ^= moved | moved << row_shift
+    moved = (mask >> column_shift ^ mask) & column
+    return mask ^ (moved | moved << column_shift)
+
+
+def _leads(masks: Sequence[int], swaps: Sequence[tuple[int, int, int, int]]) -> bool:
+    """True unless some swap makes the tuple lexicographically smaller."""
+    for swap in swaps:
+        for mask in masks:
+            image = _swapped(mask, swap)
+            if image != mask:
+                if image < mask:
+                    return False
+                break
+    return True
+
+
+def _leaders(n: int, spaces: Sequence[Sequence[int]]):
+    """The tuples of `itertools.product(*spaces)`, in its order, that no swap
+    of two points makes smaller.  Each space lists relation masks (tests as
+    diagonals) ascending.  A swap that lowers the first mask skips its whole
+    block; only the swaps that fix it are checked on the other masks."""
+    if not spaces:
+        yield ()
+        return
+    row_mask = (1 << n) - 1
+    column = _constants(n)[2] // row_mask  # bit k*n for every k < n
+    swaps = [((j - i) * n, row_mask << (i * n), j - i, column << i)
+             for i, j in itertools.combinations(range(n), 2)]
+    for head in spaces[0]:
+        if not _leads((head,), swaps):
+            continue
+        live = [swap for swap in swaps if _swapped(head, swap) == head]
+        for tail in itertools.product(*spaces[1:]):
+            if not live or _leads(tail, live):
+                yield (head, *tail)
+
+
 def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
                alphabet: Alphabet, max_n: int, budget: SearchBudget) -> SearchHit | None:
     """The first interpretation in which every hypothesis pair holds and the
-    goal pair violates `kind`, each pair read as `_violation` reads it."""
+    goal pair violates `kind`, each pair read as `_violation` reads it.
+
+    Exhaustive mode evaluates only the `_leaders`.  Violations are invariant
+    under isomorphism, so if a swap s made the first hit H smaller, s(H)
+    would be an earlier hit: H is a leader, and no earlier leader is a hit.
+    """
     every = [t for pair in [*hyps, goal] for t in pair]
     pruned = prune_alphabet(alphabet, *every)
     actions, tests = pruned.actions, pruned.tests
-    order = postorder(*every)
     if budget.exhaustive:
         _check_ceiling(actions, tests, max_n, budget.ceiling)
-        candidates = (
-            (n, masks) for n in range(1, max_n + 1)
-            for masks in itertools.product(
-                *[range(1 << (n * n))] * len(actions),
-                *[[_diagonal(n, bits) for bits in range(1 << n)]] * len(tests)))
+
+        def spaces(n: int) -> list[Sequence[int]]:
+            diagonals = [_diagonal(n, bits) for bits in range(1 << n)] if tests else []
+            return [range(1 << (n * n))] * len(actions) + [diagonals] * len(tests)
+
+        candidates = ((n, masks) for n in range(1, max_n + 1)
+                      for masks in _leaders(n, spaces(n)))
     else:
         rng = random.Random(budget.seed)
         sizes = (rng.randint(1, max_n) for _ in range(budget.samples))
-        candidates = ((n, tuple(rng.getrandbits(n * n) for _ in actions)
-                       + tuple(_diagonal(n, rng.getrandbits(n)) for _ in tests))
+        candidates = ((n, [rng.getrandbits(n * n) for _ in actions]
+                       + [_diagonal(n, rng.getrandbits(n)) for _ in tests])
                       for n in sizes)
+    program, slot = _compile(postorder(*every), actions, tests)
+    checks = [(slot[a], slot[b]) for a, b in hyps]
+    left, right = slot[goal[0]], slot[goal[1]]
     for n, masks in candidates:
-        value = _values(order, n, dict(zip(actions, masks)),
-                        dict(zip(tests, masks[len(actions):])))
-        if any(_violation(kind, n, value[a], value[b]) for a, b in hyps):
+        value = _run(program, n, [*_constants(n), *masks])
+        if any(_violation(kind, n, value[a], value[b]) for a, b in checks):
             continue
-        found = _violation(kind, n, value[goal[0]], value[goal[1]])
+        found = _violation(kind, n, value[left], value[right])
         if found is not None:
             rels = [Relation(n, mask) for mask in masks]
             interp = RelInterpretation(n, dict(zip(actions, rels)),
@@ -306,6 +381,10 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
 
     Enumeration order is fixed (carrier size, then actions in declared
     order, then tests, each mask ascending), so "first" is deterministic.
+    Exhaustive search skips every interpretation that exchanging two
+    carrier points makes earlier in that order; an isomorphic copy of a hit
+    is a hit, so the first hit is never skipped.  The budget's ceiling
+    counts all interpretations, skipped or not.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")

@@ -8,6 +8,7 @@ any dependency on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -77,14 +78,19 @@ def _joined(s: GuardedString, atom_text: Callable[[Atom], str]) -> str:
                                            for act, atom in zip(s.acts, s.atoms[1:]))
 
 
-def all_atoms(alphabet: Alphabet) -> list[Atom]:
+def all_atoms(alphabet: Alphabet) -> tuple[Atom, ...]:
     """All 2^|tests| atoms, lexicographic in bit order (negative first)."""
     if len(alphabet.tests) > ATOM_CAP:
         raise ResourceLimitError(
             f"{len(alphabet.tests)} tests exceed the atom cap of {ATOM_CAP} "
             f"(2^{len(alphabet.tests)} atoms)")
-    return [Atom(alphabet.tests, bits)
-            for bits in itertools.product((False, True), repeat=len(alphabet.tests))]
+    return _atoms(tuple(alphabet.tests))
+
+
+@functools.lru_cache(maxsize=16)
+def _atoms(tests: tuple[str, ...]) -> tuple[Atom, ...]:
+    return tuple(Atom(tests, bits)
+                 for bits in itertools.product((False, True), repeat=len(tests)))
 
 
 def satisfies(atom: Atom, t: Term) -> bool:

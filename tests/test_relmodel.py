@@ -12,7 +12,7 @@ from topkat.relmodel import (
     Relation, RelInterpretation, SearchBudget, SearchHit, check_encoding, evaluate,
     falsify_implication, search_countermodel,
 )
-from topkat import syntax
+from topkat import relmodel, syntax
 from topkat.syntax import Alphabet, parse, postorder, prune_alphabet
 
 
@@ -353,3 +353,127 @@ def test_falsify_implication_matches_the_reference_search(max_n, budget):
         assert got == want
         hits += got is not None
     assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive search skips interpretations that a swap of two carrier points
+# makes smaller.  n = 3 is the first size at which the swaps are not the
+# whole symmetric group, so these tests go to n = 3.
+
+AL_PB = Alphabet(("p",), ("b",))
+
+# Claims whose first hit needs three points, with the hit's carrier size.
+THREE_POINT_CLAIMS = [
+    ("equality", "p*", "1 + p", 3),
+    ("equality", "(b p)*", "1 + b p", 3),
+    ("leq", "p p", "p + 1", 3),
+    ("leq", "p* p", "p + 1", 3),
+    ("leq", "p p p", "1 + p + p p", None),
+    ("dom_geq", "b p b + b p !b p b p !b", "b p !b p b", 3),
+    ("cod_geq", "b p b + !b p b p !b p b", "b p !b p b", 3),
+    ("cod_geq", "T b", "p b", None),
+]
+
+
+@pytest.mark.parametrize("kind, left, right, size", THREE_POINT_CLAIMS)
+def test_exhaustive_three_point_search_matches_the_reference(kind, left, right, size):
+    t1, t2 = parse(left, AL_PB), parse(right, AL_PB)
+    got = search_countermodel(kind, t1, t2, AL_PB, 3, EXHAUSTIVE)
+    assert got == reference_search(kind, [], (t1, t2), AL_PB, 3, EXHAUSTIVE)
+    assert (got and got.interp.n) == size
+
+
+@pytest.mark.parametrize("hyps, size", [([], 3), ([("p b", "p")], 3),
+                                         ([("!b p", "0")], None), ([("p", "b")], None)],
+                         ids=["none", "holds", "no-edge-from-not-b", "edges-into-b"])
+def test_exhaustive_three_point_falsify_matches_the_reference(hyps, size):
+    hyps = [(parse(u, AL_PB), parse(v, AL_PB)) for u, v in hyps]
+    u, v = parse("b p !b p b", AL_PB), parse("b p b + !b p b p !b p b", AL_PB)
+    got = falsify_implication(hyps, (u, v), AL_PB, 3, EXHAUSTIVE)
+    want = reference_search("cod_geq", [(b, a) for a, b in hyps], (v, u),
+                            AL_PB, 3, EXHAUSTIVE)
+    assert got == want
+    assert (got and got.interp.n) == size
+
+
+@pytest.mark.parametrize("kind", ["equality", "leq", "dom_geq", "cod_geq"])
+def test_exhaustive_search_up_to_three_points_matches_the_reference(kind):
+    rng = random.Random(79)
+    for _ in range(6):
+        t1, t2 = (random_term(rng, AL_PB, 3, allow_top=True) for _ in range(2))
+        got = search_countermodel(kind, t1, t2, AL_PB, 3, EXHAUSTIVE)
+        assert got == reference_search(kind, [], (t1, t2), AL_PB, 3, EXHAUSTIVE)
+
+
+def test_sampled_search_on_forty_points_matches_the_reference():
+    # a table of 2^n diagonals, or of all n*n-bit masks, cannot be built at n = 40
+    budget = SearchBudget(exhaustive=False, samples=4, seed=11)
+    claims = [("leq", "b p", "p"), ("equality", "p (p + b)", "p p + p b"),
+              ("cod_geq", "p", "p b"), ("leq", "p", "b p")]
+    for kind, left, right in claims:
+        t1, t2 = parse(left, AL_PB), parse(right, AL_PB)
+        got = search_countermodel(kind, t1, t2, AL_PB, 40, budget)
+        assert got == reference_search(kind, [], (t1, t2), AL_PB, 40, budget)
+    assert got is not None and got.interp.n > 20
+
+
+@pytest.mark.parametrize("kind, left, right", [
+    ("equality", "b", "b b"), ("leq", "b + !b", "b"), ("dom_geq", "b", "1"),
+    ("leq", "0", "1"), ("leq", "T", "1"), ("cod_geq", "1", "T"),
+])
+def test_search_over_tests_or_no_primitives_matches_the_reference(kind, left, right,
+                                                                  monkeypatch):
+    # n! permutations or 2^(n*n) masks at n = 13 could not be built; the
+    # n(n-1)/2 swaps and the 2^n diagonals can
+    diagonals = []
+    original = relmodel._diagonal
+    monkeypatch.setattr(relmodel, "_diagonal",
+                        lambda n, bits: diagonals.append(n) or original(n, bits))
+    t1, t2 = parse(left, AL_PB), parse(right, AL_PB)
+    got = search_countermodel(kind, t1, t2, AL_PB, 13, EXHAUSTIVE)
+    # one table of 2^n diagonals per size searched when a test occurs, else none
+    last = got.interp.n if got else 13
+    tables = sum(1 << n for n in range(1, last + 1))
+    assert len(diagonals) == (tables if prune_alphabet(AL_PB, t1, t2).tests else 0)
+    assert got == reference_search(kind, [], (t1, t2), AL_PB, 13, EXHAUSTIVE)
+
+
+def permuted(n, perm, mask):
+    """The relation mask with every pair (i, j) moved to (perm[i], perm[j])."""
+    return sum(1 << (perm[i] * n + perm[j]) for i in range(n) for j in range(n)
+               if mask >> (i * n + j) & 1)
+
+
+@pytest.mark.parametrize("actions, tests", [(1, 0), (1, 1), (2, 0)])
+def test_every_isomorphism_class_keeps_an_enumerated_member_below_it(actions, tests):
+    for n in (1, 2, 3):
+        spaces = ([range(1 << (n * n))] * actions
+                  + [[Relation.diagonal(n, bits).mask for bits in range(1 << n)]] * tests)
+        enumerated = list(relmodel._leaders(n, spaces))
+        kept = set(enumerated)
+        everything = list(itertools.product(*spaces))
+        assert enumerated == [x for x in everything if x in kept]  # product order
+        # each permutation as a table over all n*n-bit masks
+        tables = [[permuted(n, perm, mask) for mask in range(1 << (n * n))]
+                  for perm in itertools.permutations(range(n))]
+        for x in everything:
+            least = min(tuple(table[mask] for mask in x) for table in tables)
+            assert least in kept, (n, x)
+
+
+def test_one_action_and_one_test_evaluate_848_of_4164_interpretations(monkeypatch):
+    sizes = []
+    original = relmodel._run
+
+    def counting(program, n, values):
+        sizes.append(n)
+        return original(program, n, values)
+
+    monkeypatch.setattr(relmodel, "_run", counting)
+    t1, t2 = parse("b p", AL_PB), parse("p", AL_PB)
+    # the ceiling counts every interpretation, 4 + 64 + 4096, skipped or not
+    with pytest.raises(ResourceLimitError, match="enumerate 4164 interpretations"):
+        search_countermodel("leq", t1, t2, AL_PB, 3, SearchBudget(ceiling=4163))
+    assert search_countermodel("leq", t1, t2, AL_PB, 3, SearchBudget(ceiling=4164)) is None
+    # at n = 2 the one swap is the whole group: (64 + 8 fixed) / 2 classes
+    assert [sizes.count(n) for n in (1, 2, 3)] == [4, 36, 808]

@@ -20,6 +20,7 @@ def atom(bits, tests=("b", "c")):
 
 def test_atoms_are_interned_and_immutable():
     first, second = all_atoms(ALPHABET), all_atoms(ALPHABET)
+    assert first is second  # one cached tuple per tests tuple
     assert all(a is b for a, b in zip(first, second))
     assert parse_guarded_string("[b&!c]", ALPHABET).first_atom is atom((True, False))
     with pytest.raises(AttributeError):
@@ -28,7 +29,7 @@ def test_atoms_are_interned_and_immutable():
 
 def test_all_atoms_orders_and_counts():
     empty = Alphabet((), ())
-    assert all_atoms(empty) == [Atom((), ())]
+    assert all_atoms(empty) == (Atom((), ()),)
     one = Alphabet((), ("b",))
     assert [a.bits for a in all_atoms(one)] == [(False,), (True,)]
     assert len(all_atoms(Alphabet((), ("b", "c")))) == 4
