@@ -2,12 +2,17 @@
 
 Uses Antimirov-style partial derivatives (sets of terms as determinized
 states) and a breadth-first bisimulation with eagerly merged classes.
-Inequivalence comes with a shortest distinguishing guarded string,
-re-verified by membership before it is returned.
+Atoms are bits of an int mask, and a pair of state sets steps once per
+atom class: the atoms that no derivative guard of its states tells apart
+(Pous, "Symbolic Algorithms for Language Equivalence and KAT", POPL 2015,
+with bit masks in place of BDDs).  Inequivalence comes with a shortest
+distinguishing guarded string, re-verified by membership before it is
+returned.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -53,12 +58,15 @@ class _Engine:
     plus D(r) where l accepts for `l r`, `d s*` for `s*`, composites equal
     to 0 dropped), so every derivative set and state is the same as atom
     by atom; a fact is built from its children's in one `postorder` loop.
+    The guard masks of a state set's derivatives split the atoms into
+    classes; atoms of one class have the same `step` for every action.
     """
 
     def __init__(self, atoms: Sequence[Atom]) -> None:
-        self.atoms = atoms
+        self.atoms = tuple(atoms)
         self.full = (1 << len(atoms)) - 1
         self._facts: dict[Term, tuple[int, dict[str, dict[Term, int]]]] = {}
+        self._tests = _test_masks(self.atoms)
 
     def facts(self, t: Term) -> tuple[int, dict[str, dict[Term, int]]]:
         if t not in self._facts:
@@ -76,7 +84,10 @@ class _Engine:
             case One():
                 acc = self.full
             case Test(name):
-                acc = sum(1 << i for i, atom in enumerate(self.atoms) if atom.value(name))
+                acc = self._tests.get(name)
+                if acc is None:
+                    acc = self._tests.setdefault(name, sum(
+                        1 << i for i, atom in enumerate(self.atoms) if atom.value(name)))
             case Not(arg):
                 acc = self.full & ~facts[arg][0]
             case Act(name):
@@ -114,6 +125,14 @@ class _Engine:
         return acc
 
 
+@functools.lru_cache(maxsize=16)
+def _test_masks(atoms: tuple[Atom, ...]) -> dict[str, int]:
+    """Each test's mask over the atoms, filled in by the engines over them.
+    A mask depends only on the atoms and the name, so engines on several
+    threads may fill one entry at once: each writes the same value."""
+    return {}
+
+
 def _triples(linear: dict[str, dict[Term, int]]) -> list[tuple[str, Term, int]]:
     return [(act, d, mask) for act, ds in linear.items() for d, mask in ds.items()]
 
@@ -133,13 +152,18 @@ def member(s: GuardedString, t: Term) -> bool:
     if contains_top(t):
         raise TopNotAllowedError("membership is defined for top-free terms")
     index = {atom: i for i, atom in enumerate(dict.fromkeys(s.atoms))}
-    engine = _Engine(list(index))
+    steps = [(index[atom], act) for atom, act in zip(s.atoms, s.acts)]
+    return _member(_Engine(list(index)), t, steps, index[s.last_atom])
+
+
+def _member(engine: _Engine, t: Term, steps: list[tuple[int, str]], last: int) -> bool:
+    """Whether t accepts the string of (atom index, action) steps ending in atom `last`."""
     states: StateSet = frozenset((t,))
-    for atom, act in zip(s.atoms, s.acts):
-        states = engine.step(states, index[atom], act)
+    for i, act in steps:
+        states = engine.step(states, i, act)
         if not states:
             return False
-    return bool(engine.accepts(states) >> index[s.last_atom] & 1)
+    return bool(engine.accepts(states) >> last & 1)
 
 
 class _UnionFind:
@@ -170,6 +194,15 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     seen-check skipped a pair on its path, an earlier-popped pair would
     give a smaller separating string.  So witness and verdict depend only
     on the two languages, and rewriting the terms beforehand changes neither.
+
+    A popped pair steps once per atom class, in the order of each class's
+    least atom, and records that atom as the parent.  This gives the same
+    queue and parents as stepping atom by atom: the atoms of a class agree
+    on every derivative guard of the pair's states, so they have the same
+    successor for every action, and atom by atom nothing new is enqueued
+    at an atom that is not the least of its class (its successors were met
+    at the least one, where first parent wins).  The witness's last atom
+    is the lowest bit of `differ` either way.
     """
     for t in (t1, t2):
         if contains_top(t):
@@ -192,31 +225,43 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
             continue
         differ = engine.accepts(left) ^ engine.accepts(right)
         if differ:
-            # the least atom at which exactly one side accepts
-            witness = _reconstruct(parents, pair, atoms[(differ & -differ).bit_length() - 1])
-            m1, m2 = member(witness, t1), member(witness, t2)
+            steps = _path(parents, pair)
+            last = (differ & -differ).bit_length() - 1  # least atom where one side accepts
+            witness = GuardedString(tuple(atoms[i] for i, _ in steps) + (atoms[last],),
+                                    tuple(act for _, act in steps))
+            m1, m2 = (_member(engine, t, steps, last) for t in (t1, t2))
             if m1 == m2:
                 raise TopkatError(
                     "internal error: unsound witness "
                     f"{witness.render()!r} for {pair!r}")
             return Witness(witness, "left" if m1 else "right")
         classes.union(left, right)
-        for i, atom in enumerate(atoms):
+        guards = {mask for t in left | right
+                  for ds in engine.facts(t)[1].values() for mask in ds.values()}
+        rest = engine.full
+        while rest:
+            least = rest & -rest
+            atom_class = rest
+            for mask in guards:
+                atom_class &= mask if mask & least else ~mask
+            rest ^= atom_class
+            i = least.bit_length() - 1
             for act in acts:
                 successor = (engine.step(left, i, act), engine.step(right, i, act))
                 if successor not in parents:
-                    parents[successor] = (pair, atom, act)
+                    parents[successor] = (pair, i, act)
                     queue.append(successor)
     return Equivalent()
 
 
-def _reconstruct(parents: dict, pair: tuple, final_atom: Atom) -> GuardedString:
-    steps: list[tuple[Atom, str]] = []
+def _path(parents: dict, pair: tuple) -> list[tuple[int, str]]:
+    """The (atom index, action) steps from the start pair to the pair."""
+    steps: list[tuple[int, str]] = []
     while parents[pair] is not None:
-        pair, atom, act = parents[pair]
-        steps.append((atom, act))
+        pair, i, act = parents[pair]
+        steps.append((i, act))
     steps.reverse()
-    return GuardedString(tuple(a for a, _ in steps) + (final_atom,), tuple(p for _, p in steps))
+    return steps
 
 
 def leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:

@@ -1,15 +1,18 @@
 import random
+import sys
+from collections import deque
 
 import pytest
 
 from conftest import ALPHABET
+from topkat import decide
 from topkat.decide import (
     Equivalent, Witness, deriv, epsilon, equivalent, leq, member,
 )
 from topkat.errors import TopNotAllowedError
 from topkat.gen import random_term
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
-from topkat.syntax import Alphabet, Dot, ONE, Plus, ZERO, parse
+from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, ZERO, occurring, parse
 
 
 AL_PQ = Alphabet(("p", "q"), ())
@@ -155,10 +158,120 @@ def test_empty_alphabet_edge_cases():
 
 def test_concurrent_checks_agree():
     from concurrent.futures import ThreadPoolExecutor
-    rng = random.Random(83)
-    pairs = [(random_term(rng, ALPHABET, 3), random_term(rng, ALPHABET, 3))
-             for _ in range(24)]
-    sequential = [equivalent(t1, t2, ALPHABET) for t1, t2 in pairs]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda pair: equivalent(*pair, ALPHABET), pairs))
-    assert sequential == threaded
+    for alphabet in (ALPHABET, Alphabet(("p", "q"), ("b", "c", "d", "e", "f"))):
+        rng = random.Random(83)
+        pairs = [(random_term(rng, alphabet, 3), random_term(rng, alphabet, 3))
+                 for _ in range(24)]
+        decide._test_masks.cache_clear()  # the threads race to fill the shared test masks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda pair: equivalent(*pair, alphabet), pairs))
+        finally:
+            sys.setswitchinterval(interval)
+        sequential = [equivalent(t1, t2, alphabet) for t1, t2 in pairs]
+        assert sequential == threaded
+
+
+def _per_atom_equivalent(t1, t2, alphabet):
+    """The bisimulation stepping atom by atom, as `equivalent` did before
+    atom classes: the reference for verdicts, sides and witnesses."""
+    atoms = all_atoms(alphabet)
+    acts = [a for a in alphabet.actions if a in occurring(t1, t2)[0]]
+    engine = decide._Engine(atoms)
+    start = (frozenset((t1,)), frozenset((t2,)))
+    parents = {start: None}
+    classes = decide._UnionFind()
+    queue = deque((start,))
+    while queue:
+        pair = queue.popleft()
+        left, right = pair
+        if classes.find(left) == classes.find(right):
+            continue
+        differ = engine.accepts(left) ^ engine.accepts(right)
+        if differ:
+            steps = []
+            while parents[pair] is not None:
+                pair, atom, act = parents[pair]
+                steps.append((atom, act))
+            steps.reverse()
+            last = atoms[(differ & -differ).bit_length() - 1]
+            string = GuardedString(tuple(a for a, _ in steps) + (last,),
+                                   tuple(act for _, act in steps))
+            return Witness(string, "left" if member(string, t1) else "right")
+        classes.union(left, right)
+        for i, atom in enumerate(atoms):
+            for act in acts:
+                successor = (engine.step(left, i, act), engine.step(right, i, act))
+                if successor not in parents:
+                    parents[successor] = (pair, atom, act)
+                    queue.append(successor)
+    return Equivalent()
+
+
+def _agrees_with_per_atom(t1, t2, alphabet):
+    got, want = equivalent(t1, t2, alphabet), _per_atom_equivalent(t1, t2, alphabet)
+    assert got == want
+    if isinstance(want, Witness):
+        assert got.side == want.side
+        assert got.string.render() == want.string.render()
+    return isinstance(want, Witness)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_atom_classes_match_the_per_atom_search(k):
+    alphabet = Alphabet(("p", "q"), tuple(f"b{i}" for i in range(k)))
+    rng = random.Random(400 + k)
+    witnesses = 0
+    for n in range(200):
+        t1, t2 = random_term(rng, alphabet, 3), random_term(rng, alphabet, 3)
+        # inclusions and stars too, so that equivalent pairs and longer witnesses occur
+        pair = [(t1, t2), (Plus(t1, t2), t2), (Star(t1), Star(Plus(t1, t2))),
+                (Dot(Star(t1), t2), Star(Plus(t1, t2)))][n % 4]
+        witnesses += _agrees_with_per_atom(*pair, alphabet)
+    assert 0 < witnesses < 200
+
+
+def _guard(k, bits):
+    return " ".join(("" if bits >> i & 1 else "!") + f"b{i}" for i in range(k))
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_atom_classes_match_the_per_atom_search_on_guarded_families(k):
+    tests = tuple(f"b{i}" for i in range(k))
+    alphabet = Alphabet(("p", "q"), tests)
+    rng = random.Random(k)
+    g1, g2 = rng.sample(range(1 << k), 2)
+    A, B, M = _guard(k, g1), _guard(k, g2), _guard(k, g1 ^ 1 << rng.randrange(k))
+    x, loop = f"({A} p + {B} q)", f"({' '.join(tests)} p + !b0 q)"
+    pairs = [
+        (f"{loop}*", f"{loop}* {loop}*"),  # guarded loop
+        (f"{x}*", f"({A} p)* ({B} q ({A} p)*)*"),  # denesting
+        (f"({A} p {B} q)* {A} p", f"{A} p ({B} q {A} p)*"),  # sliding
+        (f"{x}*", f"({M} p)* ({B} q ({M} p)*)*"),
+        (f"({A} p {B} q)* {M} p", f"{A} p ({B} q {A} p)*"),
+        (f"{loop}*", f"1 + ({M} p + !b0 q) {loop}*"),
+    ]
+    verdicts = [_agrees_with_per_atom(parse(l, alphabet), parse(r, alphabet), alphabet)
+                for l, r in pairs]
+    assert verdicts == [False, False, False, True, True, True]
+
+
+def test_a_guarded_loop_steps_once_per_atom_class(monkeypatch):
+    calls = []
+    step = decide._Engine.step
+    monkeypatch.setattr(decide._Engine, "step",
+                        lambda self, *args: calls.append(1) or step(self, *args))
+    counts = {}
+    for k in (4, 10):
+        tests = tuple(f"b{i}" for i in range(k))
+        alphabet = Alphabet(("p", "q"), tests)
+        x = f"({' '.join(tests)} p + !b0 q)"
+        calls.clear()
+        verdict = equivalent(parse(f"{x}*", alphabet), parse(f"{x}* {x}*", alphabet), alphabet)
+        assert isinstance(verdict, Equivalent)
+        counts[k] = len(calls)
+    # two pairs popped x three classes (every test, !b0, the rest) x two actions
+    # x two sides, at any k; atom by atom it was 2 x 2^k x 2 x 2 (128 and 8192)
+    assert counts[4] == counts[10] == 24
