@@ -50,6 +50,8 @@ class Relation:
     @classmethod
     def diagonal(cls, n: int, bits: int) -> Relation:
         """The sub-identity holding at every i whose bit i is set in bits."""
+        if bits < 0 or bits >> n:
+            raise ValueError("diagonal bits out of range for carrier size")
         return cls(n, _diagonal(n, bits))
 
     @property
@@ -332,6 +334,38 @@ def _leaders(n: int, spaces: Sequence[Sequence[int]]):
                 yield (head, *tail)
 
 
+# Sampled mode remembers a draw only if its key is below 2^_MEMO_BITS, so a
+# search holds fewer than 2^_MEMO_BITS small ints whatever its budget.  The
+# sizes this keeps have draw spaces small enough to repeat within a few
+# thousand samples; at wider sizes repeats are rare, and remembering them
+# would hold one wide key per draw.
+_MEMO_BITS = 18
+
+
+def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: int):
+    """Sampled mode's seeded draws, in order, less the repeats of remembered
+    draws: n = randint(1, max_n), then n*n bits per action and n bits per
+    test.  A draw's key packs n and then each field, so its bit length is
+    n's plus the fields' widths, which rise with n unless there are no
+    fields (then the key is n).  So the key fixes n, and with it each
+    field: equal keys, equal draws."""
+    rng = random.Random(seed)
+    randint, getrandbits = rng.randint, rng.getrandbits
+    seen: set[int] = set()
+    for _ in range(samples):
+        n = randint(1, max_n)
+        fields = [n * n] * actions + [n] * tests
+        key = n
+        for i, width in enumerate(fields):
+            fields[i] = field = getrandbits(width)
+            key = key << width | field
+        if key.bit_length() <= _MEMO_BITS:
+            if key in seen:
+                continue
+            seen.add(key)
+        yield n, fields[:actions] + [_diagonal(n, row) for row in fields[actions:]]
+
+
 def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
                alphabet: Alphabet, max_n: int, budget: SearchBudget) -> SearchHit | None:
     """The first interpretation in which every hypothesis pair holds and the
@@ -340,6 +374,11 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     Exhaustive mode evaluates only the `_leaders`.  Violations are invariant
     under isomorphism, so if a swap s made the first hit H smaller, s(H)
     would be an earlier hit: H is a leader, and no earlier leader is a hit.
+
+    Sampled mode skips what `_distinct_draws` skips.  A repeated draw was
+    evaluated before and was no hit, or the loop would have returned there;
+    evaluation is deterministic, so it is no hit now either.  The first hit
+    is the same draw, with the same violating pair or point.
     """
     every = [t for pair in [*hyps, goal] for t in pair]
     pruned = prune_alphabet(alphabet, *every)
@@ -354,11 +393,8 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
         candidates = ((n, masks) for n in range(1, max_n + 1)
                       for masks in _leaders(n, spaces(n)))
     else:
-        rng = random.Random(budget.seed)
-        sizes = (rng.randint(1, max_n) for _ in range(budget.samples))
-        candidates = ((n, [rng.getrandbits(n * n) for _ in actions]
-                       + [_diagonal(n, rng.getrandbits(n)) for _ in tests])
-                      for n in sizes)
+        candidates = _distinct_draws(budget.seed, budget.samples, max_n,
+                                     len(actions), len(tests))
     program, slot = _compile(postorder(*every), actions, tests)
     checks = [(slot[a], slot[b]) for a, b in hyps]
     left, right = slot[goal[0]], slot[goal[1]]
@@ -384,7 +420,9 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
     Exhaustive search skips every interpretation that exchanging two
     carrier points makes earlier in that order; an isomorphic copy of a hit
     is a hit, so the first hit is never skipped.  The budget's ceiling
-    counts all interpretations, skipped or not.
+    counts all interpretations, skipped or not.  Sampled search evaluates a
+    repeated draw on a small carrier only the first time: it was no hit
+    then, so it is none now, and the budget still counts every draw.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")

@@ -9,7 +9,7 @@ from topkat import decide
 from topkat.decide import (
     Equivalent, Witness, deriv, epsilon, equivalent, leq, member,
 )
-from topkat.errors import TopNotAllowedError
+from topkat.errors import TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
 from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, ZERO, occurring, parse
@@ -137,6 +137,30 @@ def test_witnesses_are_deterministic_and_minimal():
 def test_equivalent_rejects_top():
     with pytest.raises(TopNotAllowedError):
         equivalent(parse("T", ALPHABET), parse("p", ALPHABET), ALPHABET)
+
+
+@pytest.mark.parametrize("left, right, error", [
+    ("p q", "T", UndeclaredIdentifierError),  # q is undeclared in AL_PB
+    ("T", "p q", TopNotAllowedError),
+    ("p c", "T b", UndeclaredIdentifierError),
+    ("b", "q", UndeclaredIdentifierError),
+    ("p", "p b", None),
+])
+def test_equivalent_raises_the_first_error_term_by_term(left, right, error):
+    # terms over the wider alphabet, checked against AL_PB = ({p}, {b})
+    t1, t2 = parse(left, ALPHABET), parse(right, ALPHABET)
+    if error is None:
+        assert isinstance(equivalent(t1, t2, AL_PB), Witness)
+        return
+    with pytest.raises(error):
+        equivalent(t1, t2, AL_PB)
+
+
+def test_equivalent_rejects_a_name_of_the_wrong_sort():
+    # p parsed as an action, declared only as a test
+    t = parse("p", AL_PQ)
+    with pytest.raises(UndeclaredIdentifierError, match="undeclared action 'p'"):
+        equivalent(t, t, Alphabet((), ("p",)))
 
 
 def test_state_sets_stay_canonical():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,10 +10,10 @@ from conftest import ALPHABET
 from topkat.errors import ResourceLimitError, UndeclaredIdentifierError
 from topkat.gen import random_interpretation, random_relation, random_term
 from topkat.relmodel import (
-    Relation, RelInterpretation, SearchBudget, SearchHit, check_encoding, evaluate,
-    falsify_implication, search_countermodel,
+    KINDS, Relation, RelInterpretation, SearchBudget, SearchHit, check_encoding,
+    evaluate, falsify_implication, search_countermodel,
 )
-from topkat import relmodel, syntax
+from topkat import cli, relmodel, syntax
 from topkat.syntax import Alphabet, parse, postorder, prune_alphabet
 
 
@@ -67,6 +68,18 @@ def test_relation_rejects_a_negative_carrier():
         Relation(-1, 1)
     with pytest.raises(ValueError, match="carrier size"):
         Relation(-1, 0)
+
+
+@pytest.mark.parametrize("n, bits", [(2, 0b100), (2, -1), (0, 1), (3, 8)])
+def test_diagonal_rejects_bits_outside_the_carrier(n, bits):
+    with pytest.raises(ValueError, match="out of range"):
+        Relation.diagonal(n, bits)
+
+
+def test_diagonal_of_in_range_bits():
+    assert Relation.diagonal(0, 0) == Relation(0, 0)
+    assert Relation.diagonal(2, 0b10).pairs == ((1, 1),)
+    assert Relation.diagonal(3, 0b111) == Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2)])
 
 
 def test_dom_cod_on_singleton():
@@ -285,11 +298,20 @@ def reference_interpretations(alphabet, max_n, budget):
             for masks in itertools.product(*spaces):
                 yield model(n, masks)
     else:
-        rng = random.Random(budget.seed)
-        for _ in range(budget.samples):
-            n = rng.randint(1, max_n)
-            acts = [rng.getrandbits(n * n) for _ in actions]
-            yield model(n, acts + [rng.getrandbits(n) for _ in tests])
+        for n, *masks in replayed_draws(alphabet, max_n, budget):
+            yield model(n, masks)
+
+
+def replayed_draws(alphabet, max_n, budget):
+    """Sampled mode's draws as (n, action masks..., test bits...) tuples:
+    n, then n*n bits per action and n bits per test, from the seed."""
+    rng = random.Random(budget.seed)
+    draws = []
+    for _ in range(budget.samples):
+        n = rng.randint(1, max_n)
+        acts = [rng.getrandbits(n * n) for _ in alphabet.actions]
+        draws.append((n, *acts, *(rng.getrandbits(n) for _ in alphabet.tests)))
+    return draws
 
 
 def reference_violation(kind, r1, r2):
@@ -353,6 +375,113 @@ def test_falsify_implication_matches_the_reference_search(max_n, budget):
         assert got == want
         hits += got is not None
     assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# Sampled search evaluates each distinct draw once.  Over tests only and a
+# few points, draws repeat heavily: each budget below draws at least ten
+# times as many samples as there are interpretations.
+
+TESTS_ONLY = [  # (alphabet, max_n, samples): interpretations sum 2^(n * tests)
+    (Alphabet((), ("b", "c")), 3, 900),  # 4 + 16 + 64 = 84
+    (Alphabet((), ("b", "c", "d")), 2, 800),  # 8 + 64 = 72
+    (Alphabet((), ("b", "c", "d", "e")), 2, 2800),  # 16 + 256 = 272
+]
+
+
+def rare_claim(alphabet):
+    """T <= T !(b c ...) T: violated only where every point passes every
+    test, so the first hit tends to come after repeated draws."""
+    every_test = " ".join(alphabet.tests)
+    return parse("T", alphabet), parse(f"T !({every_test}) T", alphabet)
+
+
+def draw_of(hit, alphabet):
+    """The hit's interpretation as a replayed draw: (n, masks..., bits...)."""
+    interp = hit.interp
+    bits = [sum(1 << i for i, _ in interp.test_map[b].pairs) for b in alphabet.tests]
+    return (interp.n, *(interp.action_map[a].mask for a in alphabet.actions), *bits)
+
+
+def repeats_before(hit, alphabet, max_n, budget):
+    """How many draws before the hit's first draw repeat an earlier one."""
+    draws = replayed_draws(alphabet, max_n, budget)
+    index = draws.index(draw_of(hit, alphabet))
+    return index - len(set(draws[:index]))
+
+
+@pytest.mark.parametrize("alphabet, max_n, samples", TESTS_ONLY,
+                         ids=["2-tests", "3-tests", "4-tests"])
+def test_sampled_search_with_repeated_draws_matches_the_reference(alphabet, max_n,
+                                                                 samples):
+    rng = random.Random(83)
+    hits = late = 0
+    for seed in range(4):
+        budget = SearchBudget(exhaustive=False, samples=samples, seed=seed)
+        claims = [[random_term(rng, alphabet, 3, allow_top=True) for _ in range(2)],
+                  rare_claim(alphabet)]
+        for (t1, t2), kind in itertools.product(claims, KINDS):
+            got = search_countermodel(kind, t1, t2, alphabet, max_n, budget)
+            assert got == reference_search(kind, [], (t1, t2), alphabet, max_n, budget)
+            if got is not None:
+                hits += 1
+                late += repeats_before(got, prune_alphabet(alphabet, t1, t2),
+                                       max_n, budget) > 0
+    assert hits > 0 and late > 0
+
+
+@pytest.mark.parametrize("alphabet, max_n, samples", TESTS_ONLY,
+                         ids=["2-tests", "3-tests", "4-tests"])
+def test_sampled_falsify_with_repeated_draws_matches_the_reference(alphabet, max_n,
+                                                                  samples):
+    rng = random.Random(89)
+    hits = late = 0
+    for seed in range(8):
+        budget = SearchBudget(exhaustive=False, samples=samples, seed=seed)
+        random_hyps = [(random_term(rng, alphabet, 2), random_term(rng, alphabet, 2))
+                       for _ in range(rng.randint(0, 2))]
+        random_goal = (random_term(rng, alphabet, 3), random_term(rng, alphabet, 3))
+        # the goal cod(1) <= cod(0) always fails, so a hit is as rare as the
+        # hypotheses cod(1) <= cod(b): every point passes every test
+        all_tests_hold = [(parse("1", alphabet), parse(b, alphabet)) for b in alphabet.tests]
+        rare_goal = (parse("1", alphabet), parse("0", alphabet))
+        for hyps, (u, v) in [(random_hyps, random_goal), (all_tests_hold, rare_goal)]:
+            got = falsify_implication(hyps, (u, v), alphabet, max_n, budget)
+            want = reference_search("cod_geq", [(b, a) for a, b in hyps], (v, u),
+                                    alphabet, max_n, budget)
+            assert got == want
+            if got is not None:
+                hits += 1
+                every = [t for pair in [*hyps, (u, v)] for t in pair]
+                late += repeats_before(got, prune_alphabet(alphabet, *every),
+                                       max_n, budget) > 0
+    assert hits > 0 and late > 0
+
+
+def test_sampled_rule_evaluates_each_distinct_draw_once(monkeypatch, capsys):
+    calls = []
+    original = relmodel._run
+    monkeypatch.setattr(relmodel, "_run",
+                        lambda program, n, values: calls.append(n) or original(program, n, values))
+    code = cli.main(["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
+                     "--samples", "5967", "--seed", "120", "--max-states", "3"])
+    assert (code, capsys.readouterr().out) == (
+        0, "no refutation found (budget 5967 samples n<=3 seed=120)\nseed: 120\n")
+    budget = SearchBudget(exhaustive=False, samples=5967, seed=120)
+    distinct = set(replayed_draws(Alphabet((), ("a", "b", "c", "d")), 3, budget))
+    # one evaluation per distinct draw, at most the 16 + 256 + 4096 interpretations
+    assert len(calls) == len(distinct) <= 4368
+
+
+def test_sampled_draws_on_forty_points_are_not_remembered():
+    # 2000 remembered draws of up to 40 points would hold over 200 kB of keys
+    tracemalloc.start()
+    try:
+        draws = sum(1 for _ in relmodel._distinct_draws(7, 2000, 40, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws > 1900 and peak < 50_000
 
 
 # ---------------------------------------------------------------------------
