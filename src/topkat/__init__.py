@@ -13,7 +13,7 @@ from .reduction import (
     TOP_ACTION, ExtendedAlphabet, embed_back, reduce, topkat_equivalent, topkat_leq,
 )
 from .relmodel import (
-    Relation, RelInterpretation, SearchBudget, check_encoding, evaluate,
+    Relation, RelInterpretation, SearchBudget, evaluate,
     falsify_implication, search_countermodel,
 )
 from .semantics import (

@@ -137,16 +137,6 @@ def _triples(linear: dict[str, dict[Term, int]]) -> list[tuple[str, Term, int]]:
     return [(act, d, mask) for act, ds in linear.items() for d, mask in ds.items()]
 
 
-def epsilon(t: Term, atom: Atom) -> bool:
-    """True iff the single-atom string <atom> is in t's language."""
-    return bool(_Engine([atom]).accepts((t,)))
-
-
-def deriv(t: Term, atom: Atom, act: str) -> frozenset[Term]:
-    """Partial derivative: the set D with  atom act s in L(t)  iff  s in L(D)."""
-    return _Engine([atom]).step((t,), 0, act)
-
-
 def member(s: GuardedString, t: Term) -> bool:
     """Decide s in L(t) by folding derivatives over the action steps."""
     if contains_top(t):

@@ -70,17 +70,12 @@ def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedIne
 def check_triple(tr: Triple, alphabet: Alphabet,
                  direction: str = "under") -> Union[Verdict, ComparisonVerdict]:
     """Hoare triples via the equational decision; incorrectness triples via
-    the codomain comparison, so refutations carry relational countermodels."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    if tr.kind == "hoare":
-        enc = encode(tr)
-        assert isinstance(enc, EncodedEquation)
+    the codomain comparison, so refutations carry relational countermodels.
+    An encoded inequality T u <= T v is `cod_geq(v, u)`."""
+    enc = encode(tr, direction)
+    if isinstance(enc, EncodedEquation):
         return equivalent(enc.left, enc.right, alphabet)
-    prog = Dot(tr.pre, tr.prog)
-    if direction == "under":
-        return cod_geq(prog, tr.post, alphabet)
-    return cod_geq(tr.post, prog, alphabet)
+    return cod_geq(enc.larger.right, enc.smaller.right, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +169,3 @@ def split_triple_file(text: str) -> list[tuple[int, str]]:
     """The triple lines of a file's text, numbered from 1."""
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip() and not line.lstrip().startswith("#")]
-
-
-def parse_triple_file(text: str, alphabet: Alphabet) -> list[tuple[int, Triple]]:
-    return [(lineno, parse_triple_line(line, alphabet))
-            for lineno, line in split_triple_file(text)]

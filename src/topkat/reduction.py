@@ -54,9 +54,10 @@ def _reducts(t1: Term, t2: Term, alphabet: Alphabet) -> tuple[Term, Term, Alphab
     the extended alphabet they are decided over.
 
     Pruning first keeps the reserved sum-star to the relevant actions.
+    `reduce` checks each term over the pruned alphabet, which keeps exactly
+    the declared names that occur, so an undeclared or mis-sorted name
+    fails at the same node, with the same message, as over the full one.
     """
-    for t in (t1, t2):
-        check_over(t, alphabet)
     pruned = prune_alphabet(alphabet, t1, t2)
     return reduce(t1, pruned), reduce(t2, pruned), ExtendedAlphabet(pruned).alphabet
 

@@ -1,4 +1,4 @@
-"""Finite relational models: evaluation, (co)domain, converse, and search.
+"""Finite relational models: evaluation, (co)domain, and search.
 
 Relations over a carrier {0..n-1} are stored as n*n bitmasks, which keeps
 the exhaustive searches over all interpretations cheap.  T evaluates to
@@ -58,9 +58,6 @@ class Relation:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(self.n) for j in range(self.n)
                      if self.mask >> (i * self.n + j) & 1)
-
-    def converse(self) -> Relation:
-        return Relation.from_pairs(self.n, [(j, i) for i, j in self.pairs])
 
     def dom(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.pairs)
@@ -177,38 +174,6 @@ def evaluate(t: Term, interp: RelInterpretation) -> Relation:
     masks = [rel.mask for table in tables for rel in table.values()]
     values = _run(program, interp.n, [*_constants(interp.n), *masks])
     return Relation(interp.n, values[slot[t]])
-
-
-@dataclass(frozen=True)
-class EncodingReport:
-    """Truth values of both top-encoding biconditionals for one model."""
-
-    dom_via_top: bool
-    dom_direct: bool
-    cod_via_top: bool
-    cod_direct: bool
-
-    @property
-    def dom_agrees(self) -> bool:
-        return self.dom_via_top == self.dom_direct
-
-    @property
-    def cod_agrees(self) -> bool:
-        return self.cod_via_top == self.cod_direct
-
-
-def check_encoding(interp: RelInterpretation, t1: Term, t2: Term) -> EncodingReport:
-    """Evaluate R1 T >= R2 T against dom(R1) >= dom(R2), and the cod mirror."""
-    def within(smaller: Term, larger: Term) -> bool:
-        return not evaluate(smaller, interp).mask & ~evaluate(larger, interp).mask
-
-    r1, r2 = evaluate(t1, interp), evaluate(t2, interp)
-    return EncodingReport(
-        dom_via_top=within(Dot(t2, TOP), Dot(t1, TOP)),
-        dom_direct=r2.dom() <= r1.dom(),
-        cod_via_top=within(Dot(TOP, t2), Dot(TOP, t1)),
-        cod_direct=r2.cod() <= r1.cod(),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -212,18 +212,6 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int) -> frozenset[Gua
                      for idxs, acts in lang[t])
 
 
-def all_strings_bounded(alphabet: Alphabet, max_actions: int) -> frozenset[GuardedString]:
-    """Every guarded string over the alphabet with <= max_actions actions."""
-    atoms = all_atoms(alphabet)
-    level: list[GuardedString] = [GuardedString((a,), ()) for a in atoms]
-    out: list[GuardedString] = list(level)
-    for _ in range(max_actions):
-        level = [GuardedString(s.atoms + (a,), s.acts + (act,))
-                 for s in level for act in alphabet.actions for a in atoms]
-        out.extend(level)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Textual guarded strings: `[b&!c] p [b&c]`, with `[]` for an empty test set.
 

@@ -2,11 +2,24 @@ import hypothesis
 import hypothesis.strategies as st
 
 from topkat import syntax
+from topkat.relmodel import evaluate
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("suite")
 
 ALPHABET = syntax.Alphabet(("p", "q"), ("b", "c"))
+
+
+def encoding_sides(interp, t1, t2):
+    """Both top-encoding biconditionals on one model, each as (via T, direct):
+    t2 T <= t1 T against dom(t2) <= dom(t1), and T t2 <= T t1 against cod."""
+    def within(smaller, larger):
+        return not evaluate(smaller, interp).mask & ~evaluate(larger, interp).mask
+
+    r1, r2 = evaluate(t1, interp), evaluate(t2, interp)
+    top = syntax.TOP
+    return ((within(syntax.Dot(t2, top), syntax.Dot(t1, top)), r2.dom() <= r1.dom()),
+            (within(syntax.Dot(top, t2), syntax.Dot(top, t1)), r2.cod() <= r1.cod()))
 
 
 def boolean_terms(alphabet: syntax.Alphabet = ALPHABET):

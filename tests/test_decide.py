@@ -6,9 +6,7 @@ import pytest
 
 from conftest import ALPHABET
 from topkat import decide
-from topkat.decide import (
-    Equivalent, Witness, deriv, epsilon, equivalent, leq, member,
-)
+from topkat.decide import Equivalent, Witness, equivalent, leq, member
 from topkat.errors import TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
@@ -21,23 +19,24 @@ AL_PB = Alphabet(("p",), ("b",))
 
 def test_epsilon_rules():
     for a in all_atoms(ALPHABET):
-        assert epsilon(parse("p*", ALPHABET), a)
-        assert not epsilon(parse("b !b", ALPHABET), a)
+        unit = GuardedString((a,), ())
+        assert member(unit, parse("p*", ALPHABET))
+        assert not member(unit, parse("b !b", ALPHABET))
         # cross-check against the zero-action bounded language
-        expected = GuardedString((a,), ()) in lang_bounded(parse("1 + p", ALPHABET), ALPHABET, 0)
-        assert epsilon(parse("1 + p", ALPHABET), a) == expected
+        expected = unit in lang_bounded(parse("1 + p", ALPHABET), ALPHABET, 0)
+        assert member(unit, parse("1 + p", ALPHABET)) == expected
 
 
 def test_deriv_on_primitives():
-    a = all_atoms(AL_PQ)[0]
-    assert deriv(parse("p", AL_PQ), a, "p") == frozenset((ONE,))
-    assert deriv(parse("p", AL_PQ), a, "q") == frozenset()
+    engine = decide._Engine([all_atoms(AL_PQ)[0]])
+    assert engine.step((parse("p", AL_PQ),), 0, "p") == frozenset((ONE,))
+    assert engine.step((parse("p", AL_PQ),), 0, "q") == frozenset()
 
 
 def test_deriv_of_composition_matches_language():
     t = parse("p q", AL_PQ)
     for a in all_atoms(AL_PQ):
-        derived = deriv(t, a, "p")
+        derived = decide._Engine([a]).step((t,), 0, "p")
         via_deriv = frozenset().union(*(lang_bounded(d, AL_PQ, 1) for d in derived))
         expected = frozenset(
             GuardedString(s.atoms[1:], s.acts[1:])
@@ -56,11 +55,11 @@ def test_member_basics():
 
 def test_member_agrees_with_bounded_language():
     rng = random.Random(17)
+    every_string = lang_bounded(parse("p*", AL_PB), AL_PB, 2)
     for _ in range(60):
         t = random_term(rng, AL_PB, 3)
         lang = lang_bounded(t, AL_PB, 2)
-        from topkat.semantics import all_strings_bounded
-        for s in all_strings_bounded(AL_PB, 2):
+        for s in every_string:
             assert member(s, t) == (s in lang)
 
 
@@ -165,9 +164,9 @@ def test_equivalent_rejects_a_name_of_the_wrong_sort():
 
 def test_state_sets_stay_canonical():
     # duplicates collapse: derivative of p + p is the singleton {1}
-    a = all_atoms(AL_PQ)[0]
-    assert deriv(parse("p + p", AL_PQ), a, "p") == frozenset((ONE,))
-    assert deriv(Dot(parse("p", AL_PQ), ONE), a, "p") == frozenset((ONE,))
+    engine = decide._Engine([all_atoms(AL_PQ)[0]])
+    assert engine.step((parse("p + p", AL_PQ),), 0, "p") == frozenset((ONE,))
+    assert engine.step((Dot(parse("p", AL_PQ), ONE),), 0, "p") == frozenset((ONE,))
 
 
 def test_empty_alphabet_edge_cases():

@@ -3,17 +3,20 @@ import random
 import pytest
 
 from conftest import ALPHABET
+from topkat import decide, syntax
 from topkat.decide import Witness
 from topkat.domain import (
     Provable, RelCountermodel, build_cod_countermodel, build_dom_countermodel, cod_geq,
     dom_geq,
 )
-from topkat.errors import TopNotAllowedError
+from topkat.errors import TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
-from topkat.reduction import ExtendedAlphabet, prune_alphabet, reduce, topkat_leq
+from topkat.reduction import (
+    ExtendedAlphabet, prune_alphabet, reduce, topkat_equivalent, topkat_leq,
+)
 from topkat.relmodel import SearchBudget, evaluate, search_countermodel
-from topkat.semantics import all_strings_bounded, fuse, lang_bounded
-from topkat.syntax import Alphabet, Dot, TOP, parse, reverse
+from topkat.semantics import fuse, lang_bounded
+from topkat.syntax import Act, Alphabet, Dot, TOP, parse, reverse
 
 
 AL_PB = Alphabet(("p",), ("b",))
@@ -55,13 +58,68 @@ def test_dom_geq_examples():
 
 
 def test_dom_geq_agrees_with_reversed_cod_geq():
+    # dom_geq decides one inequation; this duality is its cross-check
     rng = random.Random(67)
+    provable, lengths = 0, set()
     for _ in range(60):
         t1 = random_term(rng, ALPHABET, 3)
         t2 = random_term(rng, ALPHABET, 3)
         direct = dom_geq(t1, t2, ALPHABET)
         mirrored = cod_geq(reverse(t1), reverse(t2), ALPHABET)
         assert isinstance(direct, Provable) == isinstance(mirrored, Provable)
+        if isinstance(direct, Provable):
+            provable += 1
+        else:
+            # reversing strings maps one shortest difference onto the other
+            assert direct.witness.num_actions == mirrored.witness.num_actions
+            lengths.add(direct.witness.num_actions)
+    assert 0 < provable < 60
+    assert len(lengths) > 1
+
+
+@pytest.mark.parametrize("compare", [cod_geq, dom_geq])
+def test_each_comparison_makes_one_decision(monkeypatch, compare):
+    calls = []
+    decision = decide.equivalent
+    monkeypatch.setattr(decide, "equivalent",
+                        lambda *args: calls.append(1) or decision(*args))
+    # cod(p b) and dom(b p) lie inside those of p, and not conversely
+    narrow = parse({cod_geq: "p b", dom_geq: "b p"}[compare], AL_PB)
+    wide = parse("p", AL_PB)
+    for t1, t2, verdict in ((wide, narrow, Provable), (narrow, wide, RelCountermodel)):
+        calls.clear()
+        assert isinstance(compare(t1, t2, AL_PB), verdict)
+        assert len(calls) == 1
+
+
+# An identifier error names the first bad node of the term decided on the
+# smaller side: t1 for the TopKAT deciders, t2 for the comparisons.
+IDENTIFIER_ERRORS = [
+    (Dot(Act("x"), syntax.Test("c")), syntax.Test("d"),
+     "undeclared action 'x'", "undeclared test 'd'"),
+    (Act("b"), syntax.Test("p"), "undeclared action 'b'", "undeclared test 'p'"),
+    (syntax.Test("p"), Act("b"), "undeclared test 'p'", "undeclared action 'b'"),
+]
+
+
+@pytest.mark.parametrize("t1, t2, topkat_message, comparison_message", IDENTIFIER_ERRORS)
+def test_identifier_errors_name_the_first_bad_node(t1, t2, topkat_message,
+                                                   comparison_message):
+    for decide_topkat in (topkat_equivalent, topkat_leq):
+        with pytest.raises(UndeclaredIdentifierError, match=f"^{topkat_message}$"):
+            decide_topkat(t1, t2, AL_PB)
+    for compare in (cod_geq, dom_geq):
+        with pytest.raises(UndeclaredIdentifierError, match=f"^{comparison_message}$"):
+            compare(t1, t2, AL_PB)
+
+
+def test_an_undeclared_name_beside_top():
+    for decide_topkat in (topkat_equivalent, topkat_leq):
+        with pytest.raises(UndeclaredIdentifierError, match="^undeclared action 'x'$"):
+            decide_topkat(Act("x"), TOP, AL_PB)
+    for compare in (cod_geq, dom_geq):
+        with pytest.raises(TopNotAllowedError, match="top-free"):
+            compare(Act("x"), TOP, AL_PB)
 
 
 # Each countermodel direction: its builder, how a compared term is padded
@@ -125,7 +183,7 @@ def test_bounded_prefix_image_matches_reduct_language():
         ext = ExtendedAlphabet(pruned)
         for n in range(3):
             image = set()
-            for s in all_strings_bounded(ext.alphabet, n):
+            for s in lang_bounded(ext.sum_star(), ext.alphabet, n):
                 for s2 in lang_bounded(t, pruned, n - s.num_actions):
                     fused = fuse(s, s2)
                     if fused is not None:

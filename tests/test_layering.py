@@ -7,6 +7,7 @@ importing any module runs `topkat/__init__`, which imports them all.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import topkat
@@ -51,6 +52,30 @@ def test_oracles_do_not_import_the_engine():
     graph = internal_imports()
     for oracle in ("semantics", "relmodel"):
         assert not closure(graph, oracle) & ENGINE, oracle
+
+
+# Adding or removing an export is an API decision: it shows in this list.
+# Submodules are left out, since which of them are attributes of the
+# package depends on what has been imported.
+PUBLIC_API = [
+    "Act", "Alphabet", "Atom", "ComparisonVerdict", "Dot", "Equivalent",
+    "ExtendedAlphabet", "GuardedString", "Not", "One", "ParseError", "Plus",
+    "Provable", "RelCountermodel", "RelInterpretation", "Relation",
+    "ResourceLimitError", "SearchBudget", "SortError", "Star", "TOP_ACTION", "Term",
+    "Test", "Top", "TopNotAllowedError", "TopkatError", "Triple",
+    "UndeclaredIdentifierError", "Verdict", "Witness", "Zero", "all_atoms",
+    "check_rule_instance", "check_triple", "cod_geq", "contains_top",
+    "declare_alphabet", "dom_geq", "embed_back", "encode", "equivalent", "evaluate",
+    "falsify_implication", "fuse", "lang_bounded", "leq", "member", "parse", "reduce",
+    "render", "reverse", "satisfies", "search_countermodel", "topkat_equivalent",
+    "topkat_leq",
+]
+
+
+def test_public_api_is_pinned():
+    names = sorted(name for name in dir(topkat) if not name.startswith("_")
+                   and not isinstance(getattr(topkat, name), types.ModuleType))
+    assert names == PUBLIC_API
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from topkat.errors import ParseError, SortError, TopNotAllowedError
 from topkat.gen import random_term, random_test_term
 from topkat.logic import (
     EncodedEquation, EncodedInequality, Triple, check_rule_instance, check_triple,
-    encode, parse_triple_file, parse_triple_line, rule_instance,
+    encode, parse_triple_line, rule_instance, split_triple_file,
 )
 from topkat.relmodel import SearchBudget, evaluate, falsify_implication, search_countermodel
 from topkat.syntax import Alphabet, Dot, Not, TOP, parse
@@ -148,6 +148,6 @@ def test_triple_parsing():
     assert tr.kind == "incorrectness"
     with pytest.raises(ParseError):
         parse_triple_line("hoare [b] p [c]", AL_PB)
-    rows = parse_triple_file("# comment\n\nhoare {1} p {1}\nincorrectness [1] p [1]\n",
-                             AL_PB)
-    assert [lineno for lineno, _ in rows] == [3, 4]
+    text = "# comment\n\nhoare {1} p {1}\nincorrectness [1] p [1]\n"
+    rows = [(lineno, parse_triple_line(line, AL_PB)) for lineno, line in split_triple_file(text)]
+    assert [(lineno, tr.kind) for lineno, tr in rows] == [(3, "hoare"), (4, "incorrectness")]

@@ -8,7 +8,7 @@ from conftest import ALPHABET, terms, boolean_terms
 from topkat.errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from topkat.gen import random_term
 from topkat.semantics import (
-    Atom, GuardedString, all_atoms, all_strings_bounded, fuse, gs_sort_key,
+    Atom, GuardedString, all_atoms, fuse, gs_sort_key,
     STRING_CAP, lang_bounded, parse_guarded_string, satisfies,
 )
 from topkat.syntax import Alphabet, parse
@@ -82,7 +82,7 @@ def test_fuse():
 
 def test_fuse_associative_where_defined():
     al = Alphabet(("p",), ("b",))
-    strings = sorted(all_strings_bounded(al, 2), key=lambda s: gs_sort_key(s, al))
+    strings = sorted(lang_bounded(parse("p*", al), al, 2), key=lambda s: gs_sort_key(s, al))
     for s1, s2, s3 in itertools.islice(itertools.product(strings, repeat=3), 2000):
         left = fuse(s1, s2) and fuse(fuse(s1, s2), s3)
         right = fuse(s2, s3) and fuse(s1, fuse(s2, s3))
@@ -189,7 +189,8 @@ def test_textual_form_errors():
 
 def test_gs_sort_key_orders_by_length_then_content():
     al = Alphabet(("p", "q"), ("b",))
-    strings = sorted(all_strings_bounded(al, 1), key=lambda s: gs_sort_key(s, al))
+    strings = sorted(lang_bounded(parse("(p + q)*", al), al, 1),
+                     key=lambda s: gs_sort_key(s, al))
     rendered = [s.render() for s in strings]
     assert rendered[:2] == ["[!b]", "[b]"]
     assert rendered[2] == "[!b] p [!b]"
