@@ -1,8 +1,11 @@
 """Finite relational models: evaluation, (co)domain, and search.
 
-Relations over a carrier {0..n-1} are stored as n*n bitmasks, which keeps
-the exhaustive searches over all interpretations cheap.  T evaluates to
-the complete relation (the relational-TopKAT reading).
+Relations over a carrier {0..n-1} are stored as n*n bitmasks.  A search
+compiles its terms once into a flat program and runs it on blocks: many
+interpretations of one carrier size side by side in one int, one n*n-bit
+lane each, so one pass evaluates them all.  `evaluate` runs the same
+program on a block of one.  T evaluates to the complete relation (the
+relational-TopKAT reading).
 
 Searches are sound refuters only: a countermodel disproves the property,
 absence of one proves nothing beyond the explored budget.
@@ -78,52 +81,69 @@ class RelInterpretation:
         for rel in list(self.action_map.values()) + list(self.test_map.values()):
             if rel.n != self.n:
                 raise ValueError("relation carrier size mismatch")
-        ident = _constants(self.n)[1]
+        ident = _block(self.n)[3]
         for name, rel in self.test_map.items():
             if rel.mask & ~ident:
                 raise ValueError(f"test {name!r} is not a sub-identity relation")
 
 
-# Relations as n*n-bit masks: row i is bits i*n .. i*n+n-1.
+# Relations as n*n-bit masks: row i is bits i*n .. i*n+n-1.  A block packs
+# interpretations of one size side by side, one n*n-bit lane each, the
+# first in the lowest lane; a single relation is a block of one lane.
 
-@functools.lru_cache(maxsize=16)  # few sizes: each entry holds two n*n-bit ints
-def _constants(n: int) -> tuple[int, int, int]:
-    """The empty, identity and complete relations on n points."""
-    return 0, sum(1 << (i * n + i) for i in range(n)), (1 << (n * n)) - 1
+@functools.lru_cache(maxsize=16)  # a few (size, lanes) pairs per block: five ints each
+def _block(n: int, lanes: int = 1) -> tuple[int, int, int, int, int]:
+    """Masks repeated in each of `lanes` lanes: bit 0, column 0 (bit i*n for
+    every i < n), row 0 (bits 0 .. n-1), the identity and the complete
+    relation."""
+    width = n * n
+    full = (1 << lanes * width) - 1
+    bit0 = full // ((1 << width) - 1 or 1)
+    column = ((1 << width) - 1) // ((1 << n) - 1 or 1)
+    ident = ((1 << width + n) - 1) // ((1 << n + 1) - 1)  # bit i*(n+1), i < n
+    return bit0, column * bit0, ((1 << n) - 1) * bit0, ident * bit0, full
 
 
-def _diagonal(n: int, bits: int) -> int:
-    """The low n bits copied into every row, cut down to the diagonal."""
-    _, ident, full = _constants(n)
-    row_mask = (1 << n) - 1
-    return (bits & row_mask) * (full // (row_mask or 1)) & ident
+def _diagonal(n: int, bits: int, lanes: int = 1) -> int:
+    """The low n bits of each lane copied into every row, cut down to the
+    diagonal."""
+    _, _, rows, ident, _ = _block(n, lanes)
+    return (bits & rows) * _block(n)[1] & ident
 
 
-def _compose(n: int, a: int, b: int) -> int:
-    """Row j of b lands in every row i with (i, j) in a: column j of a,
-    moved to bit i*n of each row, times row j of b (n bits, so no carry)."""
-    row_mask = (1 << n) - 1
-    column = ((1 << n * n) - 1) // (row_mask or 1)  # bit i*n for every i < n
+def _compose(n: int, cols: int, rows: int, a: int, b: int) -> int:
+    """Per lane, row j of b lands in every row i with (i, j) in a.  Column j
+    of a, moved to column 0, times row 0's mask fills each such row i; row
+    j of b, moved to row 0, times one lane's column 0 fills every row.  Each
+    product's copies are disjoint and stay inside the lane: no carry."""
+    row, column = (1 << n) - 1, _block(n)[1]
     out = 0
     for j in range(n):
-        if column_j := a >> j & column:
-            out |= column_j * (b >> (j * n) & row_mask)
+        if left := a >> j & cols:
+            out |= left * row & (b >> j * n & rows) * column
     return out
 
 
-def _dom(n: int, mask: int) -> int:
-    """Bit i set iff row i is non-empty."""
-    row_mask = (1 << n) - 1
-    return sum(1 << i for i in range(n) if mask >> (i * n) & row_mask)
+def _fold(mask: int, unit: int, count: int) -> int:
+    """Bit p set iff mask has one of bits p, p+unit, ..., p+(count-1)*unit:
+    copies shifted by 1, 2, 4, ... units while the span stays within count,
+    then one shift that makes the span exactly count."""
+    span = 1
+    while span * 2 <= count:
+        mask |= mask >> span * unit
+        span *= 2
+    return mask | mask >> (count - span) * unit
 
 
-def _cod(n: int, mask: int) -> int:
-    """Bit j set iff column j is non-empty: the union of the rows."""
-    row_mask = (1 << n) - 1
-    out = 0
-    for i in range(n):
-        out |= mask >> (i * n) & row_mask
-    return out
+def _escaped(kind: str, n: int, cols: int, rows: int, r1: int, r2: int) -> int:
+    """Per lane, what violates `kind`: the pairs in r1 and not in r2 (or in
+    just one of them, for equality), or the non-empty rows (dom_geq, at
+    bit i*n) or columns (cod_geq, at bit j) of r2 that are empty in r1."""
+    if kind == "dom_geq":
+        return _fold(r2, 1, n) & ~_fold(r1, 1, n) & cols
+    if kind == "cod_geq":
+        return _fold(r2, n, n) & ~_fold(r1, n, n) & rows
+    return r1 ^ r2 if kind == "equality" else r1 & ~r2
 
 
 # A compiled `postorder` list.  Slots 0, 1 and 2 hold the empty, identity and
@@ -148,18 +168,23 @@ def _compile(order: list[Term], actions: Sequence[str],
     return program, slot
 
 
-def _run(program: list[tuple[type, int, int]], n: int, values: list[int]) -> list[int]:
-    """Append every entry's mask to `values`, which holds the leaf slots."""
-    ident = values[1]
+def _run(program: list[tuple[type, int, int]], n: int, lanes: int,
+         leaves: Sequence[int]) -> list[int]:
+    """Every slot's masks for a block of `lanes` interpretations, from the
+    primitives' masks in `leaves`.  Union, complement within the identity
+    and composition act on each lane alone, so every lane is what a block
+    of just that interpretation would give."""
+    _, cols, rows, ident, full = _block(n, lanes)
+    values = [0, ident, full, *leaves]
     for op, x, y in program:
         if op is Dot:
-            values.append(_compose(n, values[x], values[y]))
+            values.append(_compose(n, cols, rows, values[x], values[y]))
         elif op is Plus:
             values.append(values[x] | values[y])
         elif op is Star:
             # closure holds 1, so squaring only grows it: paths up to 2, 4, 8, ...
             closure = ident | values[x]
-            while (grown := _compose(n, closure, closure)) != closure:
+            while (grown := _compose(n, cols, rows, closure, closure)) != closure:
                 closure = grown
             values.append(closure)
         else:  # Not
@@ -172,8 +197,7 @@ def evaluate(t: Term, interp: RelInterpretation) -> Relation:
     tables = (interp.action_map, interp.test_map)
     program, slot = _compile(postorder(t), *map(tuple, tables))
     masks = [rel.mask for table in tables for rel in table.values()]
-    values = _run(program, interp.n, [*_constants(interp.n), *masks])
-    return Relation(interp.n, values[slot[t]])
+    return Relation(interp.n, _run(program, interp.n, 1, masks)[slot[t]])
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +244,30 @@ class SearchHit:
 
 def _violation(kind: str, n: int, r1: int, r2: int) -> tuple | None:
     """(least violating pair, None) or (None, least violating point), else
-    None.  Bit i*n+j rises with (i, j): the lowest set bit is the least pair."""
-    if kind in ("dom_geq", "cod_geq"):
-        if not r2 & ~r1:  # r2 within r1: its projection is too
-            return None
-        proj = _dom if kind == "dom_geq" else _cod
-        escaped = proj(n, r2) & ~proj(n, r1)
-        return (None, (escaped & -escaped).bit_length() - 1) if escaped else None
-    diff = r1 ^ r2 if kind == "equality" else r1 & ~r2
-    return (divmod((diff & -diff).bit_length() - 1, n), None) if diff else None
+    None.  Bit i*n+j rises with (i, j): the lowest set bit is the least pair,
+    or sits in the least row (dom_geq) or column (cod_geq)."""
+    _, column, row, _, _ = _block(n)
+    escaped = _escaped(kind, n, column, row, r1, r2)
+    if not escaped:
+        return None
+    low = (escaped & -escaped).bit_length() - 1
+    if kind == "dom_geq":
+        return None, low // n
+    return (None, low) if kind == "cod_geq" else (divmod(low, n), None)
+
+
+def _pack(width: int, masks: Sequence[int]) -> int:
+    """The masks side by side, one width-bit lane each, the first lowest."""
+    packed = 0
+    for mask in reversed(masks):
+        packed = packed << width | mask
+    return packed
+
+
+def _flags(kind: str, n: int, lanes: int, r1: int, r2: int) -> int:
+    """Bit 0 of each lane set iff that lane's pair violates `kind`."""
+    bit0, cols, rows, _, _ = _block(n, lanes)
+    return _fold(_fold(_escaped(kind, n, cols, rows, r1, r2), 1, n), n, n) & bit0
 
 
 def _check_ceiling(actions: Sequence[str], tests: Sequence[str], max_n: int,
@@ -287,7 +326,7 @@ def _leaders(n: int, spaces: Sequence[Sequence[int]]):
         yield ()
         return
     row_mask = (1 << n) - 1
-    column = _constants(n)[2] // row_mask  # bit k*n for every k < n
+    column = _block(n)[1]
     swaps = [((j - i) * n, row_mask << (i * n), j - i, column << i)
              for i, j in itertools.combinations(range(n), 2)]
     for head in spaces[0]:
@@ -310,10 +349,11 @@ _MEMO_BITS = 18
 def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: int):
     """Sampled mode's seeded draws, in order, less the repeats of remembered
     draws: n = randint(1, max_n), then n*n bits per action and n bits per
-    test.  A draw's key packs n and then each field, so its bit length is
-    n's plus the fields' widths, which rise with n unless there are no
-    fields (then the key is n).  So the key fixes n, and with it each
-    field: equal keys, equal draws."""
+    test, each a bare field (a test's is not yet a diagonal).  A draw's key
+    packs n and then each field, so its bit length is n's plus the fields'
+    widths, which rise with n unless there are no fields (then the key is
+    n).  So the key fixes n, and with it each field: equal keys, equal
+    draws."""
     rng = random.Random(seed)
     randint, getrandbits = rng.randint, rng.getrandbits
     seen: set[int] = set()
@@ -328,7 +368,13 @@ def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: in
             if key in seen:
                 continue
             seen.add(key)
-        yield n, fields[:actions] + [_diagonal(n, row) for row in fields[actions:]]
+        yield n, fields
+
+
+# A search evaluates blocks of 1, 2, 4, ... candidates, up to as many lanes
+# of the largest size as fit in _BLOCK_BITS (at least one): an early hit
+# stays cheap, and no block is wider than _BLOCK_BITS or than one lane.
+_BLOCK_BITS = 4096
 
 
 def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
@@ -340,10 +386,17 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     under isomorphism, so if a swap s made the first hit H smaller, s(H)
     would be an earlier hit: H is a leader, and no earlier leader is a hit.
 
-    Sampled mode skips what `_distinct_draws` skips.  A repeated draw was
-    evaluated before and was no hit, or the loop would have returned there;
-    evaluation is deterministic, so it is no hit now either.  The first hit
-    is the same draw, with the same violating pair or point.
+    Sampled mode skips what `_distinct_draws` skips.  A repeated draw comes
+    after its first draw, which is evaluated, in the same block or an
+    earlier one; evaluation is deterministic, so were the repeat a hit, its
+    first draw would be an earlier hit.  The first hit is never skipped.
+
+    Candidates are evaluated in consecutive blocks, each size's candidates
+    side by side, one lane each.  Every lane holds its own candidate's
+    values, so the least hit in the first block that has one is the first
+    hit: every candidate before it was evaluated, in that block or an
+    earlier one, and the lanes after it are dropped.  Its violating pair
+    or point is `_violation`'s reading of its lane.
     """
     every = [t for pair in [*hyps, goal] for t in pair]
     pruned = prune_alphabet(alphabet, *every)
@@ -357,23 +410,46 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
 
         candidates = ((n, masks) for n in range(1, max_n + 1)
                       for masks in _leaders(n, spaces(n)))
-    else:
+        spread = range(0)
+    else:  # draws hold each test as its bare row: spread it once per block
         candidates = _distinct_draws(budget.seed, budget.samples, max_n,
                                      len(actions), len(tests))
+        spread = range(len(actions), len(actions) + len(tests))
     program, slot = _compile(postorder(*every), actions, tests)
     checks = [(slot[a], slot[b]) for a, b in hyps]
     left, right = slot[goal[0]], slot[goal[1]]
-    for n, masks in candidates:
-        value = _run(program, n, [*_constants(n), *masks])
-        if any(_violation(kind, n, value[a], value[b]) for a, b in checks):
-            continue
-        found = _violation(kind, n, value[left], value[right])
-        if found is not None:
-            rels = [Relation(n, mask) for mask in masks]
+    size, cap = 1, max(1, _BLOCK_BITS // (max_n * max_n))
+    while True:
+        groups: dict[int, tuple[list[int], list]] = {}  # n: positions, their masks
+        for index, (n, masks) in enumerate(itertools.islice(candidates, size)):
+            positions, members = groups.setdefault(n, ([], []))
+            positions.append(index)
+            members.append(masks)
+        if not groups:
+            return None
+        size = min(2 * size, cap)
+        hits = []
+        for n, (positions, members) in groups.items():
+            lanes = len(positions)
+            leaves = [_pack(n * n, column) for column in zip(*members)]
+            for i in spread:
+                leaves[i] = _diagonal(n, leaves[i], lanes)
+            values = _run(program, n, lanes, leaves)
+            held = _flags(kind, n, lanes, values[left], values[right])
+            for a, b in checks:
+                held &= ~_flags(kind, n, lanes, values[a], values[b])
+            if held:
+                lane = ((held & -held).bit_length() - 1) // (n * n)
+                hits.append((positions[lane], n, lane, values))
+        if hits:
+            _, n, lane, values = min(hits)
+            shift, full = lane * n * n, _block(n)[4]
+            r1, r2 = values[left] >> shift & full, values[right] >> shift & full
+            rels = [Relation(n, value >> shift & full)
+                    for value in values[3:3 + len(actions) + len(tests)]]
             interp = RelInterpretation(n, dict(zip(actions, rels)),
                                        dict(zip(tests, rels[len(actions):])))
-            return SearchHit(interp, kind, *found)
-    return None
+            return SearchHit(interp, kind, *_violation(kind, n, r1, r2))
 
 
 def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,

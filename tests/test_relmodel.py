@@ -48,6 +48,16 @@ def test_evaluate_contradiction_is_empty():
         assert evaluate(parse("b !b", ALPHABET), model) == Relation(2, 0)
 
 
+def test_evaluate_on_the_empty_carrier_is_the_empty_relation():
+    # zero-width lanes: every block constant is 0
+    t = parse("(p + !b) T (q* 0) 1", ALPHABET)  # every node class, and T
+    empty = Relation(0, 0)
+    model = interp(0, {a: empty for a in ALPHABET.actions},
+                   {b: empty for b in ALPHABET.tests})
+    assert evaluate(t, model) == empty
+    assert evaluate(parse("T", ALPHABET), model) == empty
+
+
 def test_evaluate_requires_interpretation():
     with pytest.raises(UndeclaredIdentifierError):
         evaluate(parse("p", ALPHABET), interp(2))
@@ -458,19 +468,29 @@ def test_sampled_falsify_with_repeated_draws_matches_the_reference(alphabet, max
     assert hits > 0 and late > 0
 
 
-def test_sampled_rule_evaluates_each_distinct_draw_once(monkeypatch, capsys):
-    calls = []
+def count_lanes(monkeypatch):
+    """The sizes of the interpretations `_run` evaluates, one per lane."""
+    sizes = []
     original = relmodel._run
-    monkeypatch.setattr(relmodel, "_run",
-                        lambda program, n, values: calls.append(n) or original(program, n, values))
+
+    def counting(program, n, lanes, leaves):
+        sizes.extend([n] * lanes)
+        return original(program, n, lanes, leaves)
+
+    monkeypatch.setattr(relmodel, "_run", counting)
+    return sizes
+
+
+def test_sampled_rule_evaluates_each_distinct_draw_once(monkeypatch, capsys):
+    lanes = count_lanes(monkeypatch)
     code = cli.main(["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
                      "--samples", "5967", "--seed", "120", "--max-states", "3"])
     assert (code, capsys.readouterr().out) == (
         0, "no refutation found (budget 5967 samples n<=3 seed=120)\nseed: 120\n")
     budget = SearchBudget(exhaustive=False, samples=5967, seed=120)
     distinct = set(replayed_draws(Alphabet((), ("a", "b", "c", "d")), 3, budget))
-    # one evaluation per distinct draw, at most the 16 + 256 + 4096 interpretations
-    assert len(calls) == len(distinct) <= 4368
+    # one lane per distinct draw, at most the 16 + 256 + 4096 interpretations
+    assert len(lanes) == len(distinct) <= 4368
 
 
 def test_sampled_draws_on_forty_points_are_not_remembered():
@@ -591,14 +611,7 @@ def test_every_isomorphism_class_keeps_an_enumerated_member_below_it(actions, te
 
 
 def test_one_action_and_one_test_evaluate_848_of_4164_interpretations(monkeypatch):
-    sizes = []
-    original = relmodel._run
-
-    def counting(program, n, values):
-        sizes.append(n)
-        return original(program, n, values)
-
-    monkeypatch.setattr(relmodel, "_run", counting)
+    sizes = count_lanes(monkeypatch)
     t1, t2 = parse("b p", AL_PB), parse("p", AL_PB)
     # the ceiling counts every interpretation, 4 + 64 + 4096, skipped or not
     with pytest.raises(ResourceLimitError, match="enumerate 4164 interpretations"):
@@ -606,3 +619,91 @@ def test_one_action_and_one_test_evaluate_848_of_4164_interpretations(monkeypatc
     assert search_countermodel("leq", t1, t2, AL_PB, 3, SearchBudget(ceiling=4164)) is None
     # at n = 2 the one swap is the whole group: (64 + 8 fixed) / 2 classes
     assert [sizes.count(n) for n in (1, 2, 3)] == [4, 36, 808]
+
+
+# ---------------------------------------------------------------------------
+# A search runs its program once per block: interpretations of one carrier
+# size side by side in one int, one n*n-bit lane each.
+
+def pack(width, masks):
+    """The masks side by side, one width-bit lane each, the first lowest."""
+    return sum(mask << lane * width for lane, mask in enumerate(masks))
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 7, 64])
+def test_each_lane_of_a_block_is_its_interpretation_run_alone(lanes):
+    rng = random.Random(101 + lanes)
+    actions, tests = ALPHABET.actions, ALPHABET.tests
+    for _ in range(6):
+        t1, t2 = (random_term(rng, ALPHABET, 4, allow_top=True) for _ in range(2))
+        program, slot = relmodel._compile(postorder(t1, t2), actions, tests)
+        for n in range(1, 5):
+            width, lane_mask = n * n, (1 << n * n) - 1
+            test_rows = [[rng.getrandbits(n) for _ in tests] for _ in range(lanes)]
+            models = [[rng.getrandbits(width) for _ in actions]
+                      + [relmodel._diagonal(n, row) for row in rows] for rows in test_rows]
+            leaves = [pack(width, column) for column in zip(*models)]
+            # sampled mode packs the bare test rows, then spreads the block
+            for i, column in enumerate(zip(*test_rows), start=len(actions)):
+                assert relmodel._diagonal(n, pack(width, column), lanes) == leaves[i]
+            block = relmodel._run(program, n, lanes, leaves)
+            flags = {kind: relmodel._flags(kind, n, lanes, block[slot[t1]], block[slot[t2]])
+                     for kind in KINDS}
+            for lane, masks in enumerate(models):
+                alone = relmodel._run(program, n, 1, masks)
+                assert [value >> lane * width & lane_mask for value in block] == alone
+                for kind in KINDS:
+                    found = relmodel._violation(kind, n, alone[slot[t1]], alone[slot[t2]])
+                    assert flags[kind] >> lane * width & 1 == (found is not None)
+            assert all(flags[kind] >> lanes * width == 0 for kind in KINDS)
+
+
+AL_P = Alphabet(("p",), ())
+
+
+def test_sampled_block_reports_the_earlier_draw_over_a_smaller_carrier(monkeypatch):
+    # draw 0 is the empty relation on one point, no hit; the second block
+    # holds draws 1 and 2, both hits, the larger carrier drawn first
+    budget = SearchBudget(exhaustive=False, samples=50, seed=18)
+    assert replayed_draws(AL_P, 3, budget)[:3] == [(1, 0), (3, 229), (2, 3)]
+    sizes = count_lanes(monkeypatch)
+    t1, t2 = parse("p", AL_P), parse("0", AL_P)
+    got = search_countermodel("leq", t1, t2, AL_P, 3, budget)
+    assert got == reference_search("leq", [], (t1, t2), AL_P, 3, budget)
+    assert draw_of(got, AL_P) == (3, 229)
+    assert sizes == [1, 3, 2]
+
+
+def test_sampled_hit_at_the_first_draw_evaluates_one_lane(monkeypatch):
+    budget = SearchBudget(exhaustive=False, samples=50, seed=0)
+    assert replayed_draws(AL_P, 3, budget)[0] == (2, 12)
+    sizes = count_lanes(monkeypatch)
+    t1, t2 = parse("p", AL_P), parse("0", AL_P)
+    got = search_countermodel("leq", t1, t2, AL_P, 3, budget)
+    assert got == reference_search("leq", [], (t1, t2), AL_P, 3, budget)
+    assert draw_of(got, AL_P) == (2, 12) and sizes == [2]
+
+
+@pytest.mark.parametrize("kind, left, right, size",
+                         [claim for claim in THREE_POINT_CLAIMS if claim[3]])
+def test_exhaustive_hit_in_a_later_lane_matches_the_reference(kind, left, right, size,
+                                                             monkeypatch):
+    blocks = []
+    original = relmodel._run
+
+    def recording(program, n, lanes, leaves):
+        blocks.append((n, lanes, leaves))
+        return original(program, n, lanes, leaves)
+
+    monkeypatch.setattr(relmodel, "_run", recording)
+    t1, t2 = parse(left, AL_PB), parse(right, AL_PB)
+    got = search_countermodel(kind, t1, t2, AL_PB, 3, EXHAUSTIVE)
+    assert got == reference_search(kind, [], (t1, t2), AL_PB, 3, EXHAUSTIVE)
+    pruned = prune_alphabet(AL_PB, t1, t2)
+    hit = (*(got.interp.action_map[a].mask for a in pruned.actions),
+           *(got.interp.test_map[b].mask for b in pruned.tests))
+    n, lanes, leaves = blocks[-1]
+    width = n * n
+    packed = [tuple(leaf >> lane * width & (1 << width) - 1 for leaf in leaves)
+              for lane in range(lanes)]
+    assert n == size and packed.index(hit) > 0
