@@ -1,10 +1,10 @@
 """Codomain/domain comparison of top-free terms, with countermodels.
 
-A failed comparison is witnessed by a guarded string over the extended
-alphabet, which is then turned into a finite relational interpretation
-whose carrier is the atom-aligned prefixes (codomain case) or suffixes
-(domain case) of the witness.  Every countermodel is re-verified by
-relational evaluation before being returned.
+A comparison is decided as one TopKAT inequation.  A failure's witness, a
+guarded string over the extended alphabet that the decision re-checked,
+is turned into a finite relational interpretation whose carrier is its
+atom-aligned prefixes (codomain case) or suffixes (domain case), and the
+countermodel is verified by relational evaluation before being returned.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .decide import Equivalent, member
+from .decide import Equivalent
 from .errors import TopkatError, TopNotAllowedError
-from .reduction import ExtendedAlphabet, reduce, topkat_leq
+from .reduction import TOP_ACTION, topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
 from .semantics import GuardedString
 from .syntax import Alphabet, Dot, Term, TOP, contains_top, prune_alphabet
@@ -48,25 +48,13 @@ class RelCountermodel:
 ComparisonVerdict = Union[Provable, RelCountermodel]
 
 
-def _require_top_free(t1: Term, t2: Term) -> None:
-    for t in (t1, t2):
-        if contains_top(t):
-            raise TopNotAllowedError(
-                "term contains T: (co)domain comparison is only complete "
-                "for top-free terms")
-
-
 def cod_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
     """Does cod(t1) contain cod(t2) in every relational model?
 
     Decided as T t2 <= T t1 over the extended alphabet; a failure yields
     a verified prefix-model countermodel.
     """
-    _require_top_free(t1, t2)
-    verdict = topkat_leq(Dot(TOP, t2), Dot(TOP, t1), alphabet)
-    if isinstance(verdict, Equivalent):
-        return Provable()
-    return build_cod_countermodel(verdict.string, t1, t2, alphabet)
+    return _compare(t1, t2, alphabet, domain=False)
 
 
 def dom_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
@@ -76,11 +64,28 @@ def dom_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
     verified suffix-model countermodel.  That this agrees with `cod_geq`
     on the reversed terms is checked by the tests, not on every call.
     """
-    _require_top_free(t1, t2)
-    verdict = topkat_leq(Dot(t2, TOP), Dot(t1, TOP), alphabet)
+    return _compare(t1, t2, alphabet, domain=True)
+
+
+def _compare(t1: Term, t2: Term, alphabet: Alphabet, domain: bool) -> ComparisonVerdict:
+    """Decide pad(t2) <= pad(t1), T padded on the right (domain) or left.
+
+    The witness needs no membership check of its own: `equivalent(Plus(rs,
+    rl), rl)`, for the reducts rs, rl of pad(t2), pad(t1), returns it as its
+    left side only after re-checking that it lies in L(rs) \\ L(rl) on its
+    own engine, over these same interned reducts and pruned alphabet.
+    """
+    for t in (t1, t2):
+        if contains_top(t):
+            raise TopNotAllowedError(
+                "term contains T: (co)domain comparison is only complete "
+                "for top-free terms")
+    pad = (lambda t: Dot(t, TOP)) if domain else (lambda t: Dot(TOP, t))
+    verdict = topkat_leq(pad(t2), pad(t1), alphabet)
     if isinstance(verdict, Equivalent):
         return Provable()
-    return build_dom_countermodel(verdict.string, t1, t2, alphabet)
+    build = build_dom_countermodel if domain else build_cod_countermodel
+    return build(verdict.string, t1, t2, alphabet)
 
 
 def build_cod_countermodel(w: GuardedString, t1: Term, t2: Term,
@@ -91,27 +96,25 @@ def build_cod_countermodel(w: GuardedString, t1: Term, t2: Term,
     test holds at the prefixes whose last atom satisfies it.  The full
     witness then lies in cod(t2)'s value but not in cod(t1)'s.
     """
-    return _build_countermodel(w, t1, t2, alphabet, domain=False)
+    return _countermodel(w, t1, t2, alphabet, domain=False)
 
 
 def build_dom_countermodel(w: GuardedString, t1: Term, t2: Term,
                            alphabet: Alphabet) -> RelCountermodel:
     """Suffix model: carrier = atom-aligned suffixes of w, tests keyed on
     first atoms; the full witness lies in dom(t2)'s value only."""
-    return _build_countermodel(w, t1, t2, alphabet, domain=True)
+    return _countermodel(w, t1, t2, alphabet, domain=True)
 
 
-def _build_countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet,
-                        domain: bool) -> RelCountermodel:
+def _countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet,
+                  domain: bool) -> RelCountermodel:
     """The suffix (domain) or prefix (codomain) model of witness w.
 
     Element j is keyed on atom j of w, the first atom of suffix j and the
-    last atom of prefix j; each action step of w relates j to j + 1.
+    last atom of prefix j; each action step of w relates j to j + 1.  The
+    point is in a term's (co)domain iff w is in its padded reduct.
     """
-    ext = ExtendedAlphabet(prune_alphabet(alphabet, t1, t2))
-    smaller, larger = (Dot(t2, TOP), Dot(t1, TOP)) if domain else (Dot(TOP, t2), Dot(TOP, t1))
-    if not member(w, reduce(smaller, ext.base)) or member(w, reduce(larger, ext.base)):
-        raise ValueError(f"not a separating witness: {w.render()!r}")
+    pruned = prune_alphabet(alphabet, t1, t2)
     n = len(w.atoms)
     if domain:
         carrier, point = [GuardedString(w.atoms[j:], w.acts[j:]) for j in range(n)], 0
@@ -119,12 +122,12 @@ def _build_countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet
         carrier, point = [GuardedString(w.atoms[:j + 1], w.acts[:j]) for j in range(n)], n - 1
     action_map = {
         name: Relation.from_pairs(n, [(j, j + 1) for j, act in enumerate(w.acts) if act == name])
-        for name in ext.alphabet.actions
+        for name in pruned.actions + (TOP_ACTION,)
     }
     test_map = {
         name: Relation.from_pairs(
             n, [(j, j) for j, atom in enumerate(w.atoms) if atom.value(name)])
-        for name in ext.base.tests
+        for name in pruned.tests
     }
     interp = RelInterpretation(n, action_map, test_map)
     reach = Relation.dom if domain else Relation.cod

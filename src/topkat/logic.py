@@ -17,7 +17,7 @@ from .decide import Verdict, equivalent
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
 from .relmodel import SearchBudget, SearchHit, falsify_implication
-from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, ZERO, contains_top, is_test_only, parse
+from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, ZERO, contains_top, is_test_only
 
 DIRECTIONS = ("under", "as-printed")
 
@@ -157,12 +157,6 @@ def split_triple_line(line: str) -> tuple[str, str, str, str]:
     if m is None:
         raise ParseError(f"not a triple: {line.strip()!r}")
     return kind, m.group("pre"), m.group("prog"), m.group("post")
-
-
-def parse_triple_line(line: str, alphabet: Alphabet) -> Triple:
-    kind, pre, prog, post = split_triple_line(line)
-    return Triple(kind, parse(pre, alphabet), parse(prog, alphabet),
-                  parse(post, alphabet))
 
 
 def split_triple_file(text: str) -> list[tuple[int, str]]:

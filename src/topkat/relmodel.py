@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -59,8 +60,9 @@ class Relation:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i in range(self.n) for j in range(self.n)
-                     if self.mask >> (i * self.n + j) & 1)
+        # the set bits, lowest first, found by one C scan of the binary digits;
+        # shifting the mask once per bit would cost time quartic in n
+        return tuple(divmod(m.start(), self.n) for m in re.finditer("1", bin(self.mask)[:1:-1]))
 
     def dom(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.pairs)

@@ -122,23 +122,23 @@ def fuse(s1: GuardedString, s2: GuardedString) -> GuardedString | None:
     return GuardedString(s1.atoms + s2.atoms[1:], s1.acts + s2.acts)
 
 
-def _sort_key(s: GuardedString, act_index: dict[str, int]):
-    flat: list = [s.atoms[0].bits]
-    for act, atom in zip(s.acts, s.atoms[1:]):
-        flat += (act_index[act], atom.bits)
-    return (len(s.acts), tuple(flat))
+def gs_sort_key(alphabet: Alphabet) -> Callable[[GuardedString], tuple]:
+    """The key of the canonical order: length, then atom bits and action
+    order interleaved.  The action order is indexed once per key."""
+    act_index = {name: i for i, name in enumerate(alphabet.actions)}
 
-
-def gs_sort_key(s: GuardedString, alphabet: Alphabet):
-    """Canonical ordering: length, then atom bits and action order interleaved."""
-    return _sort_key(s, {name: i for i, name in enumerate(alphabet.actions)})
+    def key(s: GuardedString) -> tuple:
+        flat: list = [s.atoms[0].bits]
+        for act, atom in zip(s.acts, s.atoms[1:]):
+            flat += (act_index[act], atom.bits)
+        return (len(s.acts), tuple(flat))
+    return key
 
 
 def render_sorted(strings: Iterable[GuardedString], alphabet: Alphabet) -> list[str]:
     """The strings rendered, in `gs_sort_key` order; each distinct atom is
-    rendered once and the action order is indexed once."""
-    act_index = {name: i for i, name in enumerate(alphabet.actions)}
-    ordered = sorted(strings, key=lambda s: _sort_key(s, act_index))
+    rendered once."""
+    ordered = sorted(strings, key=gs_sort_key(alphabet))
     texts = {atom: atom.render() for atom in {a for s in ordered for a in s.atoms}}
     return [_joined(s, texts.__getitem__) for s in ordered]
 

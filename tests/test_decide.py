@@ -130,7 +130,7 @@ def test_witnesses_are_deterministic_and_minimal():
                         == lang_bounded(t2, ALPHABET, shorter))
             separating = [s for s in lang_bounded(t1, ALPHABET, n) ^ lang_bounded(t2, ALPHABET, n)
                           if s.num_actions == n]
-            assert first.string == min(separating, key=lambda s: gs_sort_key(s, ALPHABET))
+            assert first.string == min(separating, key=gs_sort_key(ALPHABET))
 
 
 def test_equivalent_rejects_top():

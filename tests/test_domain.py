@@ -1,15 +1,16 @@
 import random
+import sys
 
 import pytest
 
 from conftest import ALPHABET
-from topkat import decide, syntax
-from topkat.decide import Witness
+from topkat import decide, reduction, syntax
+from topkat.decide import Witness, member
 from topkat.domain import (
     Provable, RelCountermodel, build_cod_countermodel, build_dom_countermodel, cod_geq,
     dom_geq,
 )
-from topkat.errors import TopNotAllowedError, UndeclaredIdentifierError
+from topkat.errors import TopNotAllowedError, TopkatError, UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.reduction import (
     ExtendedAlphabet, prune_alphabet, reduce, topkat_equivalent, topkat_leq,
@@ -79,17 +80,34 @@ def test_dom_geq_agrees_with_reversed_cod_geq():
 
 @pytest.mark.parametrize("compare", [cod_geq, dom_geq])
 def test_each_comparison_makes_one_decision(monkeypatch, compare):
-    calls = []
+    calls, engines = [], []
     decision = decide.equivalent
     monkeypatch.setattr(decide, "equivalent",
                         lambda *args: calls.append(1) or decision(*args))
+
+    class CountingEngine(decide._Engine):
+        def __init__(self, atoms):
+            engines.append(1)
+            super().__init__(atoms)
+
+    monkeypatch.setattr(decide, "_Engine", CountingEngine)
+    reducts, rewrite = [], reduction.reduce
+    for module in (m for name, m in sys.modules.items() if name.startswith("topkat")):
+        if getattr(module, "reduce", None) is rewrite:
+            monkeypatch.setattr(module, "reduce", lambda *args: reducts.append(1) or rewrite(*args))
     # cod(p b) and dom(b p) lie inside those of p, and not conversely
     narrow = parse({cod_geq: "p b", dom_geq: "b p"}[compare], AL_PB)
     wide = parse("p", AL_PB)
     for t1, t2, verdict in ((wide, narrow, Provable), (narrow, wide, RelCountermodel)):
         calls.clear()
+        engines.clear()
+        reducts.clear()
         assert isinstance(compare(t1, t2, AL_PB), verdict)
         assert len(calls) == 1
+        # the decision re-checks its witness on its own engine; the
+        # countermodel is built from that witness without another check
+        assert len(engines) == 1
+        assert len(reducts) == 2
 
 
 # An identifier error names the first bad node of the term decided on the
@@ -122,21 +140,21 @@ def test_an_undeclared_name_beside_top():
             compare(Act("x"), TOP, AL_PB)
 
 
-# Each countermodel direction: its builder, how a compared term is padded
-# with T for the decision, and where the violating point lies.
+# Each countermodel direction: its comparison, its builder, how a compared
+# term is padded with T for the decision, and where the violating point lies.
 DIRECTIONS = {
-    "cod": (build_cod_countermodel, lambda t: Dot(TOP, t), lambda n: n - 1),
-    "dom": (build_dom_countermodel, lambda t: Dot(t, TOP), lambda n: 0),
+    "cod": (cod_geq, build_cod_countermodel, lambda t: Dot(TOP, t), lambda n: n - 1),
+    "dom": (dom_geq, build_dom_countermodel, lambda t: Dot(t, TOP), lambda n: 0),
 }
 
 
 def _check_countermodel_shape(direction):
-    build, pad, violating = DIRECTIONS[direction]
+    compare, _, pad, violating = DIRECTIONS[direction]
     t1, t2 = parse("p b", AL_PB), parse("p", AL_PB)
-    verdict = topkat_leq(pad(t2), pad(t1), AL_PB)
-    assert isinstance(verdict, Witness)
-    w = verdict.string
-    model = build(w, t1, t2, AL_PB)
+    model = compare(t1, t2, AL_PB)
+    assert isinstance(model, RelCountermodel)
+    w = model.witness
+    assert w == topkat_leq(pad(t2), pad(t1), AL_PB).string
     assert len(model.carrier) == w.num_actions + 1
     assert model.violating_index == violating(len(model.carrier))
     assert model.violating_point == w
@@ -152,10 +170,12 @@ def _check_countermodel_shape(direction):
 
 
 def _check_rejects_non_witness(direction):
-    build, pad, _ = DIRECTIONS[direction]
+    # without a membership check of its own, the relational verification
+    # is what stops a string that does not separate the terms
+    _, build, pad, _ = DIRECTIONS[direction]
     t1, t2 = parse("p b", AL_PB), parse("p", AL_PB)
     good = topkat_leq(pad(t2), pad(t1), AL_PB).string
-    with pytest.raises(ValueError, match="witness"):
+    with pytest.raises(TopkatError, match="countermodel failed verification"):
         build(good, t2, t1, AL_PB)  # sides swapped
 
 
@@ -173,6 +193,26 @@ def test_build_cod_countermodel_rejects_non_witness():
 
 def test_build_dom_countermodel_rejects_non_witness():
     _check_rejects_non_witness("dom")
+
+
+@pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+def test_countermodel_witness_separates_the_reducts(direction):
+    # the membership check the comparisons no longer make, kept as an oracle
+    compare, _, pad, _ = DIRECTIONS[direction]
+    rng = random.Random(73)
+    refuted = 0
+    for _ in range(60):
+        t1 = random_term(rng, ALPHABET, 3)
+        t2 = random_term(rng, ALPHABET, 3)
+        verdict = compare(t1, t2, ALPHABET)
+        if isinstance(verdict, Provable):
+            continue
+        refuted += 1
+        pruned = prune_alphabet(ALPHABET, t1, t2)
+        w = verdict.witness
+        assert member(w, reduce(pad(t2), pruned))
+        assert not member(w, reduce(pad(t1), pruned))
+    assert refuted >= 10
 
 
 def test_bounded_prefix_image_matches_reduct_language():

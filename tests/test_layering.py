@@ -78,6 +78,21 @@ def test_public_api_is_pinned():
     assert names == PUBLIC_API
 
 
+def test_every_public_name_is_exported_or_used():
+    # a public function or class that the package neither exports nor uses
+    # is test-only code; `gen` is the module that holds such helpers
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py") if path.stem != "gen"}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = {f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and not hasattr(topkat, node.name)}
+    assert unused == set()
+
+
 # ---------------------------------------------------------------------------
 # No recursion: every pass over a term is a loop, so no input depth can
 # exhaust the interpreter stack.

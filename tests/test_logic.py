@@ -8,7 +8,7 @@ from topkat.errors import ParseError, SortError, TopNotAllowedError
 from topkat.gen import random_term, random_test_term
 from topkat.logic import (
     EncodedEquation, EncodedInequality, Triple, check_rule_instance, check_triple,
-    encode, parse_triple_line, rule_instance, split_triple_file,
+    encode, rule_instance, split_triple_file, split_triple_line,
 )
 from topkat.relmodel import SearchBudget, evaluate, falsify_implication, search_countermodel
 from topkat.syntax import Alphabet, Dot, Not, TOP, parse
@@ -142,12 +142,15 @@ def test_broken_rule_is_refuted():
 
 
 def test_triple_parsing():
-    tr = parse_triple_line("hoare {b} p;p {c}", AL_PB)
-    assert tr == triple("hoare", "b", "p p", "c")
-    tr = parse_triple_line("incorrectness [b] p [c]", AL_PB)
-    assert tr.kind == "incorrectness"
+    def parse_line(line):
+        kind, *parts = split_triple_line(line)
+        return Triple(kind, *(parse(part, AL_PB) for part in parts))
+
+    assert split_triple_line("hoare {b} p;p {c}") == ("hoare", "b", " p;p ", "c")
+    assert parse_line("hoare {b} p;p {c}") == triple("hoare", "b", "p p", "c")
+    assert parse_line("incorrectness [b] p [c]").kind == "incorrectness"
     with pytest.raises(ParseError):
-        parse_triple_line("hoare [b] p [c]", AL_PB)
+        split_triple_line("hoare [b] p [c]")
     text = "# comment\n\nhoare {1} p {1}\nincorrectness [1] p [1]\n"
-    rows = [(lineno, parse_triple_line(line, AL_PB)) for lineno, line in split_triple_file(text)]
+    rows = [(lineno, parse_line(line)) for lineno, line in split_triple_file(text)]
     assert [(lineno, tr.kind) for lineno, tr in rows] == [(3, "hoare"), (4, "incorrectness")]

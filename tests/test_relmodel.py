@@ -93,6 +93,18 @@ def test_diagonal_of_in_range_bits():
     assert Relation.diagonal(3, 0b111) == Relation.from_pairs(3, [(0, 0), (1, 1), (2, 2)])
 
 
+def test_pairs_dom_and_cod_follow_the_bits():
+    # bit i*n + j is the pair (i, j); pairs come in order of their bit
+    rng = random.Random(29)
+    for n in range(8):
+        for mask in [0, (1 << n * n) - 1] + [rng.getrandbits(n * n) for _ in range(20)]:
+            r = Relation(n, mask)
+            bits = [(i, j) for i in range(n) for j in range(n) if mask >> (i * n + j) & 1]
+            assert r.pairs == tuple(bits)
+            assert r.dom() == frozenset(i for i, _ in bits)
+            assert r.cod() == frozenset(j for _, j in bits)
+
+
 def test_dom_cod_on_singleton():
     r = Relation.from_pairs(3, [(1, 2)])
     assert r.dom() == frozenset({1})

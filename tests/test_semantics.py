@@ -82,7 +82,7 @@ def test_fuse():
 
 def test_fuse_associative_where_defined():
     al = Alphabet(("p",), ("b",))
-    strings = sorted(lang_bounded(parse("p*", al), al, 2), key=lambda s: gs_sort_key(s, al))
+    strings = sorted(lang_bounded(parse("p*", al), al, 2), key=gs_sort_key(al))
     for s1, s2, s3 in itertools.islice(itertools.product(strings, repeat=3), 2000):
         left = fuse(s1, s2) and fuse(fuse(s1, s2), s3)
         right = fuse(s2, s3) and fuse(s1, fuse(s2, s3))
@@ -190,7 +190,7 @@ def test_textual_form_errors():
 def test_gs_sort_key_orders_by_length_then_content():
     al = Alphabet(("p", "q"), ("b",))
     strings = sorted(lang_bounded(parse("(p + q)*", al), al, 1),
-                     key=lambda s: gs_sort_key(s, al))
+                     key=gs_sort_key(al))
     rendered = [s.render() for s in strings]
     assert rendered[:2] == ["[!b]", "[b]"]
     assert rendered[2] == "[!b] p [!b]"
