@@ -96,7 +96,8 @@ def _budget(args) -> SearchBudget:
         raise UsageError("choose a search mode: --exhaustive or --samples N --seed S")
     if args.seed is None:
         raise UsageError("--samples requires --seed")
-    return SearchBudget(exhaustive=False, samples=args.samples, seed=args.seed)
+    return SearchBudget(exhaustive=False, samples=args.samples, seed=args.seed,
+                        ceiling=args.ceiling)
 
 
 def _verdict_payload(verdict: decide.Verdict, ok_word: str, bad_word: str,

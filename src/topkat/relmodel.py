@@ -13,6 +13,7 @@ absence of one proves nothing beyond the explored budget.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -272,26 +273,28 @@ def _flags(kind: str, n: int, lanes: int, r1: int, r2: int) -> int:
     return _fold(_fold(_escaped(kind, n, cols, rows, r1, r2), 1, n), n, n) & bit0
 
 
-def _check_ceiling(actions: Sequence[str], tests: Sequence[str], max_n: int,
-                   ceiling: int) -> None:
+def _interpretations(actions: int, tests: int, max_n: int, bits: int) -> int | None:
+    """How many interpretations carrier sizes 1..max_n have, size n having
+    2^(n*n*actions + n*tests); None when the largest size alone has 2^bits
+    or more, so no oversized count is built."""
+    top = max_n * max_n * actions + max_n * tests
+    if top >= bits:
+        return None
+    # exponents rise with n unless both counts are 0: one model per size
+    return sum(1 << n * n * actions + n * tests for n in range(1, max_n + 1)) if top else max_n
+
+
+def _check_ceiling(actions: int, tests: int, max_n: int, ceiling: int) -> None:
     """Refuse an exhaustive search over more than `ceiling` interpretations.
-
-    Carrier size n has 2^(n*n*|actions| + n*|tests|) interpretations.  When
-    the largest size alone has over 2^64 times the ceiling, the exponent
-    decides, so no oversized count is built or printed.
-    """
-    def exponent(n: int) -> int:
-        return n * n * len(actions) + n * len(tests)
-
-    top = exponent(max_n)
-    if top >= ceiling.bit_length() + 64:
-        count = f"at least 2^{top}"
-    else:
-        # exponents rise with n unless both lists are empty: one model per size
-        total = sum(1 << exponent(n) for n in range(1, max_n + 1)) if top else max_n
-        if total <= ceiling:
-            return
+    When the largest size alone has over 2^64 times the ceiling, the
+    exponent decides, so no oversized count is built or printed."""
+    total = _interpretations(actions, tests, max_n, ceiling.bit_length() + 64)
+    if total is None:
+        count = f"at least 2^{max_n * max_n * actions + max_n * tests}"
+    elif total > ceiling:
         count = str(total)
+    else:
+        return
     raise ResourceLimitError(f"exhaustive search would enumerate {count} "
                              f"interpretations, over the ceiling of {ceiling}")
 
@@ -340,36 +343,60 @@ def _leaders(n: int, spaces: Sequence[Sequence[int]]):
                 yield (head, *tail)
 
 
-# Sampled mode remembers a draw only if its key is below 2^_MEMO_BITS, so a
-# search holds fewer than 2^_MEMO_BITS small ints whatever its budget.  The
-# sizes this keeps have draw spaces small enough to repeat within a few
-# thousand samples; at wider sizes repeats are rare, and remembering them
-# would hold one wide key per draw.
+def _leader_candidates(actions: int, tests: int, max_n: int):
+    """Exhaustive mode's candidates: each size's `_leaders`, tests as
+    diagonals, sizes ascending."""
+    def spaces(n: int) -> list[Sequence[int]]:
+        diagonals = [_diagonal(n, bits) for bits in range(1 << n)] if tests else []
+        return [range(1 << (n * n))] * actions + [diagonals] * tests
+
+    return ((n, masks) for n in range(1, max_n + 1) for masks in _leaders(n, spaces(n)))
+
+
+# Sampled mode remembers the draws of a size only if n and its fields pack
+# into _MEMO_BITS bits.  Field widths rise with n, so a search holds fewer
+# than 2^_MEMO_BITS short keys whatever its budget.  The sizes this keeps
+# have draw spaces small enough to repeat within a few thousand samples;
+# at wider sizes repeats are rare, and remembering them would hold one
+# wide key per draw.
 _MEMO_BITS = 18
 
 
 def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: int):
     """Sampled mode's seeded draws, in order, less the repeats of remembered
     draws: n = randint(1, max_n), then n*n bits per action and n bits per
-    test, each a bare field (a test's is not yet a diagonal).  A draw's key
-    packs n and then each field, so its bit length is n's plus the fields'
-    widths, which rise with n unless there are no fields (then the key is
-    n).  So the key fixes n, and with it each field: equal keys, equal
-    draws."""
+    test, each a bare field (a test's is not yet a diagonal).
+
+    n is drawn the way CPython's `randint` (through `randrange` and
+    `_randbelow_with_getrandbits`) draws it: getrandbits(k) for k =
+    max_n.bit_length(), again while that is max_n or more, plus 1.  So the
+    generator makes the same calls and gets the same draws, without three
+    Python frames per draw.
+
+    Each size has its own memo, keyed by its fields: as bytes when each
+    field fits in one, else as a tuple.  Either way equal keys are equal
+    draws.  A size is remembered only if n and its fields pack into
+    _MEMO_BITS bits; that is known per size before drawing.
+    """
     rng = random.Random(seed)
-    randint, getrandbits = rng.randint, rng.getrandbits
-    seen: set[int] = set()
+    getrandbits = rng.getrandbits
+    k = max_n.bit_length()
+    sizes = []
+    for n in range(1, max_n + 1):
+        widths = [n * n] * actions + [n] * tests
+        memo = set() if n.bit_length() + sum(widths) <= _MEMO_BITS else None
+        sizes.append((n, widths, memo, bytes if max(widths, default=0) <= 8 else tuple))
     for _ in range(samples):
-        n = randint(1, max_n)
-        fields = [n * n] * actions + [n] * tests
-        key = n
-        for i, width in enumerate(fields):
-            fields[i] = field = getrandbits(width)
-            key = key << width | field
-        if key.bit_length() <= _MEMO_BITS:
-            if key in seen:
+        r = getrandbits(k)
+        while r >= max_n:
+            r = getrandbits(k)
+        n, widths, memo, key_of = sizes[r]
+        fields = list(map(getrandbits, widths))
+        if memo is not None:
+            key = key_of(fields)
+            if key in memo:
                 continue
-            seen.add(key)
+            memo.add(key)
         yield n, fields
 
 
@@ -379,60 +406,33 @@ def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: in
 _BLOCK_BITS = 4096
 
 
-def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
-               alphabet: Alphabet, max_n: int, budget: SearchBudget) -> SearchHit | None:
-    """The first interpretation in which every hypothesis pair holds and the
-    goal pair violates `kind`, each pair read as `_violation` reads it.
-
-    Exhaustive mode evaluates only the `_leaders`.  Violations are invariant
-    under isomorphism, so if a swap s made the first hit H smaller, s(H)
-    would be an earlier hit: H is a leader, and no earlier leader is a hit.
-
-    Sampled mode skips what `_distinct_draws` skips.  A repeated draw comes
-    after its first draw, which is evaluated, in the same block or an
-    earlier one; evaluation is deterministic, so were the repeat a hit, its
-    first draw would be an earlier hit.  The first hit is never skipped.
+def _scan(kind: str, program: list[tuple[type, int, int]], checks: Sequence[tuple[int, int]],
+          goal: tuple[int, int], max_n: int, candidates, spread: range) -> tuple | None:
+    """The first of `candidates`, (n, masks) pairs, in which every slot pair
+    of `checks` holds and the slot pair `goal` violates `kind`, as (n, its
+    lane, its block's values); None if there is none.  The masks at the
+    positions in `spread` are bare test rows, spread to diagonals once per
+    block.
 
     Candidates are evaluated in consecutive blocks, each size's candidates
     side by side, one lane each.  Every lane holds its own candidate's
     values, so the least hit in the first block that has one is the first
     hit: every candidate before it was evaluated, in that block or an
-    earlier one, and the lanes after it are dropped.  Its violating pair
-    or point is `_violation`'s reading of its lane.
+    earlier one, and the lanes after it are dropped.
     """
-    every = [t for pair in [*hyps, goal] for t in pair]
-    pruned = prune_alphabet(alphabet, *every)
-    actions, tests = pruned.actions, pruned.tests
-    if budget.exhaustive:
-        _check_ceiling(actions, tests, max_n, budget.ceiling)
-
-        def spaces(n: int) -> list[Sequence[int]]:
-            diagonals = [_diagonal(n, bits) for bits in range(1 << n)] if tests else []
-            return [range(1 << (n * n))] * len(actions) + [diagonals] * len(tests)
-
-        candidates = ((n, masks) for n in range(1, max_n + 1)
-                      for masks in _leaders(n, spaces(n)))
-        spread = range(0)
-    else:  # draws hold each test as its bare row: spread it once per block
-        candidates = _distinct_draws(budget.seed, budget.samples, max_n,
-                                     len(actions), len(tests))
-        spread = range(len(actions), len(actions) + len(tests))
-    program, slot = _compile(postorder(*every), actions, tests)
-    checks = [(slot[a], slot[b]) for a, b in hyps]
-    left, right = slot[goal[0]], slot[goal[1]]
+    left, right = goal
     size, cap = 1, max(1, _BLOCK_BITS // (max_n * max_n))
     while True:
-        groups: dict[int, tuple[list[int], list]] = {}  # n: positions, their masks
-        for index, (n, masks) in enumerate(itertools.islice(candidates, size)):
-            positions, members = groups.setdefault(n, ([], []))
-            positions.append(index)
-            members.append(masks)
-        if not groups:
+        block = list(itertools.islice(candidates, size))
+        if not block:
             return None
         size = min(2 * size, cap)
+        groups: dict[int, list] = collections.defaultdict(list)  # n: its masks, in order
+        for n, masks in block:
+            groups[n].append(masks)
         hits = []
-        for n, (positions, members) in groups.items():
-            lanes = len(positions)
+        for n, members in groups.items():
+            lanes = len(members)
             leaves = [_pack(n * n, column) for column in zip(*members)]
             for i in spread:
                 leaves[i] = _diagonal(n, leaves[i], lanes)
@@ -442,16 +442,61 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
                 held &= ~_flags(kind, n, lanes, values[a], values[b])
             if held:
                 lane = ((held & -held).bit_length() - 1) // (n * n)
+                positions = [i for i, (m, _) in enumerate(block) if m == n]
                 hits.append((positions[lane], n, lane, values))
         if hits:
-            _, n, lane, values = min(hits)
-            shift, full = lane * n * n, _block(n)[4]
-            r1, r2 = values[left] >> shift & full, values[right] >> shift & full
-            rels = [Relation(n, value >> shift & full)
-                    for value in values[3:3 + len(actions) + len(tests)]]
-            interp = RelInterpretation(n, dict(zip(actions, rels)),
-                                       dict(zip(tests, rels[len(actions):])))
-            return SearchHit(interp, kind, *_violation(kind, n, r1, r2))
+            return min(hits)[1:]
+
+
+def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
+               alphabet: Alphabet, max_n: int, budget: SearchBudget) -> SearchHit | None:
+    """The first interpretation in which every hypothesis pair holds and the
+    goal pair violates `kind`, each pair read as `_violation` reads it; its
+    violating pair or point is `_violation`'s reading of its lane.
+
+    Exhaustive mode evaluates only the `_leaders`.  Violations are invariant
+    under isomorphism, so if a swap s made the first hit H smaller, s(H)
+    would be an earlier hit: H is a leader, and no earlier leader is a hit.
+
+    Sampled mode first runs that exhaustive pass when the whole space, S
+    interpretations, is no larger than the budget's samples.  The ceiling
+    does not apply to it: it enumerates at most S candidates, no more than
+    the draws would.  If no leader is a hit, no interpretation is one, so
+    no draw can be: the answer is None, and nothing is drawn.  If one is,
+    or the space is larger, the draws run, so the hit reported is the first
+    drawn hit.  They skip what `_distinct_draws` skips.  A repeated draw
+    comes after its first draw, which is evaluated, in the same block or an
+    earlier one; evaluation is deterministic, so were the repeat a hit, its
+    first draw would be an earlier hit.  The first hit is never skipped.
+    """
+    every = [t for pair in [*hyps, goal] for t in pair]
+    pruned = prune_alphabet(alphabet, *every)
+    actions, tests = pruned.actions, pruned.tests
+    counts = len(actions), len(tests)
+    if budget.exhaustive:
+        _check_ceiling(*counts, max_n, budget.ceiling)
+    program, slot = _compile(postorder(*every), actions, tests)
+    scan = functools.partial(_scan, kind, program, [(slot[a], slot[b]) for a, b in hyps],
+                             (slot[goal[0]], slot[goal[1]]), max_n)
+    whole = budget.exhaustive
+    if not whole:
+        total = _interpretations(*counts, max_n, budget.samples.bit_length())
+        whole = total is not None and total <= budget.samples
+    found = scan(_leader_candidates(*counts, max_n), range(0)) if whole else None
+    if not budget.exhaustive and (found is not None or not whole):
+        # draws hold each test as its bare row: spread it once per block
+        found = scan(_distinct_draws(budget.seed, budget.samples, max_n, *counts),
+                     range(counts[0], sum(counts)))
+    if found is None:
+        return None
+    n, lane, values = found
+    shift, full = lane * n * n, _block(n)[4]
+    r1, r2 = (values[slot[t]] >> shift & full for t in goal)
+    rels = [Relation(n, value >> shift & full)
+            for value in values[3:3 + len(actions) + len(tests)]]
+    interp = RelInterpretation(n, dict(zip(actions, rels)),
+                               dict(zip(tests, rels[len(actions):])))
+    return SearchHit(interp, kind, *_violation(kind, n, r1, r2))
 
 
 def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
@@ -465,7 +510,11 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
     is a hit, so the first hit is never skipped.  The budget's ceiling
     counts all interpretations, skipped or not.  Sampled search evaluates a
     repeated draw on a small carrier only the first time: it was no hit
-    then, so it is none now, and the budget still counts every draw.
+    then, so it is none now, and the budget still counts every draw.  When
+    the samples are at least the number of interpretations up to max_n, it
+    first searches them exhaustively, whatever the ceiling: if none is a
+    hit, no draw can be one, and it returns None without drawing; if one
+    is, it draws and returns the first drawn hit.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")

@@ -144,6 +144,12 @@ def test_negative_ceiling_is_malformed_and_zero_is_a_limit(capsys, command):
     assert code == 2 and out == "" and "ceiling must be >= 0" in err
     code, out, err = run(capsys, *base, "--ceiling", "0")
     assert code == 3 and out == "" and "over the ceiling of 0" in err
+    # sampled mode checks the ceiling too, though draws are not held to it
+    sampled = command + ["--samples", "10", "--seed", "1", "--tests", "a,b"]
+    code, out, err = run(capsys, *sampled, "--ceiling", "-5")
+    assert code == 2 and out == "" and "ceiling must be >= 0" in err
+    code, out, err = run(capsys, *sampled, "--ceiling", "0")
+    assert code in (0, 1) and out and err == ""
 
 
 def test_rule_honours_the_ceiling(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -494,15 +495,94 @@ def count_lanes(monkeypatch):
 
 
 def test_sampled_rule_evaluates_each_distinct_draw_once(monkeypatch, capsys):
+    # 4000 samples fall short of the 16 + 256 + 4096 interpretations, so
+    # the draws run
     lanes = count_lanes(monkeypatch)
     code = cli.main(["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
-                     "--samples", "5967", "--seed", "120", "--max-states", "3"])
+                     "--samples", "4000", "--seed", "120", "--max-states", "3"])
     assert (code, capsys.readouterr().out) == (
-        0, "no refutation found (budget 5967 samples n<=3 seed=120)\nseed: 120\n")
-    budget = SearchBudget(exhaustive=False, samples=5967, seed=120)
+        0, "no refutation found (budget 4000 samples n<=3 seed=120)\nseed: 120\n")
+    budget = SearchBudget(exhaustive=False, samples=4000, seed=120)
     distinct = set(replayed_draws(Alphabet((), ("a", "b", "c", "d")), 3, budget))
-    # one lane per distinct draw, at most the 16 + 256 + 4096 interpretations
-    assert len(lanes) == len(distinct) <= 4368
+    assert len(lanes) == len(distinct) < 4000
+
+
+def test_sampled_search_with_nine_bit_fields_evaluates_each_distinct_draw_once(monkeypatch):
+    # one action and one test up to 3 points: 4164 interpretations, more
+    # than the samples; a 3-point draw's action field does not fit in a
+    # byte, and that size is remembered too
+    budget = SearchBudget(exhaustive=False, samples=3000, seed=3)
+    lanes = count_lanes(monkeypatch)
+    t1, t2 = parse("(p b)*", AL_PB), parse("1 + p b (p b)*", AL_PB)
+    assert search_countermodel("equality", t1, t2, AL_PB, 3, budget) is None
+    draws = replayed_draws(AL_PB, 3, budget)
+    three = {draw for draw in draws if draw[0] == 3}
+    assert len(lanes) == len(set(draws)) and lanes.count(3) == len(three)
+    assert len(three) < sum(draw[0] == 3 for draw in draws)
+
+
+CONSEQUENCE = ["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
+               "--max-states", "3"]
+
+
+def test_sampled_rule_covering_the_space_draws_nothing(monkeypatch, capsys):
+    # 5967 samples cover the 4368 interpretations: the exhaustive leader
+    # pass finds no refutation, so no draw can be one
+    calls = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(relmodel.random, "Random", Counting)
+    lanes = count_lanes(monkeypatch)
+    assert cli.main(CONSEQUENCE + ["--exhaustive"]) == 0
+    leaders = len(lanes)
+    lanes.clear()
+    assert cli.main(CONSEQUENCE + ["--samples", "5967", "--seed", "120"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "no refutation found (budget 5967 samples n<=3 seed=120)\nseed: 120\n")
+    assert calls == [] and len(lanes) == leaders < 4368
+
+
+def test_covering_budget_is_not_held_to_the_ceiling(capsys):
+    # a billion samples over 4368 interpretations: the leader pass answers,
+    # and the ceiling, which bounds exhaustive enumeration, is not applied
+    start = time.perf_counter()
+    code = cli.main(CONSEQUENCE + ["--samples", "1000000000", "--seed", "1",
+                                   "--ceiling", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, capsys.readouterr().out) == (
+        0, "no refutation found (budget 1000000000 samples n<=3 seed=1)\nseed: 1\n")
+    code = cli.main(CONSEQUENCE + ["--samples", "4368", "--seed", "1", "--ceiling", "0"])
+    assert code == 0 and "no refutation found" in capsys.readouterr().out
+
+
+def test_small_space_with_a_hit_reports_the_first_drawn_hit():
+    # 18 interpretations up to 2 points, 100 samples: the leader pass finds
+    # a hit, so the draws run and report theirs, not the enumeration's first
+    budget = SearchBudget(exhaustive=False, samples=100, seed=1)
+    t1, t2 = parse("p p", AL_P), parse("p", AL_P)
+    got = search_countermodel("leq", t1, t2, AL_P, 2, budget)
+    assert got == reference_search("leq", [], (t1, t2), AL_P, 2, budget)
+    first = search_countermodel("leq", t1, t2, AL_P, 2, EXHAUSTIVE)
+    assert draw_of(got, AL_P) == (2, 7) and draw_of(first, AL_P) == (2, 6)
+
+
+@pytest.mark.parametrize("max_n", range(1, 9))
+def test_draws_replay_randint_exactly(max_n, monkeypatch):
+    # with nothing remembered every draw is yielded; n is drawn without
+    # randint, and at max_n = 1 it still consumes a bit per draw
+    monkeypatch.setattr(relmodel, "_MEMO_BITS", 0)
+    for seed, (actions, tests) in itertools.product(range(-5, 60), [(1, 0), (0, 2), (2, 1)]):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(20):
+            n = rng.randint(1, max_n)
+            fields = [rng.getrandbits(n * n) for _ in range(actions)]
+            want.append((n, fields + [rng.getrandbits(n) for _ in range(tests)]))
+        assert list(relmodel._distinct_draws(seed, 20, max_n, actions, tests)) == want
 
 
 def test_sampled_draws_on_forty_points_are_not_remembered():
