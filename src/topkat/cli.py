@@ -41,9 +41,10 @@ def _build_alphabet(args, texts: list[str]) -> Alphabet:
     if args.actions is not None:
         actions = _split_names(args.actions)
     else:
+        declared = set(tests)
         actions = tuple(dict.fromkeys(
             ident for text in texts for ident in scan_identifiers(text)
-            if ident not in tests))
+            if ident not in declared))
     return declare_alphabet(actions, tests)
 
 

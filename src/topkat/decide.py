@@ -21,7 +21,7 @@ from .errors import TopNotAllowedError, TopkatError
 from .semantics import Atom, GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Zero, ZERO,
-    check_over, contains_top, occurring, postorder,
+    check_over, contains_top, postorder, prune_alphabet,
 )
 
 
@@ -199,8 +199,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
             raise TopNotAllowedError("equivalence is decided on top-free terms")
         check_over(t, alphabet)
     atoms = all_atoms(alphabet)
-    occ = occurring(t1, t2)[0]
-    acts = [a for a in alphabet.actions if a in occ]
+    acts = prune_alphabet(alphabet, t1, t2).actions
 
     engine = _Engine(atoms)
     start = (frozenset((t1,)), frozenset((t2,)))

@@ -40,6 +40,8 @@ class ExtendedAlphabet:
 def reduce(t: Term, alphabet: Alphabet) -> Term:
     """Replace every T with the extended sum-star; homomorphic elsewhere."""
     check_over(t, alphabet)
+    if not t.has_top:
+        return t
     sum_star = ExtendedAlphabet(alphabet).sum_star()
     return rebuild(t, lambda s: sum_star if isinstance(s, Top) else s)
 

@@ -20,13 +20,28 @@ from __future__ import annotations
 
 import re
 import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
+from weakref import KeyedRef
+
+from _weakref import _remove_dead_weakref
 
 from .errors import ParseError, SortError, UndeclaredIdentifierError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+_INTERN_LOCK = threading.Lock()
+# Each name's bit in the name masks of terms and alphabets, numbered in
+# order of first use and never dropped; written under _INTERN_LOCK.
+_NAME_BITS: dict[str, int] = {}
+
+
+def _bit(name: str) -> int:
+    """The name's mask bit, numbering a new name; call under _INTERN_LOCK."""
+    bit = _NAME_BITS.get(name)
+    if bit is None:
+        bit = _NAME_BITS[name] = 1 << len(_NAME_BITS)
+    return bit
 
 
 @dataclass(frozen=True)
@@ -35,25 +50,34 @@ class Alphabet:
 
     The declared order drives atom bit layout, canonical sums and witness
     ordering, so it is part of the semantics of every downstream call.
+    `act_mask` and `test_mask` are the name masks of the actions and the
+    tests, to compare with a term's `acts` and `tests`.
     """
 
     actions: tuple[str, ...] = ()
     tests: tuple[str, ...] = ()
+    act_mask: int = field(init=False, repr=False, compare=False)
+    test_mask: int = field(init=False, repr=False, compare=False)
+    _sorts: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.actions + self.tests:
             if not IDENT_RE.fullmatch(name) or name == "T":
                 raise ValueError(f"invalid identifier {name!r}")
-        seen = self.actions + self.tests
-        if len(set(seen)) != len(seen):
+        sorts = dict.fromkeys(self.actions, "action")
+        sorts.update(dict.fromkeys(self.tests, "test"))
+        if len(sorts) != len(self.actions) + len(self.tests):
             raise ValueError("actions and tests must be disjoint and duplicate-free")
+        with _INTERN_LOCK:
+            object.__setattr__(self, "act_mask", sum(map(_bit, self.actions)))
+            object.__setattr__(self, "test_mask", sum(map(_bit, self.tests)))
+        object.__setattr__(self, "_sorts", sorts)
+
+    def __reduce__(self):  # masks are numbered per process: rebuild them
+        return type(self), (self.actions, self.tests)
 
     def sort_of(self, name: str) -> str | None:
-        if name in self.actions:
-            return "action"
-        if name in self.tests:
-            return "test"
-        return None
+        return self._sorts.get(name)
 
 
 def declare_alphabet(actions: tuple[str, ...] | list[str],
@@ -73,16 +97,25 @@ def declare_alphabet(actions: tuple[str, ...] | list[str],
 # Terms
 
 
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_INTERN_LOCK = threading.Lock()
+# (class, *fields) -> a weak reference to the live value.  A dead value's
+# reference removes its entry, unless a new value has taken the key since.
+_INTERNED: dict[tuple, KeyedRef] = {}
+
+
+def _forget(ref: KeyedRef, _table=_INTERNED, _remove=_remove_dead_weakref) -> None:
+    # defaults, as in WeakValueDictionary: the callback may run while the
+    # interpreter shuts down
+    _remove(_table, ref.key)
 
 
 class Interned:
     """A hash-consed immutable value: one live object per class and field
-    values, so equality and hashing are object identity.  A subclass lists
-    its fields in `__slots__`, which are also its `__match_args__`, and may
-    override `_check`, which validates a value, and fills in what is derived
-    from its fields, when the value is first built."""
+    values, so equality and hashing are object identity.  The intern table
+    holds weak references, so a value lives as long as its users do.  A
+    subclass lists its fields in `__slots__`, which are also its
+    `__match_args__`, and may override `_check`, which validates a value,
+    and fills in what is derived from its fields, when the value is first
+    built (under `_INTERN_LOCK`)."""
 
     __slots__ = ("__weakref__",)
 
@@ -91,16 +124,18 @@ class Interned:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = ref() if ref is not None else None
         if node is None:
             with _INTERN_LOCK:  # threads racing on one value must get one object
-                node = _INTERNED.get(key)
+                ref = _INTERNED.get(key)
+                node = ref() if ref is not None else None
                 if node is None:
                     node = object.__new__(cls)
                     for name, value in zip(cls.__slots__, fields, strict=True):
                         object.__setattr__(node, name, value)
                     node._check()
-                    _INTERNED[key] = node
+                    _INTERNED[key] = KeyedRef(node, _forget, key)
         return node
 
     def _check(self) -> None:
@@ -120,20 +155,34 @@ class Interned:
 
 
 class Term(Interned):
-    """A term node.  Besides its fields, a node holds three facts computed
+    """A term node.  Besides its fields, a node holds five facts computed
     from its children when it is first built: `kids`, the fields that are
     terms, left before right; `test_only`, true iff the node is built from
-    0, 1, tests, `!`, `+` and sequence only; `has_top`, true iff T occurs."""
+    0, 1, tests, `!`, `+` and sequence only; `has_top`, true iff T occurs;
+    `acts` and `tests`, the name masks of the actions and of the tests
+    that occur.  A name mask has one bit per name, numbered in one index
+    for the whole process, so whether a term's names are declared, or
+    which of them occur, takes a mask test instead of a walk."""
 
-    __slots__ = ("kids", "test_only", "has_top")
+    __slots__ = ("kids", "test_only", "has_top", "acts", "tests")
     _test_like = True  # may be test-only: false for actions, T and star
 
     def _check(self) -> None:
         kids = tuple([value for value in map(self.__getattribute__, self.__slots__)
                       if isinstance(value, Term)])
-        object.__setattr__(self, "kids", kids)
-        object.__setattr__(self, "test_only", self._test_like and all(k.test_only for k in kids))
-        object.__setattr__(self, "has_top", type(self) is Top or any(k.has_top for k in kids))
+        test_only, has_top = self._test_like, type(self) is Top
+        acts = tests = 0
+        for kid in kids:
+            test_only = test_only and kid.test_only
+            has_top = has_top or kid.has_top
+            acts |= kid.acts
+            tests |= kid.tests
+        set_fact = object.__setattr__
+        set_fact(self, "kids", kids)
+        set_fact(self, "test_only", test_only)
+        set_fact(self, "has_top", has_top)
+        set_fact(self, "acts", _bit(self.name) if type(self) is Act else acts)
+        set_fact(self, "tests", _bit(self.name) if type(self) is Test else tests)
 
 
 class Zero(Term):
@@ -232,55 +281,56 @@ def reverse(t: Term) -> Term:
     return rebuild(t, lambda s: s, flip=True)
 
 
-def occurring(*terms: Term) -> tuple[frozenset[str], frozenset[str]]:
-    """The sets of primitive action and test names occurring in the terms."""
-    subs = postorder(*terms)
-    return (frozenset(s.name for s in subs if isinstance(s, Act)),
-            frozenset(s.name for s in subs if isinstance(s, Test)))
-
-
 def prune_alphabet(alphabet: Alphabet, *terms: Term) -> Alphabet:
     """Drop primitives that occur in none of the terms, keeping order."""
-    acts, tsts = occurring(*terms)
-    return Alphabet(tuple(n for n in alphabet.actions if n in acts),
-                    tuple(n for n in alphabet.tests if n in tsts))
+    acts = tests = 0
+    for t in terms:
+        acts |= t.acts
+        tests |= t.tests
+    if acts & alphabet.act_mask == alphabet.act_mask \
+            and tests & alphabet.test_mask == alphabet.test_mask:
+        return alphabet
+    bits = _NAME_BITS
+    return Alphabet(tuple(n for n in alphabet.actions if acts & bits[n]),
+                    tuple(n for n in alphabet.tests if tests & bits[n]))
 
 
 def check_over(t: Term, alphabet: Alphabet) -> None:
-    """Raise unless every identifier in t is declared with its sort."""
+    """Raise unless every identifier in t is declared with its sort.  The
+    masks answer when it is; otherwise a walk finds the first offending
+    node."""
+    if not (t.acts & ~alphabet.act_mask or t.tests & ~alphabet.test_mask):
+        return
     for s in postorder(t):
-        if isinstance(s, Act) and s.name not in alphabet.actions:
+        if isinstance(s, Act) and alphabet.sort_of(s.name) != "action":
             raise UndeclaredIdentifierError(f"undeclared action {s.name!r}")
-        if isinstance(s, Test) and s.name not in alphabet.tests:
+        if isinstance(s, Test) and alphabet.sort_of(s.name) != "test":
             raise UndeclaredIdentifierError(f"undeclared test {s.name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[01T!*+;.()]))")
+# The last alternative takes any other character, so matches are
+# contiguous and the first bad character is where the scan fails.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[01!*+;.()])|(?P<bad>\S))")
+_OP_KINDS = {"0": "zero", "1": "one"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.lastgroup == "ident":
-            name = m.group("ident")
-            kind = "top" if name == "T" else "ident"
-            tokens.append((kind, name, m.start("ident")))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        pos = m.end() - len(value)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "ident":
+            kind = "top" if value == "T" else "ident"
         else:
-            op = m.group("op")
-            kind = {"0": "zero", "1": "one", "T": "top"}.get(op, op)
-            tokens.append((kind, op, m.start("op")))
-        pos = m.end()
+            kind = _OP_KINDS.get(value, value)
+        tokens.append((kind, value, pos))
     return tokens
 
 
@@ -352,12 +402,7 @@ def scan_identifiers(text: str) -> tuple[str, ...]:
     """All identifiers in term or guarded-string text, in first-occurrence
     order, with the reserved "T" excluded.  Purely lexical; used to infer
     undeclared actions before real parsing."""
-    out: list[str] = []
-    for m in IDENT_RE.finditer(text):
-        name = m.group()
-        if name != "T" and name not in out:
-            out.append(name)
-    return tuple(out)
+    return tuple(dict.fromkeys(name for name in IDENT_RE.findall(text) if name != "T"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from topkat.decide import Equivalent, Witness, equivalent, leq, member
 from topkat.errors import TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
-from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, ZERO, occurring, parse
+from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, ZERO, parse, prune_alphabet
 
 
 AL_PQ = Alphabet(("p", "q"), ())
@@ -201,7 +201,7 @@ def _per_atom_equivalent(t1, t2, alphabet):
     """The bisimulation stepping atom by atom, as `equivalent` did before
     atom classes: the reference for verdicts, sides and witnesses."""
     atoms = all_atoms(alphabet)
-    acts = [a for a in alphabet.actions if a in occurring(t1, t2)[0]]
+    acts = prune_alphabet(alphabet, t1, t2).actions
     engine = decide._Engine(atoms)
     start = (frozenset((t1,)), frozenset((t2,)))
     parents = {start: None}

@@ -6,6 +6,8 @@ exhaust the interpreter stack.  Each call must give a verdict (exit 0 or
 `lang`, or the search ceiling.
 """
 
+import tracemalloc
+
 import pytest
 
 from topkat.cli import COMMANDS, main
@@ -71,3 +73,19 @@ def test_deep_terms_round_trip(shape):
     position = {s: i for i, s in enumerate(order)}
     assert len(position) == len(order) and order[-1] is t
     assert all(position[k] < position[s] for s in order for k in s.kids)
+
+
+def test_a_long_chain_of_distinct_actions_reduces_in_bounded_memory(capsys):
+    # Every node records its names as bit masks, n^2/2 bits along a chain
+    # of n distinct names: about 13 MB here, with each name's own bit.
+    # One set of names per node would hold n^2/2 set entries, over 400 MB.
+    term = " ".join(f"chain{i}" for i in range(10_000))
+    tracemalloc.start()
+    try:
+        code = main(["reduce", term])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, term + "\n", "")
+    assert peak < 64 * 2**20, peak

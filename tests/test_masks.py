@@ -1,0 +1,138 @@
+"""Name masks against walks.
+
+Each term node records the names it mentions as two bit masks, and
+`check_over` and `prune_alphabet` read them instead of walking the term.
+The references here are the walks those functions made before: each mask
+decodes to the names a `postorder` walk finds, `check_over` raises what
+the walk raises, and `prune_alphabet` keeps what the walk keeps.
+"""
+
+import importlib
+import pickle
+import pkgutil
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from conftest import terms
+import topkat
+from topkat import syntax
+from topkat.cli import main
+from topkat.errors import TopkatError, UndeclaredIdentifierError
+from topkat.syntax import Act, Alphabet, check_over, postorder, prune_alphabet
+
+WIDE = Alphabet(("p", "q", "r"), ("b", "c", "d"))
+NAMES = WIDE.actions + WIDE.tests
+
+
+def walk_names(*ts):
+    subs = postorder(*ts)
+    return ({s.name for s in subs if isinstance(s, Act)},
+            {s.name for s in subs if isinstance(s, syntax.Test)})
+
+
+def walk_check_over(t, alphabet):
+    for s in postorder(t):
+        if isinstance(s, Act) and s.name not in alphabet.actions:
+            raise UndeclaredIdentifierError(f"undeclared action {s.name!r}")
+        if isinstance(s, syntax.Test) and s.name not in alphabet.tests:
+            raise UndeclaredIdentifierError(f"undeclared test {s.name!r}")
+
+
+def decode(mask):
+    return {name for name, bit in syntax._NAME_BITS.items() if mask & bit}
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except TopkatError as error:
+        return type(error), str(error)
+    return None
+
+
+# Any alphabet over the names of WIDE: a name may be missing, or declared
+# with the other sort.
+alphabets = st.permutations(NAMES).map(tuple).flatmap(lambda names: st.tuples(
+    st.integers(0, len(names)), st.integers(0, len(names))).map(
+        lambda cuts: Alphabet(names[:min(cuts)], names[min(cuts):max(cuts)])))
+
+
+@given(terms(WIDE, allow_top=True))
+def test_every_node_masks_the_names_a_walk_finds(t):
+    for s in postorder(t):
+        assert (decode(s.acts), decode(s.tests)) == walk_names(s)
+
+
+@given(terms(WIDE, allow_top=True), alphabets)
+def test_check_over_raises_what_the_walk_raises(t, alphabet):
+    assert outcome(check_over, t, alphabet) == outcome(walk_check_over, t, alphabet)
+
+
+def test_check_over_names_a_missing_or_missorted_name_as_the_walk_does():
+    t = syntax.parse("p (b + q c)* r d", WIDE)
+    cases = [Alphabet(("p", "q"), ("b", "c", "d")),  # r missing
+             Alphabet(("p", "q", "r"), ("b", "d")),  # c missing
+             Alphabet(("p", "q", "r", "c"), ("b", "d")),  # c is an action
+             Alphabet(("p", "r"), ("q", "b", "c", "d")),  # q is a test
+             Alphabet((), ())]
+    for alphabet in cases:
+        expected = outcome(walk_check_over, t, alphabet)
+        assert expected is not None
+        assert outcome(check_over, t, alphabet) == expected
+    assert outcome(check_over, t, WIDE) is None
+
+
+@given(terms(WIDE, allow_top=True), terms(WIDE), alphabets)
+def test_prune_alphabet_keeps_what_the_walk_finds_in_declared_order(t1, t2, alphabet):
+    acts, tests = walk_names(t1, t2)
+    pruned = prune_alphabet(alphabet, t1, t2)
+    assert pruned == Alphabet(tuple(n for n in alphabet.actions if n in acts),
+                              tuple(n for n in alphabet.tests if n in tests))
+    assert (pruned.act_mask, pruned.test_mask) == (
+        alphabet.act_mask & t1.acts | alphabet.act_mask & t2.acts,
+        alphabet.test_mask & t1.tests | alphabet.test_mask & t2.tests)
+
+
+def test_an_alphabet_knows_each_sort_and_survives_pickling():
+    alphabet = Alphabet(("p", "q"), ("b",))
+    assert [alphabet.sort_of(n) for n in ("p", "q", "b", "r", "T")] == [
+        "action", "action", "test", None, None]
+    copy = pickle.loads(pickle.dumps(alphabet))
+    assert copy == alphabet and (copy.act_mask, copy.test_mask) == (
+        alphabet.act_mask, alphabet.test_mask)
+    assert decode(alphabet.act_mask) == {"p", "q"} and decode(alphabet.test_mask) == {"b"}
+
+
+# The walks left in a query: the decider's facts, one walk per term it has
+# not met (a compared term or a new derivative); one `rebuild` per term
+# with T, which the padded terms of a (co)domain comparison have; and one
+# `evaluate` per compared term to verify a countermodel.  Validation,
+# pruning and top-free reducts read the node facts: walking the terms for
+# them made these counts 9, 10, 13 and 12.
+WALKS = [
+    (["decide", "b + 1", "1"], 1),
+    (["leq", "T p", "p T"], 4),
+    (["cod-geq", "p b", "p"], 6),
+    (["dom-geq", "b p", "p"], 5),
+]
+
+
+@pytest.mark.parametrize("argv, walks", WALKS)
+def test_walks_per_query(monkeypatch, capsys, argv, walks):
+    calls = []
+
+    def counted(*ts):
+        calls.append(ts)
+        return postorder(*ts)
+
+    for info in pkgutil.iter_modules(topkat.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"topkat.{info.name}")
+        if getattr(module, "postorder", None) is postorder:
+            monkeypatch.setattr(module, "postorder", counted)
+    assert main(argv + ["--tests", "b"]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == walks
