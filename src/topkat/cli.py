@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import decide, domain, logic, relmodel
-from .errors import ResourceLimitError, TopkatError
+from .errors import InternalError, ResourceLimitError, TopkatError
 from .reduction import reduce, topkat_equivalent, topkat_leq
 from .relmodel import SearchBudget, SearchHit
 from .semantics import lang_bounded, parse_guarded_string, render_sorted
@@ -330,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         alphabet = _build_alphabet(args, texts + [args.string] if "string" in args else texts)
         human, payload, code = command.handler(
             args, alphabet, *(parse(text, alphabet) for text in texts))
+    except InternalError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 3
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         # too deep or too large to decide: no verdict was computed
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -337,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TopkatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in topkat itself: no verdict was computed
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps({"v": 1, **payload}))
     else:

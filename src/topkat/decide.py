@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import TopNotAllowedError, TopkatError
+from .errors import InternalError, TopNotAllowedError
 from .semantics import Atom, GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Zero, ZERO,
@@ -220,9 +220,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
                                     tuple(act for _, act in steps))
             m1, m2 = (_member(engine, t, steps, last) for t in (t1, t2))
             if m1 == m2:
-                raise TopkatError(
-                    "internal error: unsound witness "
-                    f"{witness.render()!r} for {pair!r}")
+                raise InternalError(f"unsound witness {witness.render()!r} for {pair!r}")
             return Witness(witness, "left" if m1 else "right")
         classes.union(left, right)
         guards = {mask for t in left | right

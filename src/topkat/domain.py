@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .decide import Equivalent
-from .errors import TopkatError, TopNotAllowedError
+from .errors import InternalError, TopNotAllowedError
 from .reduction import TOP_ACTION, topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
 from .semantics import GuardedString
@@ -132,6 +132,6 @@ def _countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet,
     interp = RelInterpretation(n, action_map, test_map)
     reach = Relation.dom if domain else Relation.cod
     if point not in reach(evaluate(t2, interp)) or point in reach(evaluate(t1, interp)):
-        raise TopkatError(f"internal error: {'suffix' if domain else 'prefix'} "
-                          "countermodel failed verification")
+        raise InternalError(f"{'suffix' if domain else 'prefix'} "
+                            "countermodel failed verification")
     return RelCountermodel(interp, tuple(carrier), carrier[point], w, "right")

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: input/sort problems are usage errors
-(exit 2), resource limits are exit 3.
+(exit 2); resource limits and internal errors compute no verdict (exit 3).
 """
 
 
@@ -33,3 +33,7 @@ class TopNotAllowedError(TopkatError):
 
 class ResourceLimitError(TopkatError):
     """A configured cap (atom count, enumeration ceiling) was exceeded."""
+
+
+class InternalError(TopkatError):
+    """A result failed its own check: a fault in topkat, not in the input."""

@@ -13,7 +13,6 @@ absence of one proves nothing beyond the explored budget.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import random
@@ -299,58 +298,39 @@ def _check_ceiling(actions: int, tests: int, max_n: int, ceiling: int) -> None:
                              f"interpretations, over the ceiling of {ceiling}")
 
 
-def _swapped(mask: int, swap: tuple[int, int, int, int]) -> int:
-    """The relation with points i < j exchanged: a delta swap of rows i and
-    j, then one of columns i and j.  `swap` holds the shift and the mask of
-    row i, then of column i."""
-    row_shift, row, column_shift, column = swap
-    moved = (mask >> row_shift ^ mask) & row
-    mask ^= moved | moved << row_shift
-    moved = (mask >> column_shift ^ mask) & column
-    return mask ^ (moved | moved << column_shift)
+# Exhaustive mode numbers the interpretations of size n in `itertools.product`
+# order: number i is its primitives' fields concatenated, n*n bits per
+# action, then n bits per test as a bare row, the first field highest.  In
+# an aligned block of 2^m numbers the lane numbers own the low m bits, so
+# each field of lane j is that field of the block's start plus that of j.
+
+@functools.lru_cache(maxsize=32)  # a few (size, lanes) pairs per search
+def _lane_fields(n: int, lanes: int, fields: tuple[tuple[int, int], ...]) -> list[int]:
+    """Per (shift, width) field, that field's bits of each lane number j, in
+    lane j.  Bit b of j is set in a run of 2^b lanes every 2^(b+1) lanes."""
+    width, top, full = n * n, lanes.bit_length() - 1, _block(n, lanes)[4]
+    bits = [full // ((1 << (width << b + 1)) - 1) * _block(n, 1 << b)[0] << (width << b)
+            for b in range(top)]
+    return [sum(bits[b] << b - shift for b in range(shift, min(shift + w, top)))
+            for shift, w in fields]
 
 
-def _leads(masks: Sequence[int], swaps: Sequence[tuple[int, int, int, int]]) -> bool:
-    """True unless some swap makes the tuple lexicographically smaller."""
-    for swap in swaps:
-        for mask in masks:
-            image = _swapped(mask, swap)
-            if image != mask:
-                if image < mask:
-                    return False
-                break
-    return True
-
-
-def _leaders(n: int, spaces: Sequence[Sequence[int]]):
-    """The tuples of `itertools.product(*spaces)`, in its order, that no swap
-    of two points makes smaller.  Each space lists relation masks (tests as
-    diagonals) ascending.  A swap that lowers the first mask skips its whole
-    block; only the swaps that fix it are checked on the other masks."""
-    if not spaces:
-        yield ()
-        return
-    row_mask = (1 << n) - 1
-    column = _block(n)[1]
-    swaps = [((j - i) * n, row_mask << (i * n), j - i, column << i)
-             for i, j in itertools.combinations(range(n), 2)]
-    for head in spaces[0]:
-        if not _leads((head,), swaps):
-            continue
-        live = [swap for swap in swaps if _swapped(head, swap) == head]
-        for tail in itertools.product(*spaces[1:]):
-            if not live or _leads(tail, live):
-                yield (head, *tail)
-
-
-def _leader_candidates(actions: int, tests: int, max_n: int):
-    """Exhaustive mode's candidates: each size's `_leaders`, tests as
-    diagonals, sizes ascending."""
-    def spaces(n: int) -> list[Sequence[int]]:
-        diagonals = [_diagonal(n, bits) for bits in range(1 << n)] if tests else []
-        return [range(1 << (n * n))] * actions + [diagonals] * tests
-
-    return ((n, masks) for n in range(1, max_n + 1) for masks in _leaders(n, spaces(n)))
+def _product_blocks(actions: int, tests: int, max_n: int, cap: int):
+    """Exhaustive mode's blocks, one group each: every interpretation of
+    each size in turn, in numbering order, the lanes of a block 1, 1, 2, 4,
+    ... up to `cap` rounded down to a power of two."""
+    cap = 1 << cap.bit_length() - 1
+    for n in range(1, max_n + 1):
+        widths = (n * n,) * actions + (n,) * tests
+        fields = tuple((sum(widths[k + 1:]), w) for k, w in enumerate(widths))
+        start, end = 0, 1 << sum(widths)
+        while start < end:
+            lanes = min(max(start, 1), cap)
+            repunit = _block(n, lanes)[0]
+            yield [(n, range(lanes), [(start >> shift & (1 << w) - 1) * repunit + lane_field
+                                      for (shift, w), lane_field in
+                                      zip(fields, _lane_fields(n, lanes, fields))])]
+            start += lanes
 
 
 # Sampled mode remembers the draws of a size only if n and its fields pack
@@ -400,41 +380,48 @@ def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: in
         yield n, fields
 
 
-# A search evaluates blocks of 1, 2, 4, ... candidates, up to as many lanes
-# of the largest size as fit in _BLOCK_BITS (at least one): an early hit
-# stays cheap, and no block is wider than _BLOCK_BITS or than one lane.
+def _draw_blocks(draws, cap: int):
+    """Sampled mode's blocks of 1, 2, 4, ... draws, up to `cap`: each
+    size's draws side by side, with their places in the block."""
+    size = 1
+    while block := list(itertools.islice(draws, size)):
+        size = min(2 * size, cap)
+        groups: dict[int, tuple[list[int], list]] = {}  # n: its places and fields
+        for position, (n, fields) in enumerate(block):
+            positions, members = groups.setdefault(n, ([], []))
+            positions.append(position)
+            members.append(fields)
+        yield [(n, positions, [_pack(n * n, column) for column in zip(*members)])
+               for n, (positions, members) in groups.items()]
+
+
+# A block holds at most as many lanes of the largest size as fit in
+# _BLOCK_BITS (at least one): an early hit stays cheap, and no block is
+# wider than _BLOCK_BITS or than one lane.
 _BLOCK_BITS = 4096
 
 
 def _scan(kind: str, program: list[tuple[type, int, int]], checks: Sequence[tuple[int, int]],
-          goal: tuple[int, int], max_n: int, candidates, spread: range) -> tuple | None:
-    """The first of `candidates`, (n, masks) pairs, in which every slot pair
-    of `checks` holds and the slot pair `goal` violates `kind`, as (n, its
-    lane, its block's values); None if there is none.  The masks at the
-    positions in `spread` are bare test rows, spread to diagonals once per
-    block.
+          goal: tuple[int, int], tests: range, blocks) -> tuple | None:
+    """The first interpretation of `blocks` in which every slot pair of
+    `checks` holds and the slot pair `goal` violates `kind`, as (n, its
+    lane, its group's values); None if there is none.  A block is a list of
+    groups (n, positions, leaves): interpretations of size n side by side,
+    one lane each, at `positions` in the block's order, with the
+    primitives' masks in `leaves`; those at `tests` are bare test rows,
+    spread to diagonals here.
 
-    Candidates are evaluated in consecutive blocks, each size's candidates
-    side by side, one lane each.  Every lane holds its own candidate's
-    values, so the least hit in the first block that has one is the first
-    hit: every candidate before it was evaluated, in that block or an
-    earlier one, and the lanes after it are dropped.
+    Every lane holds its own interpretation's values, so the least hit in
+    the first block that has one is the first hit: every interpretation
+    before it was evaluated, in that block or an earlier one, and the lanes
+    after it are dropped.
     """
     left, right = goal
-    size, cap = 1, max(1, _BLOCK_BITS // (max_n * max_n))
-    while True:
-        block = list(itertools.islice(candidates, size))
-        if not block:
-            return None
-        size = min(2 * size, cap)
-        groups: dict[int, list] = collections.defaultdict(list)  # n: its masks, in order
-        for n, masks in block:
-            groups[n].append(masks)
+    for block in blocks:
         hits = []
-        for n, members in groups.items():
-            lanes = len(members)
-            leaves = [_pack(n * n, column) for column in zip(*members)]
-            for i in spread:
+        for n, positions, leaves in block:
+            lanes = len(positions)
+            for i in tests:
                 leaves[i] = _diagonal(n, leaves[i], lanes)
             values = _run(program, n, lanes, leaves)
             held = _flags(kind, n, lanes, values[left], values[right])
@@ -442,10 +429,10 @@ def _scan(kind: str, program: list[tuple[type, int, int]], checks: Sequence[tupl
                 held &= ~_flags(kind, n, lanes, values[a], values[b])
             if held:
                 lane = ((held & -held).bit_length() - 1) // (n * n)
-                positions = [i for i, (m, _) in enumerate(block) if m == n]
                 hits.append((positions[lane], n, lane, values))
         if hits:
             return min(hits)[1:]
+    return None
 
 
 def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Term],
@@ -454,20 +441,17 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     goal pair violates `kind`, each pair read as `_violation` reads it; its
     violating pair or point is `_violation`'s reading of its lane.
 
-    Exhaustive mode evaluates only the `_leaders`.  Violations are invariant
-    under isomorphism, so if a swap s made the first hit H smaller, s(H)
-    would be an earlier hit: H is a leader, and no earlier leader is a hit.
-
+    Exhaustive mode evaluates every interpretation, in product order.
     Sampled mode first runs that exhaustive pass when the whole space, S
     interpretations, is no larger than the budget's samples.  The ceiling
-    does not apply to it: it enumerates at most S candidates, no more than
-    the draws would.  If no leader is a hit, no interpretation is one, so
-    no draw can be: the answer is None, and nothing is drawn.  If one is,
-    or the space is larger, the draws run, so the hit reported is the first
-    drawn hit.  They skip what `_distinct_draws` skips.  A repeated draw
-    comes after its first draw, which is evaluated, in the same block or an
-    earlier one; evaluation is deterministic, so were the repeat a hit, its
-    first draw would be an earlier hit.  The first hit is never skipped.
+    does not apply to it: it evaluates at most S interpretations, no more
+    than the draws would.  If none is a hit, no draw can be: the answer is
+    None, and nothing is drawn.  If one is, or the space is larger, the
+    draws run, so the hit reported is the first drawn hit.  They skip what
+    `_distinct_draws` skips.  A repeated draw comes after its first draw,
+    which is evaluated, in the same block or an earlier one; evaluation is
+    deterministic, so were the repeat a hit, its first draw would be an
+    earlier hit.  The first hit is never skipped.
     """
     every = [t for pair in [*hyps, goal] for t in pair]
     pruned = prune_alphabet(alphabet, *every)
@@ -476,17 +460,18 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     if budget.exhaustive:
         _check_ceiling(*counts, max_n, budget.ceiling)
     program, slot = _compile(postorder(*every), actions, tests)
+    # both sources hold each test as its bare row
     scan = functools.partial(_scan, kind, program, [(slot[a], slot[b]) for a, b in hyps],
-                             (slot[goal[0]], slot[goal[1]]), max_n)
+                             (slot[goal[0]], slot[goal[1]]), range(counts[0], sum(counts)))
+    cap = max(1, _BLOCK_BITS // (max_n * max_n))
     whole = budget.exhaustive
     if not whole:
         total = _interpretations(*counts, max_n, budget.samples.bit_length())
         whole = total is not None and total <= budget.samples
-    found = scan(_leader_candidates(*counts, max_n), range(0)) if whole else None
+    found = scan(_product_blocks(*counts, max_n, cap)) if whole else None
     if not budget.exhaustive and (found is not None or not whole):
-        # draws hold each test as its bare row: spread it once per block
-        found = scan(_distinct_draws(budget.seed, budget.samples, max_n, *counts),
-                     range(counts[0], sum(counts)))
+        found = scan(_draw_blocks(
+            _distinct_draws(budget.seed, budget.samples, max_n, *counts), cap))
     if found is None:
         return None
     n, lane, values = found
@@ -505,16 +490,14 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
 
     Enumeration order is fixed (carrier size, then actions in declared
     order, then tests, each mask ascending), so "first" is deterministic.
-    Exhaustive search skips every interpretation that exchanging two
-    carrier points makes earlier in that order; an isomorphic copy of a hit
-    is a hit, so the first hit is never skipped.  The budget's ceiling
-    counts all interpretations, skipped or not.  Sampled search evaluates a
-    repeated draw on a small carrier only the first time: it was no hit
-    then, so it is none now, and the budget still counts every draw.  When
-    the samples are at least the number of interpretations up to max_n, it
-    first searches them exhaustively, whatever the ceiling: if none is a
-    hit, no draw can be one, and it returns None without drawing; if one
-    is, it draws and returns the first drawn hit.
+    Exhaustive search evaluates every interpretation in that order.
+    Sampled search evaluates a repeated draw on a small carrier only the
+    first time: it was no hit then, so it is none now, and the budget still
+    counts every draw.  When the samples are at least the number of
+    interpretations up to max_n, it first searches them exhaustively,
+    whatever the ceiling: if none is a hit, no draw can be one, and it
+    returns None without drawing; if one is, it draws and returns the first
+    drawn hit.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import pathlib
 import re
+import shlex
 import time
 
 import pytest
 
-from topkat import logic
+from topkat import decide, logic
 from topkat.cli import COMMANDS, main
 from topkat.relmodel import Relation, RelInterpretation, SearchHit
 
@@ -272,3 +274,44 @@ def test_help_and_bare_invocation(capsys, argv):
             assert re.search(rf"^  {name} +{re.escape(command.help)}$", out, re.M)
     else:
         assert code == 0 and out.startswith(f"usage: topkat {argv[0]} ")
+
+
+def test_an_unsound_witness_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(decide, "_member", lambda *args: True)  # both sides accept
+    code, out, err = run(capsys, "decide", "--tests", "", "p", "q")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal error: unsound witness '[] p []' for ")
+    assert err.count("\n") == 1
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def failing(*args):
+        raise KeyError("p")
+
+    monkeypatch.setitem(COMMANDS, "decide", dataclasses.replace(COMMANDS["decide"],
+                                                                handler=failing))
+    assert run(capsys, "decide", "p", "q") == (3, "", "error: internal error: KeyError: 'p'\n")
+
+
+def readme_examples():
+    """The `topkat` lines of README's usage block with a `# exit N` comment,
+    on the line itself or on the next, as (argv, N)."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    usage = readme.read_text(encoding="utf-8").split("## Command-line usage")[1]
+    lines = usage.split("```sh\n")[1].split("```")[0].splitlines()
+    examples = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        exit_code = re.search(r"# exit (\d)", line) or re.match(r"\s+# exit (\d)", after)
+        if line.startswith("topkat ") and exit_code:
+            examples.append((shlex.split(line, comments=True)[1:], int(exit_code[1])))
+    return examples
+
+
+@pytest.mark.parametrize("argv, exit_code", readme_examples(),
+                         ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_readme_usage_examples_exit_as_documented(capsys, argv, exit_code):
+    assert run(capsys, *argv)[0] == exit_code
+
+
+def test_readme_usage_examples_include_the_continued_search_line():
+    assert [argv[0] for argv, _ in readme_examples()] == ["decide", "leq", "search", "cod-geq"]

@@ -526,8 +526,8 @@ CONSEQUENCE = ["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c
 
 
 def test_sampled_rule_covering_the_space_draws_nothing(monkeypatch, capsys):
-    # 5967 samples cover the 4368 interpretations: the exhaustive leader
-    # pass finds no refutation, so no draw can be one
+    # 5967 samples cover the 4368 interpretations: the exhaustive pass
+    # evaluates each once and finds no refutation, so no draw can be one
     calls = []
 
     class Counting(random.Random):
@@ -537,17 +537,14 @@ def test_sampled_rule_covering_the_space_draws_nothing(monkeypatch, capsys):
 
     monkeypatch.setattr(relmodel.random, "Random", Counting)
     lanes = count_lanes(monkeypatch)
-    assert cli.main(CONSEQUENCE + ["--exhaustive"]) == 0
-    leaders = len(lanes)
-    lanes.clear()
     assert cli.main(CONSEQUENCE + ["--samples", "5967", "--seed", "120"]) == 0
     assert capsys.readouterr().out.endswith(
         "no refutation found (budget 5967 samples n<=3 seed=120)\nseed: 120\n")
-    assert calls == [] and len(lanes) == leaders < 4368
+    assert calls == [] and len(lanes) == 4368
 
 
 def test_covering_budget_is_not_held_to_the_ceiling(capsys):
-    # a billion samples over 4368 interpretations: the leader pass answers,
+    # a billion samples over 4368 interpretations: the exhaustive pass answers,
     # and the ceiling, which bounds exhaustive enumeration, is not applied
     start = time.perf_counter()
     code = cli.main(CONSEQUENCE + ["--samples", "1000000000", "--seed", "1",
@@ -560,7 +557,7 @@ def test_covering_budget_is_not_held_to_the_ceiling(capsys):
 
 
 def test_small_space_with_a_hit_reports_the_first_drawn_hit():
-    # 18 interpretations up to 2 points, 100 samples: the leader pass finds
+    # 18 interpretations up to 2 points, 100 samples: the exhaustive pass finds
     # a hit, so the draws run and report theirs, not the enumeration's first
     budget = SearchBudget(exhaustive=False, samples=100, seed=1)
     t1, t2 = parse("p p", AL_P), parse("p", AL_P)
@@ -597,9 +594,8 @@ def test_sampled_draws_on_forty_points_are_not_remembered():
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive search skips interpretations that a swap of two carrier points
-# makes smaller.  n = 3 is the first size at which the swaps are not the
-# whole symmetric group, so these tests go to n = 3.
+# Exhaustive search evaluates every interpretation in product order, in
+# aligned blocks whose lanes are built arithmetically from the block's start.
 
 AL_PB = Alphabet(("p",), ("b",))
 
@@ -664,53 +660,48 @@ def test_sampled_search_on_forty_points_matches_the_reference():
 ])
 def test_search_over_tests_or_no_primitives_matches_the_reference(kind, left, right,
                                                                   monkeypatch):
-    # n! permutations or 2^(n*n) masks at n = 13 could not be built; the
-    # n(n-1)/2 swaps and the 2^n diagonals can
-    diagonals = []
-    original = relmodel._diagonal
-    monkeypatch.setattr(relmodel, "_diagonal",
-                        lambda n, bits: diagonals.append(n) or original(n, bits))
+    # 2^(n*n) masks at n = 13 could not be built; 2^n test rows can
+    sizes = count_lanes(monkeypatch)
     t1, t2 = parse(left, AL_PB), parse(right, AL_PB)
     got = search_countermodel(kind, t1, t2, AL_PB, 13, EXHAUSTIVE)
-    # one table of 2^n diagonals per size searched when a test occurs, else none
-    last = got.interp.n if got else 13
-    tables = sum(1 << n for n in range(1, last + 1))
-    assert len(diagonals) == (tables if prune_alphabet(AL_PB, t1, t2).tests else 0)
     assert got == reference_search(kind, [], (t1, t2), AL_PB, 13, EXHAUSTIVE)
+    # every size before the hit's is evaluated whole, 2^n or one lane; each
+    # hit here is its size's first interpretation, a block of one lane
+    tests = len(prune_alphabet(AL_PB, t1, t2).tests)
+    last = got.interp.n if got else 13
+    assert [sizes.count(n) for n in range(1, last + 1)] == (
+        [1 << n * tests for n in range(1, last)] + [1 if got else 1 << last * tests])
+    assert got is None or all(rel.mask == 0 for rel in got.interp.test_map.values())
 
 
-def permuted(n, perm, mask):
-    """The relation mask with every pair (i, j) moved to (perm[i], perm[j])."""
-    return sum(1 << (perm[i] * n + perm[j]) for i in range(n) for j in range(n)
-               if mask >> (i * n + j) & 1)
-
-
-@pytest.mark.parametrize("actions, tests", [(1, 0), (1, 1), (2, 0)])
-def test_every_isomorphism_class_keeps_an_enumerated_member_below_it(actions, tests):
-    for n in (1, 2, 3):
-        spaces = ([range(1 << (n * n))] * actions
-                  + [[Relation.diagonal(n, bits).mask for bits in range(1 << n)]] * tests)
-        enumerated = list(relmodel._leaders(n, spaces))
-        kept = set(enumerated)
-        everything = list(itertools.product(*spaces))
-        assert enumerated == [x for x in everything if x in kept]  # product order
-        # each permutation as a table over all n*n-bit masks
-        tables = [[permuted(n, perm, mask) for mask in range(1 << (n * n))]
-                  for perm in itertools.permutations(range(n))]
-        for x in everything:
-            least = min(tuple(table[mask] for mask in x) for table in tables)
-            assert least in kept, (n, x)
-
-
-def test_one_action_and_one_test_evaluate_848_of_4164_interpretations(monkeypatch):
+def test_one_action_and_one_test_evaluate_each_of_4164_interpretations_once(monkeypatch):
     sizes = count_lanes(monkeypatch)
     t1, t2 = parse("b p", AL_PB), parse("p", AL_PB)
-    # the ceiling counts every interpretation, 4 + 64 + 4096, skipped or not
+    # the ceiling counts every interpretation, 4 + 64 + 4096
     with pytest.raises(ResourceLimitError, match="enumerate 4164 interpretations"):
         search_countermodel("leq", t1, t2, AL_PB, 3, SearchBudget(ceiling=4163))
     assert search_countermodel("leq", t1, t2, AL_PB, 3, SearchBudget(ceiling=4164)) is None
-    # at n = 2 the one swap is the whole group: (64 + 8 fixed) / 2 classes
-    assert [sizes.count(n) for n in (1, 2, 3)] == [4, 36, 808]
+    assert [sizes.count(n) for n in (1, 2, 3)] == [4, 64, 4096]
+
+
+@pytest.mark.parametrize("actions, tests", [(0, 0), (1, 0), (0, 2), (2, 1)])
+def test_product_blocks_unpack_to_the_product_order(actions, tests):
+    # every lane unpacked, against itertools.product with tests as bare rows;
+    # 455 lanes is the cap of a search up to 3 points
+    want = ((n, *masks) for n in (1, 2, 3) for masks in itertools.product(
+        *[range(1 << n * n)] * actions, *[range(1 << n)] * tests))
+    straddles = False
+    for block in relmodel._product_blocks(actions, tests, 3, 455):
+        [(n, positions, leaves)] = block
+        width = n * n
+        fields = [[leaf >> lane * width & (1 << width) - 1 for lane in positions]
+                  for leaf in leaves]
+        got = list(zip([n] * len(positions), *fields))
+        assert got == list(itertools.islice(want, len(got)))
+        # lane numbers wider than the last field reach into the one before it
+        straddles |= len(leaves) > 1 and len(got) > 1 << (n if tests else width)
+    assert next(want, None) is None
+    assert straddles == (actions + tests > 1)
 
 
 # ---------------------------------------------------------------------------
