@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from . import decide, domain, logic, relmodel
@@ -21,7 +21,7 @@ from .errors import InternalError, ResourceLimitError, TopkatError
 from .reduction import reduce, topkat_equivalent, topkat_leq
 from .relmodel import SearchBudget, SearchHit
 from .semantics import lang_bounded, parse_guarded_string, render_sorted
-from .syntax import Alphabet, declare_alphabet, parse, render, scan_identifiers
+from .syntax import Alphabet, Value, declare_alphabet, parse, render, scan_identifiers
 
 # A handler takes the parsed arguments, the alphabet and the parsed terms,
 # and returns the human-readable lines, the JSON payload and the exit code.
@@ -250,17 +250,16 @@ SEARCH_ARGS = (
 )
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Value):
     """One subcommand: `main` reads its term texts with `read`, checking
     there are `terms` of them (None: the handler checks), parses them and
     passes them to `handler`; `args` follow the common flags."""
 
-    help: str
-    handler: Callable[..., Output]
-    terms: int | None = 2
-    args: tuple = TERM_ARGS
-    read: Callable[..., list[str]] = _read_terms
+    __slots__ = ("help", "handler", "terms", "args", "read")
+
+    def __init__(self, help: str, handler: Callable[..., Output], terms: int | None = 2,
+                 args: tuple = TERM_ARGS, read: Callable[..., list[str]] = _read_terms) -> None:
+        super().__init__(help, handler, terms, args, read)
 
 
 COMMANDS: dict[str, Command] = {
@@ -343,11 +342,16 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault in topkat itself: no verdict was computed
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps({"v": 1, **payload}))
-    else:
-        for line in human:
+    lines = [json.dumps({"v": 1, **payload})] if args.json else human
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early: the verdict's code stands, and
+        # the flush at exit writes to /dev/null instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -14,28 +14,25 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InternalError, TopNotAllowedError
 from .semantics import Atom, GuardedString, all_atoms
 from .syntax import (
-    Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Zero, ZERO,
+    Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Value, Zero, ZERO,
     check_over, contains_top, postorder, prune_alphabet,
 )
 
 
-@dataclass(frozen=True)
-class Equivalent:
-    pass
+class Equivalent(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A guarded string accepted by exactly one of the compared terms."""
+class Witness(Value):
+    """A guarded string accepted by exactly one of the compared terms, the
+    "left" or the "right" one, as `side` says."""
 
-    string: GuardedString
-    side: str  # "left" | "right"
+    __slots__ = ("string", "side")
 
 
 Verdict = Union[Equivalent, Witness]

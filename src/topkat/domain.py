@@ -9,7 +9,6 @@ countermodel is verified by relational evaluation before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .decide import Equivalent
@@ -17,28 +16,22 @@ from .errors import InternalError, TopNotAllowedError
 from .reduction import TOP_ACTION, topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
 from .semantics import GuardedString
-from .syntax import Alphabet, Dot, Term, TOP, contains_top, prune_alphabet
+from .syntax import Alphabet, Dot, Term, TOP, Value, contains_top, prune_alphabet
 
 
-@dataclass(frozen=True)
-class Provable:
-    pass
+class Provable(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RelCountermodel:
+class RelCountermodel(Value):
     """A finite relational interpretation refuting the comparison.
 
     Carrier elements are guarded strings; `carrier[i]` labels the numeric
-    element i of `interp`.  The violating point lies in exactly one side's
-    (co)domain, and `witness` is the underlying language-level witness.
+    element i of `interp`.  The violating point lies in the `side` term's
+    (co)domain only, and `witness` is the underlying language-level witness.
     """
 
-    interp: RelInterpretation
-    carrier: tuple[GuardedString, ...]
-    violating_point: GuardedString
-    witness: GuardedString
-    side: str  # which compared term's (co)domain contains the point
+    __slots__ = ("interp", "carrier", "violating_point", "witness", "side")
 
     @property
     def violating_index(self) -> int:

@@ -10,26 +10,23 @@ The printed-direction encoding T (b p) <= T c is available behind a flag.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .decide import Verdict, equivalent
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
-from .relmodel import SearchBudget, SearchHit, falsify_implication
-from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, ZERO, contains_top, is_test_only
+from .relmodel import SearchBudget, falsify_implication
+from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO, contains_top, is_test_only
 
 DIRECTIONS = ("under", "as-printed")
 
 
-@dataclass(frozen=True)
-class Triple:
-    kind: str  # "hoare" | "incorrectness"
-    pre: Term
-    prog: Term
-    post: Term
+class Triple(Value):
+    """A "hoare" or "incorrectness" triple (`kind`): test, program, test."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("kind", "pre", "prog", "post")
+
+    def _check(self) -> None:
         if self.kind not in ("hoare", "incorrectness"):
             raise ValueError(f"unknown triple kind {self.kind!r}")
         for side, t in (("precondition", self.pre), ("postcondition", self.post)):
@@ -39,20 +36,16 @@ class Triple:
             raise TopNotAllowedError("triple programs must be top-free")
 
 
-@dataclass(frozen=True)
-class EncodedEquation:
+class EncodedEquation(Value):
     """Decide with `equivalent(left, right)`."""
 
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class EncodedInequality:
+class EncodedInequality(Value):
     """Decide with `topkat_leq(smaller, larger)`."""
 
-    smaller: Term
-    larger: Term
+    __slots__ = ("smaller", "larger")
 
 
 def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedInequality:
@@ -63,8 +56,8 @@ def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedIne
     reach = Dot(TOP, Dot(tr.pre, tr.prog))
     claim = Dot(TOP, tr.post)
     if direction == "under":
-        return EncodedInequality(smaller=claim, larger=reach)
-    return EncodedInequality(smaller=reach, larger=claim)
+        return EncodedInequality(claim, reach)
+    return EncodedInequality(reach, claim)
 
 
 def check_triple(tr: Triple, alphabet: Alphabet,
@@ -91,15 +84,10 @@ RULES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(Value):
     """One-sided refutation outcome: absence of a hit proves nothing."""
 
-    rule: str
-    hyps: tuple[tuple[Term, Term], ...]
-    goal: tuple[Term, Term]
-    hit: SearchHit | None
-    budget: str
+    __slots__ = ("rule", "hyps", "goal", "hit", "budget")
 
     @property
     def refuted(self) -> bool:

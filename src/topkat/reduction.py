@@ -8,23 +8,21 @@ re-interpreting the reserved action as T.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .decide import Verdict, equivalent, leq
 from .syntax import (
-    Act, Alphabet, Plus, Star, Term, TOP, Top,
+    Act, Alphabet, Plus, Star, Term, TOP, Top, Value,
     check_over, prune_alphabet, rebuild,
 )
 
 TOP_ACTION = "__top__"
 
-@dataclass(frozen=True)
-class ExtendedAlphabet:
+class ExtendedAlphabet(Value):
     """A base alphabet plus the reserved action TOP_ACTION standing in for T."""
 
-    base: Alphabet
+    __slots__ = ("base",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if TOP_ACTION in self.base.actions or TOP_ACTION in self.base.tests:
             raise ValueError(f"{TOP_ACTION!r} must not be declared in the base alphabet")
 

@@ -17,26 +17,23 @@ import functools
 import itertools
 import random
 import re
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ResourceLimitError, UndeclaredIdentifierError
 from .syntax import (
-    ONE, TOP, ZERO, Act, Alphabet, Dot, Plus, Star, Term, Test, contains_top,
+    ONE, TOP, ZERO, Act, Alphabet, Dot, Plus, Star, Term, Test, Value, contains_top,
     postorder, prune_alphabet,
 )
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """A relation over {0..n-1}; bit i*n+j set iff (i,j) is related.  Searches
     work on bare masks; `evaluate` of 0, 1, T, p + q, p q and p* gives the
     empty, identity, complete, union, composite and star relations."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n < 0:
             raise ValueError("carrier size must be >= 0")
         if self.mask < 0 or self.mask >= 1 << (self.n * self.n):
@@ -71,15 +68,12 @@ class Relation:
         return frozenset(j for _, j in self.pairs)
 
 
-@dataclass(frozen=True)
-class RelInterpretation:
+class RelInterpretation(Value):
     """Relations for every primitive; test relations are sub-identity."""
 
-    n: int
-    action_map: Mapping[str, Relation]
-    test_map: Mapping[str, Relation]
+    __slots__ = ("n", "action_map", "test_map")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for rel in list(self.action_map.values()) + list(self.test_map.values()):
             if rel.n != self.n:
                 raise ValueError("relation carrier size mismatch")
@@ -210,17 +204,17 @@ ENUM_CEILING = 10_000_000
 KINDS = ("equality", "leq", "dom_geq", "cod_geq")
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Value):
     """Either exhaustive enumeration up to max_n, refused when it would
     enumerate more than `ceiling` interpretations, or seeded sampling."""
 
-    exhaustive: bool = True
-    samples: int | None = None
-    seed: int | None = None
-    ceiling: int = ENUM_CEILING
+    __slots__ = ("exhaustive", "samples", "seed", "ceiling")
 
-    def __post_init__(self) -> None:
+    def __init__(self, exhaustive: bool = True, samples: int | None = None,
+                 seed: int | None = None, ceiling: int = ENUM_CEILING) -> None:
+        super().__init__(exhaustive, samples, seed, ceiling)
+
+    def _check(self) -> None:
         if not self.exhaustive and (self.samples is None or self.seed is None):
             raise ValueError("random search needs both samples and seed")
         if self.samples is not None and self.samples < 1:
@@ -234,14 +228,10 @@ class SearchBudget:
         return f"{self.samples} samples n<={max_n} seed={self.seed}"
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(Value):
     """A verified violating interpretation, plus what it violates."""
 
-    interp: RelInterpretation
-    kind: str
-    violating_pair: tuple[int, int] | None = None
-    violating_point: int | None = None
+    __slots__ = ("interp", "kind", "violating_pair", "violating_point")
 
 
 def _violation(kind: str, n: int, r1: int, r2: int) -> tuple | None:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
-    Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Zero,
+    Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Value, Zero,
     check_over, contains_top, is_test_only, postorder,
 )
 
@@ -46,14 +45,12 @@ class Atom(Interned):
         return "[" + "&".join(lits) + "]"
 
 
-@dataclass(frozen=True)
-class GuardedString:
+class GuardedString(Value):
     """Alternating atoms and actions: atoms[0] acts[0] atoms[1] ... atoms[-1]."""
 
-    atoms: tuple[Atom, ...]
-    acts: tuple[str, ...]
+    __slots__ = ("atoms", "acts")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.atoms) != len(self.acts) + 1:
             raise ValueError("need exactly one more atom than actions")
 

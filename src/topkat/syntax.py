@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
 from typing import Callable
 from weakref import KeyedRef
 
@@ -44,8 +43,65 @@ def _bit(name: str) -> int:
     return bit
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """An immutable value.  A subclass lists its fields in `__slots__`,
+    which are also its `__match_args__`.  A value is built from its fields
+    in that order, the trailing ones also by name; `_check` then validates
+    it and fills in what is derived from its fields, in the slots of a base
+    class.  Two values are equal when their classes and fields are;
+    pickling and copying rebuild a value from its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *fields, **named) -> None:
+        names = self.__slots__
+        if named:
+            try:
+                fields += tuple(map(named.pop, names[len(fields):]))
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__} misses field {exc}") from None
+            if named:
+                raise TypeError(f"{type(self).__name__} has no further field {min(named)!r}")
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, "
+                            f"got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._fields()))
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Masks(Value):  # an alphabet's derived facts: not fields, so not compared
+    __slots__ = ("act_mask", "test_mask", "_sorts")
+
+
+class Alphabet(_Masks):
     """Declared primitive actions and tests; order is fixed and canonical.
 
     The declared order drives atom bit layout, canonical sums and witness
@@ -54,13 +110,9 @@ class Alphabet:
     tests, to compare with a term's `acts` and `tests`.
     """
 
-    actions: tuple[str, ...] = ()
-    tests: tuple[str, ...] = ()
-    act_mask: int = field(init=False, repr=False, compare=False)
-    test_mask: int = field(init=False, repr=False, compare=False)
-    _sorts: dict[str, str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("actions", "tests")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in self.actions + self.tests:
             if not IDENT_RE.fullmatch(name) or name == "T":
                 raise ValueError(f"invalid identifier {name!r}")
@@ -68,13 +120,10 @@ class Alphabet:
         sorts.update(dict.fromkeys(self.tests, "test"))
         if len(sorts) != len(self.actions) + len(self.tests):
             raise ValueError("actions and tests must be disjoint and duplicate-free")
-        with _INTERN_LOCK:
+        with _INTERN_LOCK:  # unlike an Interned value's, this check runs unlocked
             object.__setattr__(self, "act_mask", sum(map(_bit, self.actions)))
             object.__setattr__(self, "test_mask", sum(map(_bit, self.tests)))
         object.__setattr__(self, "_sorts", sorts)
-
-    def __reduce__(self):  # masks are numbered per process: rebuild them
-        return type(self), (self.actions, self.tests)
 
     def sort_of(self, name: str) -> str | None:
         return self._sorts.get(name)
@@ -108,19 +157,18 @@ def _forget(ref: KeyedRef, _table=_INTERNED, _remove=_remove_dead_weakref) -> No
     _remove(_table, ref.key)
 
 
-class Interned:
-    """A hash-consed immutable value: one live object per class and field
-    values, so equality and hashing are object identity.  The intern table
-    holds weak references, so a value lives as long as its users do.  A
-    subclass lists its fields in `__slots__`, which are also its
-    `__match_args__`, and may override `_check`, which validates a value,
-    and fills in what is derived from its fields, when the value is first
-    built (under `_INTERN_LOCK`)."""
+class Interned(Value):
+    """A hash-consed value: one live object per class and field values, so
+    equality and hashing are object identity.  The intern table holds weak
+    references, so a value lives as long as its users do, and pickling and
+    copying give back the interned object.  `_check` runs once per object,
+    when it is first built, under `_INTERN_LOCK`."""
 
     __slots__ = ("__weakref__",)
-
-    def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
+    # object's C slots: identity, and no Python-level __init__ on every lookup
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -132,26 +180,9 @@ class Interned:
                 node = ref() if ref is not None else None
                 if node is None:
                     node = object.__new__(cls)
-                    for name, value in zip(cls.__slots__, fields, strict=True):
-                        object.__setattr__(node, name, value)
-                    node._check()
+                    Value.__init__(node, *fields)
                     _INTERNED[key] = KeyedRef(node, _forget, key)
         return node
-
-    def _check(self) -> None:
-        pass
-
-    def __setattr__(self, *_) -> None:
-        raise AttributeError(f"{type(self).__name__} values are immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # pickling and copying give back the interned object
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class Term(Interned):

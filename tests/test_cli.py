@@ -1,14 +1,16 @@
-import dataclasses
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
 
 from topkat import decide, logic
-from topkat.cli import COMMANDS, main
+from topkat.cli import COMMANDS, Command, main
 from topkat.relmodel import Relation, RelInterpretation, SearchHit
 
 
@@ -201,7 +203,7 @@ def test_rule_json_without_refutation(capsys):
 REFUTING_HIT = SearchHit(
     RelInterpretation(2, {"p": Relation.from_pairs(2, [(0, 1)])},
                       {"b": Relation.from_pairs(2, [(0, 0)]), "c": Relation(2, 0)}),
-    "cod_geq", violating_point=1)
+    "cod_geq", None, 1)
 REFUTED_MODEL = ('"countermodel": {"carrier": ["0", "1"], "relations": '
                  '{"p": [[0, 1]], "b": [[0, 0]], "c": []}, "violating_point": "1"}')
 REFUTED_HUMAN = ("refuted\ncarrier:\n  0 = 0\n  1 = 1\nrelations:\n  p = {(0,1)}\n"
@@ -210,8 +212,13 @@ REFUTED_HUMAN = ("refuted\ncarrier:\n  0 = 0\n  1 = 1\nrelations:\n  p = {(0,1)}
 
 def test_rule_refuted_output(capsys, monkeypatch):
     real = logic.check_rule_instance
-    monkeypatch.setattr(logic, "check_rule_instance",
-                        lambda *args: dataclasses.replace(real(*args), hit=REFUTING_HIT))
+
+    def refuted(*args):
+        report = real(*args)
+        return logic.RuleReport(report.rule, report.hyps, report.goal, REFUTING_HIT,
+                                report.budget)
+
+    monkeypatch.setattr(logic, "check_rule_instance", refuted)
     rule = ("rule", "choice", "b", "c", "p", "p", "--tests", "b,c")
     code, out, _ = run(capsys, *rule, "--exhaustive", "--json")
     assert code == 1
@@ -288,9 +295,34 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     def failing(*args):
         raise KeyError("p")
 
-    monkeypatch.setitem(COMMANDS, "decide", dataclasses.replace(COMMANDS["decide"],
-                                                                handler=failing))
+    decide_command = COMMANDS["decide"]
+    monkeypatch.setitem(COMMANDS, "decide", Command(decide_command.help, failing,
+                                                    decide_command.terms, decide_command.args,
+                                                    decide_command.read))
     assert run(capsys, "decide", "p", "q") == (3, "", "error: internal error: KeyError: 'p'\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, lines, exit_code", [
+    (["lang", "--tests", "b,c", "--max-actions", "4", "(p+q)*"], 1, 0),  # about 700 kB
+    (["decide", "p", "q"], 0, 1),
+], ids=["lang-reads-one-line", "decide-reads-none"])
+def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, lines, exit_code, unbuffered):
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(pathlib.Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "topkat", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        for _ in range(lines):
+            assert child.stdout.readline().startswith(b"[")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert (child.returncode, err) == (exit_code, b"")
 
 
 def readme_examples():

@@ -253,10 +253,10 @@ def test_falsify_implication_unsatisfiable_hypothesis():
 def test_exhaustive_search_without_a_hit_builds_no_relation(monkeypatch):
     built = []
     for cls in (Relation, RelInterpretation):
-        def counting(self, original=cls.__post_init__, name=cls.__name__):
+        def counting(self, original=cls._check, name=cls.__name__):
             built.append(name)
             original(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "_check", counting)
     assert search_countermodel("leq", parse("p", AL_PQ), parse("p T p", AL_PQ),
                                AL_PQ, 2, EXHAUSTIVE) is None
     assert built == []
