@@ -321,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         top = build_parser().parse_args(argv)
         # terms may come before, between or after the flags
         args = _command_parser(top.command).parse_intermixed_args(top.args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # usage or help text, already written
+        return _written([], exc.code if isinstance(exc.code, int) else 2)
     command = COMMANDS[top.command]
     try:
         texts = command.read(args, command.terms)
@@ -342,13 +342,17 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault in topkat itself: no verdict was computed
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    lines = [json.dumps({"v": 1, **payload})] if args.json else human
+    return _written([json.dumps({"v": 1, **payload})] if args.json else human, code)
+
+
+def _written(lines: list[str], code: int) -> int:
+    """code, once lines and whatever stdout holds are written."""
     try:
         for line in lines:
             print(line)
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader left early: the verdict's code stands, and
-        # the flush at exit writes to /dev/null instead of failing again
+    except BrokenPipeError:  # the reader left early: the code stands, and the
+        # flush at exit writes to /dev/null instead of failing again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

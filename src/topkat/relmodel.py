@@ -14,7 +14,6 @@ absence of one proves nothing beyond the explored budget.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import re
 from typing import Sequence
@@ -201,6 +200,10 @@ def evaluate(t: Term, interp: RelInterpretation) -> Relation:
 
 ENUM_CEILING = 10_000_000
 
+# Any search refuses a max_n whose relations have more bits than this: a
+# block of one lane at 1024 points holds 128 KiB per primitive and slot.
+RELATION_CAP = 1 << 20
+
 KINDS = ("equality", "leq", "dom_geq", "cod_geq")
 
 
@@ -305,12 +308,19 @@ def _lane_fields(n: int, lanes: int, fields: tuple[tuple[int, int], ...]) -> lis
             for shift, w in fields]
 
 
-def _product_blocks(actions: int, tests: int, max_n: int, cap: int):
+# A block holds at most as many lanes of its largest size as fit in
+# _BLOCK_BITS (at least one): an early hit stays cheap, and no block is
+# wider than _BLOCK_BITS or than one lane.
+_BLOCK_BITS = 4096
+
+
+def _product_blocks(actions: int, tests: int, sizes: Sequence[int]):
     """Exhaustive mode's blocks, one group each: every interpretation of
-    each size in turn, in numbering order, the lanes of a block 1, 1, 2, 4,
-    ... up to `cap` rounded down to a power of two."""
-    cap = 1 << cap.bit_length() - 1
-    for n in range(1, max_n + 1):
+    each of `sizes` in turn, in numbering order, the lanes of a block 1, 1,
+    2, 4, ... up to as many as fit in _BLOCK_BITS, rounded down to a power
+    of two."""
+    for n in sizes:
+        cap = 1 << max(1, _BLOCK_BITS // (n * n)).bit_length() - 1
         widths = (n * n,) * actions + (n,) * tests
         fields = tuple((sum(widths[k + 1:]), w) for k, w in enumerate(widths))
         start, end = 0, 1 << sum(widths)
@@ -323,72 +333,48 @@ def _product_blocks(actions: int, tests: int, max_n: int, cap: int):
             start += lanes
 
 
-# Sampled mode remembers the draws of a size only if n and its fields pack
-# into _MEMO_BITS bits.  Field widths rise with n, so a search holds fewer
-# than 2^_MEMO_BITS short keys whatever its budget.  The sizes this keeps
-# have draw spaces small enough to repeat within a few thousand samples;
-# at wider sizes repeats are rare, and remembering them would hold one
-# wide key per draw.
-_MEMO_BITS = 18
-
-
-def _distinct_draws(seed: int, samples: int, max_n: int, actions: int, tests: int):
-    """Sampled mode's seeded draws, in order, less the repeats of remembered
-    draws: n = randint(1, max_n), then n*n bits per action and n bits per
-    test, each a bare field (a test's is not yet a diagonal).
+def _draw_blocks(seed: int, samples: int, max_n: int, actions: int, tests: int,
+                 skip: set[int]):
+    """Sampled mode's `samples` seeded draws in blocks of 1, 2, 4, ... draws,
+    up to as many max_n-point lanes as fit in _BLOCK_BITS: each size's
+    draws side by side, with their places in the block.  A draw is n =
+    randint(1, max_n), then n*n bits per action and n bits per test, each a
+    bare field (a test's is not yet a diagonal).  The draws of the sizes in
+    `skip` are made, so the stream goes on as before, and left out.
 
     n is drawn the way CPython's `randint` (through `randrange` and
     `_randbelow_with_getrandbits`) draws it: getrandbits(k) for k =
     max_n.bit_length(), again while that is max_n or more, plus 1.  So the
     generator makes the same calls and gets the same draws, without three
-    Python frames per draw.
-
-    Each size has its own memo, keyed by its fields: as bytes when each
-    field fits in one, else as a tuple.  Either way equal keys are equal
-    draws.  A size is remembered only if n and its fields pack into
-    _MEMO_BITS bits; that is known per size before drawing.
+    Python frames per draw.  getrandbits(k) takes k/32 words of 32 bits
+    from the stream, rounded up, so a skipped draw's fields are taken by
+    one call for all their words.
     """
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(seed).getrandbits
     k = max_n.bit_length()
     sizes = []
     for n in range(1, max_n + 1):
         widths = [n * n] * actions + [n] * tests
-        memo = set() if n.bit_length() + sum(widths) <= _MEMO_BITS else None
-        sizes.append((n, widths, memo, bytes if max(widths, default=0) <= 8 else tuple))
-    for _ in range(samples):
-        r = getrandbits(k)
-        while r >= max_n:
-            r = getrandbits(k)
-        n, widths, memo, key_of = sizes[r]
-        fields = list(map(getrandbits, widths))
-        if memo is not None:
-            key = key_of(fields)
-            if key in memo:
-                continue
-            memo.add(key)
-        yield n, fields
-
-
-def _draw_blocks(draws, cap: int):
-    """Sampled mode's blocks of 1, 2, 4, ... draws, up to `cap`: each
-    size's draws side by side, with their places in the block."""
-    size = 1
-    while block := list(itertools.islice(draws, size)):
+        sizes.append((n, widths, 32 * sum(-(-w // 32) for w in widths) if n in skip else None))
+    size, cap = 1, max(1, _BLOCK_BITS // (max_n * max_n))
+    while samples:
+        count = min(size, samples)
+        samples -= count
         size = min(2 * size, cap)
         groups: dict[int, tuple[list[int], list]] = {}  # n: its places and fields
-        for position, (n, fields) in enumerate(block):
+        for position in range(count):
+            r = getrandbits(k)
+            while r >= max_n:
+                r = getrandbits(k)
+            n, widths, skipped = sizes[r]
+            if skipped is not None:
+                getrandbits(skipped)
+                continue
             positions, members = groups.setdefault(n, ([], []))
             positions.append(position)
-            members.append(fields)
+            members.append(list(map(getrandbits, widths)))
         yield [(n, positions, [_pack(n * n, column) for column in zip(*members)])
                for n, (positions, members) in groups.items()]
-
-
-# A block holds at most as many lanes of the largest size as fit in
-# _BLOCK_BITS (at least one): an early hit stays cheap, and no block is
-# wider than _BLOCK_BITS or than one lane.
-_BLOCK_BITS = 4096
 
 
 def _scan(kind: str, program: list[tuple[type, int, int]], checks: Sequence[tuple[int, int]],
@@ -432,16 +418,14 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     violating pair or point is `_violation`'s reading of its lane.
 
     Exhaustive mode evaluates every interpretation, in product order.
-    Sampled mode first runs that exhaustive pass when the whole space, S
-    interpretations, is no larger than the budget's samples.  The ceiling
-    does not apply to it: it evaluates at most S interpretations, no more
-    than the draws would.  If none is a hit, no draw can be: the answer is
-    None, and nothing is drawn.  If one is, or the space is larger, the
-    draws run, so the hit reported is the first drawn hit.  They skip what
-    `_distinct_draws` skips.  A repeated draw comes after its first draw,
-    which is evaluated, in the same block or an earlier one; evaluation is
-    deterministic, so were the repeat a hit, its first draw would be an
-    earlier hit.  The first hit is never skipped.
+    Sampled mode first searches whole each carrier size n such that sizes
+    1..n have at most `samples` interpretations in all, in product order,
+    up to that size's first hit.  The ceiling does not apply: this
+    evaluates no more interpretations than the draws would.  A size with
+    no hit holds no drawn hit, so its draws are made, to keep the stream,
+    and skipped.  If every size is skipped the answer is None, and nothing
+    is drawn.  Otherwise the draws run, and every draw of a size not
+    skipped is evaluated, so the hit reported is the first drawn hit.
     """
     every = [t for pair in [*hyps, goal] for t in pair]
     pruned = prune_alphabet(alphabet, *every)
@@ -449,19 +433,25 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     counts = len(actions), len(tests)
     if budget.exhaustive:
         _check_ceiling(*counts, max_n, budget.ceiling)
+    if max_n * max_n > RELATION_CAP:
+        raise ResourceLimitError(f"a relation on {max_n} points has {max_n * max_n} bits, "
+                                 f"over the cap of {RELATION_CAP}")
     program, slot = _compile(postorder(*every), actions, tests)
     # both sources hold each test as its bare row
     scan = functools.partial(_scan, kind, program, [(slot[a], slot[b]) for a, b in hyps],
                              (slot[goal[0]], slot[goal[1]]), range(counts[0], sum(counts)))
-    cap = max(1, _BLOCK_BITS // (max_n * max_n))
-    whole = budget.exhaustive
-    if not whole:
-        total = _interpretations(*counts, max_n, budget.samples.bit_length())
-        whole = total is not None and total <= budget.samples
-    found = scan(_product_blocks(*counts, max_n, cap)) if whole else None
-    if not budget.exhaustive and (found is not None or not whole):
-        found = scan(_draw_blocks(
-            _distinct_draws(budget.seed, budget.samples, max_n, *counts), cap))
+    if budget.exhaustive:
+        found = scan(_product_blocks(*counts, range(1, max_n + 1)))
+    else:
+        skip = set()
+        for n in range(1, max_n + 1):
+            total = _interpretations(*counts, n, budget.samples.bit_length())
+            if total is None or total > budget.samples:
+                break
+            if scan(_product_blocks(*counts, [n])) is None:
+                skip.add(n)
+        found = None if len(skip) == max_n else scan(_draw_blocks(
+            budget.seed, budget.samples, max_n, *counts, skip))
     if found is None:
         return None
     n, lane, values = found
@@ -481,13 +471,14 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
     Enumeration order is fixed (carrier size, then actions in declared
     order, then tests, each mask ascending), so "first" is deterministic.
     Exhaustive search evaluates every interpretation in that order.
-    Sampled search evaluates a repeated draw on a small carrier only the
-    first time: it was no hit then, so it is none now, and the budget still
-    counts every draw.  When the samples are at least the number of
-    interpretations up to max_n, it first searches them exhaustively,
-    whatever the ceiling: if none is a hit, no draw can be one, and it
-    returns None without drawing; if one is, it draws and returns the first
-    drawn hit.
+    Sampled search first searches whole, whatever the ceiling, each
+    carrier size whose interpretations, with those of the smaller sizes,
+    are no more than the samples.  A size where none is a hit can hold no
+    drawn hit: its draws still count against the budget, but are not
+    evaluated, and when every size is such a size the answer is None
+    without drawing.  Otherwise it returns the first drawn hit.  Either
+    mode refuses, with ResourceLimitError, a max_n whose relations would
+    have more than RELATION_CAP bits.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")

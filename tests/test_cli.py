@@ -306,7 +306,9 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, lines, exit_code", [
     (["lang", "--tests", "b,c", "--max-actions", "4", "(p+q)*"], 1, 0),  # about 700 kB
     (["decide", "p", "q"], 0, 1),
-], ids=["lang-reads-one-line", "decide-reads-none"])
+    (["--help"], 0, 0),  # argparse's exits are flushed under the same guard
+    (["decide", "--help"], 0, 0),
+], ids=["lang-reads-one-line", "decide-reads-none", "help-reads-none", "decide-help-reads-none"])
 def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, lines, exit_code, unbuffered):
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [

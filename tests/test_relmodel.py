@@ -221,6 +221,36 @@ def test_exhaustive_ceiling():
                             wide, 3, SearchBudget(exhaustive=True, ceiling=10_000))
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--kind", "leq", "--samples", "1", "--seed", "1", "p", "q"],
+    ["search", "--kind", "leq", "--exhaustive", "0", "1"],  # one model per size: no ceiling
+    ["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
+     "--samples", "1", "--seed", "1"],
+], ids=["sampled", "exhaustive-without-primitives", "rule"])
+def test_a_search_past_the_relation_cap_is_refused_up_front(argv, capsys):
+    # a relation on a million points would have 10^12 bits
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = cli.main(argv + ["--max-states", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 1_000_000
+    assert (code, capsys.readouterr()) == (3, ("", (
+        "error: a relation on 1000000 points has 1000000000000 bits, "
+        "over the cap of 1048576\n")))
+
+
+def test_the_relation_cap_admits_1024_points():
+    assert relmodel.RELATION_CAP == 1024 * 1024
+    budget = SearchBudget(exhaustive=False, samples=1, seed=1)
+    t1, t2 = parse("p", AL_PQ), parse("p + q", AL_PQ)
+    assert search_countermodel("leq", t1, t2, AL_PQ, 1024, budget) is None
+    with pytest.raises(ResourceLimitError, match="1025 points has 1050625 bits"):
+        search_countermodel("leq", t1, t2, AL_PQ, 1025, budget)
+
+
 def test_test_relations_must_be_sub_identity():
     with pytest.raises(ValueError):
         RelInterpretation(2, {}, {"b": Relation.from_pairs(2, [(0, 1)])})
@@ -401,9 +431,10 @@ def test_falsify_implication_matches_the_reference_search(max_n, budget):
 
 
 # ---------------------------------------------------------------------------
-# Sampled search evaluates each distinct draw once.  Over tests only and a
-# few points, draws repeat heavily: each budget below draws at least ten
-# times as many samples as there are interpretations.
+# Sampled search searches small carrier sizes whole and skips the draws of
+# those without a hit.  Over tests only and a few points, draws repeat
+# heavily: each budget below draws at least ten times as many samples as
+# there are interpretations.
 
 TESTS_ONLY = [  # (alphabet, max_n, samples): interpretations sum 2^(n * tests)
     (Alphabet((), ("b", "c")), 3, 900),  # 4 + 16 + 64 = 84
@@ -494,31 +525,34 @@ def count_lanes(monkeypatch):
     return sizes
 
 
-def test_sampled_rule_evaluates_each_distinct_draw_once(monkeypatch, capsys):
-    # 4000 samples fall short of the 16 + 256 + 4096 interpretations, so
-    # the draws run
+def test_sampled_rule_skips_the_draws_of_hitless_sizes(monkeypatch, capsys):
+    # 4000 samples cover the 16 + 256 interpretations of 1 and 2 points, not
+    # the 4096 of 3: the two small sizes are searched whole, hold no
+    # refutation and cost none of their draws; every 3-point draw is
+    # evaluated, repeats included
     lanes = count_lanes(monkeypatch)
     code = cli.main(["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
                      "--samples", "4000", "--seed", "120", "--max-states", "3"])
     assert (code, capsys.readouterr().out) == (
         0, "no refutation found (budget 4000 samples n<=3 seed=120)\nseed: 120\n")
     budget = SearchBudget(exhaustive=False, samples=4000, seed=120)
-    distinct = set(replayed_draws(Alphabet((), ("a", "b", "c", "d")), 3, budget))
-    assert len(lanes) == len(distinct) < 4000
+    three = [draw for draw in replayed_draws(Alphabet((), ("a", "b", "c", "d")), 3, budget)
+             if draw[0] == 3]
+    assert lanes == [1] * 16 + [2] * 256 + [3] * len(three)
+    assert len(set(three)) < len(three)
 
 
-def test_sampled_search_with_nine_bit_fields_evaluates_each_distinct_draw_once(monkeypatch):
-    # one action and one test up to 3 points: 4164 interpretations, more
-    # than the samples; a 3-point draw's action field does not fit in a
-    # byte, and that size is remembered too
+def test_sampled_search_with_nine_bit_fields_skips_the_draws_of_hitless_sizes(monkeypatch):
+    # one action and one test: 4 + 64 interpretations of 1 and 2 points,
+    # within the samples, and 4096 of 3, beyond them; a 3-point draw's
+    # action field does not fit in a byte
     budget = SearchBudget(exhaustive=False, samples=3000, seed=3)
     lanes = count_lanes(monkeypatch)
     t1, t2 = parse("(p b)*", AL_PB), parse("1 + p b (p b)*", AL_PB)
     assert search_countermodel("equality", t1, t2, AL_PB, 3, budget) is None
-    draws = replayed_draws(AL_PB, 3, budget)
-    three = {draw for draw in draws if draw[0] == 3}
-    assert len(lanes) == len(set(draws)) and lanes.count(3) == len(three)
-    assert len(three) < sum(draw[0] == 3 for draw in draws)
+    three = [draw for draw in replayed_draws(AL_PB, 3, budget) if draw[0] == 3]
+    assert lanes == [1] * 4 + [2] * 64 + [3] * len(three)
+    assert len(set(three)) < len(three)
 
 
 CONSEQUENCE = ["rule", "consequence", "a", "b", "c", "d", "a", "--tests", "a,b,c,d",
@@ -567,30 +601,52 @@ def test_small_space_with_a_hit_reports_the_first_drawn_hit():
     assert draw_of(got, AL_P) == (2, 7) and draw_of(first, AL_P) == (2, 6)
 
 
+def unpacked(blocks):
+    """The draws in `_draw_blocks`' blocks, in order, as (n, fields) pairs;
+    no group is wider than _BLOCK_BITS or than one lane."""
+    draws = []
+    for block in blocks:
+        placed = {}
+        for n, positions, leaves in block:
+            width = n * n
+            assert len(positions) * width <= max(relmodel._BLOCK_BITS, width)
+            for lane, position in enumerate(positions):
+                placed[position] = (n, [leaf >> lane * width & (1 << width) - 1
+                                        for leaf in leaves])
+        draws += [placed[position] for position in sorted(placed)]
+    return draws
+
+
 @pytest.mark.parametrize("max_n", range(1, 9))
-def test_draws_replay_randint_exactly(max_n, monkeypatch):
-    # with nothing remembered every draw is yielded; n is drawn without
-    # randint, and at max_n = 1 it still consumes a bit per draw
-    monkeypatch.setattr(relmodel, "_MEMO_BITS", 0)
+def test_draws_replay_randint_exactly(max_n):
+    # n is drawn without randint, and at max_n = 1 it still consumes a bit
+    # per draw; a skipped size's fields, over 32 bits each from n = 6, are
+    # consumed by one call as wide as the words they use
     for seed, (actions, tests) in itertools.product(range(-5, 60), [(1, 0), (0, 2), (2, 1)]):
+        skip = {n for n in range(1, max_n + 1) if (seed + n) % 3 == 0}
         rng = random.Random(seed)
         want = []
         for _ in range(20):
             n = rng.randint(1, max_n)
             fields = [rng.getrandbits(n * n) for _ in range(actions)]
-            want.append((n, fields + [rng.getrandbits(n) for _ in range(tests)]))
-        assert list(relmodel._distinct_draws(seed, 20, max_n, actions, tests)) == want
+            fields += [rng.getrandbits(n) for _ in range(tests)]
+            if n not in skip:
+                want.append((n, fields))
+        got = unpacked(relmodel._draw_blocks(seed, 20, max_n, actions, tests, skip))
+        assert got == want
 
 
 def test_sampled_draws_on_forty_points_are_not_remembered():
-    # 2000 remembered draws of up to 40 points would hold over 200 kB of keys
+    # every one of 2000 draws of up to 40 points is yielded, in blocks of at
+    # most two, and none is kept
     tracemalloc.start()
     try:
-        draws = sum(1 for _ in relmodel._distinct_draws(7, 2000, 40, 1, 1))
+        draws = sum(len(positions) for block in relmodel._draw_blocks(7, 2000, 40, 1, 1, set())
+                    for _, positions, _ in block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert draws > 1900 and peak < 50_000
+    assert draws == 2000 and peak < 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +742,14 @@ def test_one_action_and_one_test_evaluate_each_of_4164_interpretations_once(monk
 
 @pytest.mark.parametrize("actions, tests", [(0, 0), (1, 0), (0, 2), (2, 1)])
 def test_product_blocks_unpack_to_the_product_order(actions, tests):
-    # every lane unpacked, against itertools.product with tests as bare rows;
-    # 455 lanes is the cap of a search up to 3 points
+    # every lane unpacked, against itertools.product with tests as bare rows
     want = ((n, *masks) for n in (1, 2, 3) for masks in itertools.product(
         *[range(1 << n * n)] * actions, *[range(1 << n)] * tests))
     straddles = False
-    for block in relmodel._product_blocks(actions, tests, 3, 455):
+    for block in relmodel._product_blocks(actions, tests, (1, 2, 3)):
         [(n, positions, leaves)] = block
         width = n * n
+        assert len(positions) * width <= relmodel._BLOCK_BITS
         fields = [[leaf >> lane * width & (1 << width) - 1 for lane in positions]
                   for leaf in leaves]
         got = list(zip([n] * len(positions), *fields))
@@ -702,6 +758,22 @@ def test_product_blocks_unpack_to_the_product_order(actions, tests):
         straddles |= len(leaves) > 1 and len(got) > 1 << (n if tests else width)
     assert next(want, None) is None
     assert straddles == (actions + tests > 1)
+
+
+@pytest.mark.parametrize("actions, tests, sizes", [(0, 1, range(1, 14)), (1, 0, (1, 2, 3)),
+                                                   (0, 0, (64, 65))])
+def test_product_blocks_are_as_wide_as_their_size_allows(actions, tests, sizes):
+    # each size's widest block is half its space, or as many lanes as fit in
+    # _BLOCK_BITS rounded down to a power of two: 64 lanes at 7 points but
+    # 16 at 13; a 65-point lane alone is wider than _BLOCK_BITS
+    widest = {}
+    for [(n, positions, _)] in relmodel._product_blocks(actions, tests, sizes):
+        widest[n] = max(widest.get(n, 0), len(positions))
+        assert len(positions) * n * n <= max(relmodel._BLOCK_BITS, n * n)
+    for n in sizes:
+        fit = max(1, relmodel._BLOCK_BITS // (n * n))
+        space = 1 << n * n * actions + n * tests
+        assert widest[n] == min(max(1, space // 2), 1 << fit.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +817,11 @@ AL_P = Alphabet(("p",), ())
 
 
 def test_sampled_block_reports_the_earlier_draw_over_a_smaller_carrier(monkeypatch):
-    # draw 0 is the empty relation on one point, no hit; the second block
-    # holds draws 1 and 2, both hits, the larger carrier drawn first
+    # 1 and 2 points (2 + 16 interpretations, within the samples) are
+    # searched whole up to their first hits, each in the second block of
+    # one; both have hits, so their draws run.  Draw 0 is the empty relation
+    # on one point, no hit; the second block of draws holds draws 1 and 2,
+    # both hits, the larger carrier drawn first
     budget = SearchBudget(exhaustive=False, samples=50, seed=18)
     assert replayed_draws(AL_P, 3, budget)[:3] == [(1, 0), (3, 229), (2, 3)]
     sizes = count_lanes(monkeypatch)
@@ -754,17 +829,18 @@ def test_sampled_block_reports_the_earlier_draw_over_a_smaller_carrier(monkeypat
     got = search_countermodel("leq", t1, t2, AL_P, 3, budget)
     assert got == reference_search("leq", [], (t1, t2), AL_P, 3, budget)
     assert draw_of(got, AL_P) == (3, 229)
-    assert sizes == [1, 3, 2]
+    assert sizes == [1, 1, 2, 2] + [1, 3, 2]
 
 
 def test_sampled_hit_at_the_first_draw_evaluates_one_lane(monkeypatch):
+    # after 1 and 2 points are searched whole, up to their first hits
     budget = SearchBudget(exhaustive=False, samples=50, seed=0)
     assert replayed_draws(AL_P, 3, budget)[0] == (2, 12)
     sizes = count_lanes(monkeypatch)
     t1, t2 = parse("p", AL_P), parse("0", AL_P)
     got = search_countermodel("leq", t1, t2, AL_P, 3, budget)
     assert got == reference_search("leq", [], (t1, t2), AL_P, 3, budget)
-    assert draw_of(got, AL_P) == (2, 12) and sizes == [2]
+    assert draw_of(got, AL_P) == (2, 12) and sizes == [1, 1, 2, 2] + [2]
 
 
 @pytest.mark.parametrize("kind, left, right, size",
