@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 import threading
+import weakref
 from typing import Callable
-from weakref import KeyedRef
 
 from _weakref import _remove_dead_weakref
 
@@ -46,15 +46,19 @@ def _bit(name: str) -> int:
 class Value:
     """An immutable value.  A subclass lists its fields in `__slots__`,
     which are also its `__match_args__`.  A value is built from its fields
-    in that order, the trailing ones also by name; `_check` then validates
-    it and fills in what is derived from its fields, in the slots of a base
-    class.  Two values are equal when their classes and fields are;
+    in that order, the trailing ones also by name, except that terms and
+    atoms (`Interned`) are built positionally only.  `_build` sets the
+    fields through the slots' own setters, then `_check` validates the
+    value and fills in what is derived from its fields, in the slots of a
+    base class.  Two values are equal when their classes and fields are;
     pickling and copying rebuild a value from its fields."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
+        # the slots' own setters: quicker than object.__setattr__
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *fields, **named) -> None:
         names = self.__slots__
@@ -65,12 +69,7 @@ class Value:
                 raise TypeError(f"{type(self).__name__} misses field {exc}") from None
             if named:
                 raise TypeError(f"{type(self).__name__} has no further field {min(named)!r}")
-        if len(fields) != len(names):
-            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, "
-                            f"got {len(fields)}")
-        for name, value in zip(names, fields):
-            object.__setattr__(self, name, value)
-        self._check()
+        _build(self, fields)
 
     def _check(self) -> None:
         pass
@@ -95,6 +94,18 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def _build(value: Value, fields: tuple) -> None:
+    """Set a new value's fields, given in the order of its `__slots__`,
+    then run its `_check`: the one build step of every value."""
+    setters = value._setters
+    if len(fields) != len(setters):
+        raise TypeError(f"{type(value).__name__} takes {len(setters)} fields, "
+                        f"got {len(fields)}")
+    for set_field, field in zip(setters, fields):
+        set_field(value, field)
+    value._check()
 
 
 class _Masks(Value):  # an alphabet's derived facts: not fields, so not compared
@@ -146,23 +157,33 @@ def declare_alphabet(actions: tuple[str, ...] | list[str],
 # Terms
 
 
+class _KeyedRef(weakref.ref):
+    """`weakref.KeyedRef` without its Python `__new__` and `__init__`: the
+    intern table key is set after the reference is made."""
+
+    __slots__ = ("key",)
+
+
 # (class, *fields) -> a weak reference to the live value.  A dead value's
 # reference removes its entry, unless a new value has taken the key since.
-_INTERNED: dict[tuple, KeyedRef] = {}
+_INTERNED: dict[tuple, _KeyedRef] = {}
 
 
-def _forget(ref: KeyedRef, _table=_INTERNED, _remove=_remove_dead_weakref) -> None:
+def _forget(dead: _KeyedRef, _table=_INTERNED, _remove=_remove_dead_weakref) -> None:
     # defaults, as in WeakValueDictionary: the callback may run while the
     # interpreter shuts down
-    _remove(_table, ref.key)
+    _remove(_table, dead.key)
 
 
 class Interned(Value):
     """A hash-consed value: one live object per class and field values, so
     equality and hashing are object identity.  The intern table holds weak
     references, so a value lives as long as its users do, and pickling and
-    copying give back the interned object.  `_check` runs once per object,
-    when it is first built, under `_INTERN_LOCK`."""
+    copying give back the interned object.  Its fields are given by
+    position only, so a lookup builds no dict of keywords.  A value not in
+    the table is built in one step under `_INTERN_LOCK`: `_build` sets its
+    fields and runs `_check`, once per object, and a `_KeyedRef` enters it
+    in the table.  A build that raises enters nothing."""
 
     __slots__ = ("__weakref__",)
     # object's C slots: identity, and no Python-level __init__ on every lookup
@@ -180,16 +201,19 @@ class Interned(Value):
                 node = ref() if ref is not None else None
                 if node is None:
                     node = object.__new__(cls)
-                    Value.__init__(node, *fields)
-                    _INTERNED[key] = KeyedRef(node, _forget, key)
+                    _build(node, fields)
+                    ref = _KeyedRef(node, _forget)
+                    ref.key = key
+                    _INTERNED[key] = ref
         return node
 
 
 class Term(Interned):
-    """A term node.  Besides its fields, a node holds five facts computed
-    from its children when it is first built: `kids`, the fields that are
-    terms, left before right; `test_only`, true iff the node is built from
-    0, 1, tests, `!`, `+` and sequence only; `has_top`, true iff T occurs;
+    """A term node.  Besides its fields, a node holds five facts, which
+    `_check` computes from its children in the step that builds it:
+    `kids`, the fields its class declares as terms through `_kids`, left
+    before right; `test_only`, true iff the node is built from 0, 1,
+    tests, `!`, `+` and sequence only; `has_top`, true iff T occurs;
     `acts` and `tests`, the name masks of the actions and of the tests
     that occur.  A name mask has one bit per name, numbered in one index
     for the whole process, so whether a term's names are declared, or
@@ -198,9 +222,11 @@ class Term(Interned):
     __slots__ = ("kids", "test_only", "has_top", "acts", "tests")
     _test_like = True  # may be test-only: false for actions, T and star
 
+    def _kids(self) -> tuple:  # the fields that are terms: none for a leaf
+        return ()
+
     def _check(self) -> None:
-        kids = tuple([value for value in map(self.__getattribute__, self.__slots__)
-                      if isinstance(value, Term)])
+        kids = self._kids()
         test_only, has_top = self._test_like, type(self) is Top
         acts = tests = 0
         for kid in kids:
@@ -208,12 +234,12 @@ class Term(Interned):
             has_top = has_top or kid.has_top
             acts |= kid.acts
             tests |= kid.tests
-        set_fact = object.__setattr__
-        set_fact(self, "kids", kids)
-        set_fact(self, "test_only", test_only)
-        set_fact(self, "has_top", has_top)
-        set_fact(self, "acts", _bit(self.name) if type(self) is Act else acts)
-        set_fact(self, "tests", _bit(self.name) if type(self) is Test else tests)
+        set_kids, set_test_only, set_has_top, set_acts, set_tests = Term._setters
+        set_kids(self, kids)
+        set_test_only(self, test_only)
+        set_has_top(self, has_top)
+        set_acts(self, _bit(self.name) if type(self) is Act else acts)
+        set_tests(self, _bit(self.name) if type(self) is Test else tests)
 
 
 class Zero(Term):
@@ -241,6 +267,9 @@ class Test(Term):
 class Not(Term):
     __slots__ = ("arg",)
 
+    def _kids(self) -> tuple:
+        return self.arg,
+
     def _check(self) -> None:
         super()._check()
         if not self.arg.test_only:
@@ -250,14 +279,19 @@ class Not(Term):
 class Plus(Term):
     __slots__ = ("left", "right")
 
+    def _kids(self) -> tuple:
+        return self.left, self.right
+
 
 class Dot(Term):
     __slots__ = ("left", "right")
+    _kids = Plus._kids
 
 
 class Star(Term):
     __slots__ = ("arg",)
     _test_like = False
+    _kids = Not._kids
 
 
 ZERO = Zero()

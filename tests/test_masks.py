@@ -1,10 +1,12 @@
-"""Name masks against walks.
+"""Node facts and name masks against walks.
 
 Each term node records the names it mentions as two bit masks, and
 `check_over` and `prune_alphabet` read them instead of walking the term.
 The references here are the walks those functions made before: each mask
 decodes to the names a `postorder` walk finds, `check_over` raises what
-the walk raises, and `prune_alphabet` keeps what the walk keeps.
+the walk raises, and `prune_alphabet` keeps what the walk keeps.  The
+node's other facts are checked the same way: its kids are its fields that
+are terms, and `test_only` and `has_top` say what a walk of it meets.
 """
 
 import importlib
@@ -63,6 +65,16 @@ alphabets = st.permutations(NAMES).map(tuple).flatmap(lambda names: st.tuples(
 def test_every_node_masks_the_names_a_walk_finds(t):
     for s in postorder(t):
         assert (decode(s.acts), decode(s.tests)) == walk_names(s)
+
+
+@given(st.one_of(terms(WIDE), terms(WIDE, allow_top=True)))
+def test_every_node_holds_the_facts_a_walk_finds(t):
+    for s in postorder(t):
+        fields = map(s.__getattribute__, type(s).__match_args__)
+        assert s.kids == tuple(f for f in fields if isinstance(f, syntax.Term))
+        met = {type(node) for node in postorder(s)}
+        assert s.test_only == met.isdisjoint({Act, syntax.Top, syntax.Star})
+        assert s.has_top == (syntax.Top in met)
 
 
 @given(terms(WIDE, allow_top=True), alphabets)

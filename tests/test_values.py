@@ -3,6 +3,7 @@ quick tour runs, and importing the CLI generates no code."""
 
 import ast
 import copy
+import inspect
 import os
 import pickle
 import re
@@ -108,6 +109,16 @@ def test_trailing_fields_may_be_given_by_name():
         relmodel.Relation(2, n=2, mask=5)
     with pytest.raises(TypeError, match="no further field 'size'"):
         relmodel.Relation(2, 5, size=3)
+
+
+def test_terms_and_atoms_are_built_positionally_only():
+    # a lookup takes its fields as a tuple, with no dict of keywords
+    assert not syntax.Interned.__new__.__code__.co_flags & inspect.CO_VARKEYWORDS
+    with pytest.raises(TypeError, match="unexpected keyword argument 'name'"):
+        syntax.Act(name="p")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bits'"):
+        semantics.Atom(("b",), bits=(True,))
+    assert semantics.Atom(("b",), (True,)) is semantics.Atom(("b",), (True,))
 
 
 def readme_quick_tour() -> str:
