@@ -2,8 +2,9 @@
 
 Uses Antimirov-style partial derivatives (sets of terms as determinized
 states) and a breadth-first bisimulation with eagerly merged classes.
-Atoms are bits of an int mask, and a pair of state sets steps once per
-atom class: the atoms that no derivative guard of its states tells apart
+Atoms are bits of an int mask, and the engine knows a test only by the
+mask of atoms where it holds.  A pair of state sets steps once per atom
+class: the atoms that no derivative guard of its states tells apart
 (Pous, "Symbolic Algorithms for Language Equivalence and KAT", POPL 2015,
 with bit masks in place of BDDs).  Inequivalence comes with a shortest
 distinguishing guarded string, re-verified by membership before it is
@@ -12,15 +13,14 @@ returned.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import InternalError, TopNotAllowedError
-from .semantics import Atom, GuardedString, all_atoms
+from .semantics import GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Value, Zero, ZERO,
-    check_over, contains_top, postorder, prune_alphabet,
+    check_over, contains_top, postorder, prune_alphabet, render,
 )
 
 
@@ -47,23 +47,23 @@ def _sdot(left: Term, right: Term) -> Term:
 
 
 class _Engine:
-    """Per-invocation memo of one fact per term over a fixed list of atoms:
-    the mask of atoms at which the term accepts (bit i for atom i), and its
-    linear form, mapping each action to the term's partial derivatives,
-    each with the mask of atoms for which it is one.  The cases are those
-    of the atom-by-atom derivative (1 for an action, union for `+`, `d r`
-    plus D(r) where l accepts for `l r`, `d s*` for `s*`, composites equal
-    to 0 dropped), so every derivative set and state is the same as atom
-    by atom; a fact is built from its children's in one `postorder` loop.
+    """Per-invocation memo of one fact per term over `count` atoms, given
+    each test's mask (bit i for atom i) and no atoms: the mask of atoms at
+    which the term accepts, and its linear form, mapping each action to the
+    term's partial derivatives, each with the mask of atoms for which it
+    is one.  The cases are those of the atom-by-atom derivative (1 for an
+    action, union for `+`, `d r` plus D(r) where l accepts for `l r`,
+    `d s*` for `s*`, composites equal to 0 dropped), so every derivative
+    set and state is the same as atom by atom; a fact is built from its
+    children's in one `postorder` loop, and a test's is one lookup.
     The guard masks of a state set's derivatives split the atoms into
     classes; atoms of one class have the same `step` for every action.
     """
 
-    def __init__(self, atoms: Sequence[Atom]) -> None:
-        self.atoms = tuple(atoms)
-        self.full = (1 << len(atoms)) - 1
+    def __init__(self, count: int, tests: dict[str, int]) -> None:
+        self.full = (1 << count) - 1
+        self._tests = tests
         self._facts: dict[Term, tuple[int, dict[str, dict[Term, int]]]] = {}
-        self._tests = _test_masks(self.atoms)
 
     def facts(self, t: Term) -> tuple[int, dict[str, dict[Term, int]]]:
         if t not in self._facts:
@@ -81,10 +81,7 @@ class _Engine:
             case One():
                 acc = self.full
             case Test(name):
-                acc = self._tests.get(name)
-                if acc is None:
-                    acc = self._tests.setdefault(name, sum(
-                        1 << i for i, atom in enumerate(self.atoms) if atom.value(name)))
+                acc = self._tests[name]
             case Not(arg):
                 acc = self.full & ~facts[arg][0]
             case Act(name):
@@ -122,14 +119,6 @@ class _Engine:
         return acc
 
 
-@functools.lru_cache(maxsize=16)
-def _test_masks(atoms: tuple[Atom, ...]) -> dict[str, int]:
-    """Each test's mask over the atoms, filled in by the engines over them.
-    A mask depends only on the atoms and the name, so engines on several
-    threads may fill one entry at once: each writes the same value."""
-    return {}
-
-
 def _triples(linear: dict[str, dict[Term, int]]) -> list[tuple[str, Term, int]]:
     return [(act, d, mask) for act, ds in linear.items() for d, mask in ds.items()]
 
@@ -140,7 +129,9 @@ def member(s: GuardedString, t: Term) -> bool:
         raise TopNotAllowedError("membership is defined for top-free terms")
     index = {atom: i for i, atom in enumerate(dict.fromkeys(s.atoms))}
     steps = [(index[atom], act) for atom, act in zip(s.atoms, s.acts)]
-    return _member(_Engine(list(index)), t, steps, index[s.last_atom])
+    tests = {name: sum(1 << i for atom, i in index.items() if atom.value(name))
+             for name in dict.fromkeys(u.name for u in postorder(t) if type(u) is Test)}
+    return _member(_Engine(len(index), tests), t, steps, index[s.last_atom])
 
 
 def _member(engine: _Engine, t: Term, steps: list[tuple[int, str]], last: int) -> bool:
@@ -197,8 +188,14 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
         check_over(t, alphabet)
     atoms = all_atoms(alphabet)
     acts = prune_alphabet(alphabet, t1, t2).actions
+    # in the all_atoms order, test j of k holds on every other run of
+    # 2^(k-1-j) atoms: a repunit of period twice the run times one run
+    full, tests = (1 << len(atoms)) - 1, {}
+    for j, name in enumerate(alphabet.tests):
+        run = 1 << len(alphabet.tests) - 1 - j
+        tests[name] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
 
-    engine = _Engine(atoms)
+    engine = _Engine(len(atoms), tests)
     start = (frozenset((t1,)), frozenset((t2,)))
     parents: dict[tuple, tuple | None] = {start: None}
     classes = _UnionFind()
@@ -217,7 +214,8 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
                                     tuple(act for _, act in steps))
             m1, m2 = (_member(engine, t, steps, last) for t in (t1, t2))
             if m1 == m2:
-                raise InternalError(f"unsound witness {witness.render()!r} for {pair!r}")
+                raise InternalError(f"unsound witness {witness.render()!r} for "
+                                    f"{render(t1)!r} and {render(t2)!r}")
             return Witness(witness, "left" if m1 else "right")
         classes.union(left, right)
         guards = {mask for t in left | right

@@ -16,7 +16,7 @@ from .decide import Verdict, equivalent
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
 from .relmodel import SearchBudget, falsify_implication
-from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO, contains_top, is_test_only
+from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO, contains_top, prune_alphabet
 
 DIRECTIONS = ("under", "as-printed")
 
@@ -30,7 +30,7 @@ class Triple(Value):
         if self.kind not in ("hoare", "incorrectness"):
             raise ValueError(f"unknown triple kind {self.kind!r}")
         for side, t in (("precondition", self.pre), ("postcondition", self.post)):
-            if not is_test_only(t):
+            if not t.test_only:
                 raise SortError(f"{side} must be a test-only term")
         if contains_top(self.prog):
             raise TopNotAllowedError("triple programs must be top-free")
@@ -62,12 +62,14 @@ def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedIne
 
 def check_triple(tr: Triple, alphabet: Alphabet,
                  direction: str = "under") -> Union[Verdict, ComparisonVerdict]:
-    """Hoare triples via the equational decision; incorrectness triples via
-    the codomain comparison, so refutations carry relational countermodels.
-    An encoded inequality T u <= T v is `cod_geq(v, u)`."""
+    """Hoare triples via the equational decision over the alphabet pruned
+    to the equation's names, so a witness's atoms assign only the tests
+    that occur; incorrectness triples via the codomain comparison, so
+    refutations carry relational countermodels.  An encoded inequality
+    T u <= T v is `cod_geq(v, u)`."""
     enc = encode(tr, direction)
     if isinstance(enc, EncodedEquation):
-        return equivalent(enc.left, enc.right, alphabet)
+        return equivalent(enc.left, enc.right, prune_alphabet(alphabet, enc.left, enc.right))
     return cod_geq(enc.larger.right, enc.smaller.right, alphabet)
 
 
@@ -105,7 +107,7 @@ def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[
                          f"({', '.join(params)}), got {len(terms)}")
     binding = dict(zip(params, terms))
     for name in params:
-        if name.startswith(("a", "b", "c")) and not is_test_only(binding[name]):
+        if name.startswith(("a", "b", "c")) and not binding[name].test_only:
             raise SortError(f"rule parameter {name!r} must be a test-only term")
         if contains_top(binding[name]):
             raise TopNotAllowedError("rule parameters must be top-free")

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
     Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Value, Zero,
-    check_over, contains_top, is_test_only, postorder,
+    check_over, contains_top, postorder, render,
 )
 
 ATOM_CAP = 10
@@ -92,8 +92,8 @@ def _atoms(tests: tuple[str, ...]) -> tuple[Atom, ...]:
 
 def satisfies(atom: Atom, t: Term) -> bool:
     """Boolean evaluation of a test-only term under the atom's assignment."""
-    if not is_test_only(t):
-        raise SortError(f"not a test-only term: {t!r}")
+    if not t.test_only:
+        raise SortError(f"not a test-only term: {render(t)!r}")
     value: dict[Term, bool] = {}
     for s in postorder(t):
         match s:

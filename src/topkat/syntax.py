@@ -299,11 +299,6 @@ ONE = One()
 TOP = Top()
 
 
-def is_test_only(t: Term) -> bool:
-    """True iff t is built from 0, 1, tests, !, + and sequence only."""
-    return t.test_only
-
-
 def contains_top(t: Term) -> bool:
     return t.has_top
 

@@ -107,6 +107,17 @@ def test_triple_file(tmp_path, capsys):
     assert [r["verdict"] for r in payload["results"]] == ["provable", "provable"]
 
 
+def test_hoare_lines_count_only_the_tests_that_occur(tmp_path, capsys):
+    # eleven declared tests exceed the atom cap; each line uses at most two
+    path = tmp_path / "specs.txt"
+    tests = ",".join(f"b{i}" for i in range(11))
+    for line, want in (("hoare {b0} p b10 {b10}", (0, "line 1: hoare provable\n")),
+                       ("hoare {b0} p {b0}", (1, "line 1: hoare not provable\n"))):
+        path.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "triple", "--file", str(path), "--tests", tests)
+        assert (code, out, err) == (*want, "")
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])
 def test_triple_file_without_triples_is_a_usage_error(tmp_path, capsys, mode):
     path = tmp_path / "specs.txt"

@@ -7,7 +7,7 @@ import pytest
 from conftest import ALPHABET
 from topkat import decide
 from topkat.decide import Equivalent, Witness, equivalent, leq, member
-from topkat.errors import TopNotAllowedError, UndeclaredIdentifierError
+from topkat.errors import InternalError, SortError, TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
 from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, ZERO, parse, prune_alphabet
@@ -28,7 +28,7 @@ def test_epsilon_rules():
 
 
 def test_deriv_on_primitives():
-    engine = decide._Engine([all_atoms(AL_PQ)[0]])
+    engine = decide._Engine(1, {})
     assert engine.step((parse("p", AL_PQ),), 0, "p") == frozenset((ONE,))
     assert engine.step((parse("p", AL_PQ),), 0, "q") == frozenset()
 
@@ -36,7 +36,7 @@ def test_deriv_on_primitives():
 def test_deriv_of_composition_matches_language():
     t = parse("p q", AL_PQ)
     for a in all_atoms(AL_PQ):
-        derived = decide._Engine([a]).step((t,), 0, "p")
+        derived = decide._Engine(1, {}).step((t,), 0, "p")
         via_deriv = frozenset().union(*(lang_bounded(d, AL_PQ, 1) for d in derived))
         expected = frozenset(
             GuardedString(s.atoms[1:], s.acts[1:])
@@ -51,6 +51,13 @@ def test_member_basics():
     assert not member(GuardedString((a, a), ("p",)), parse("q", AL_PQ))
     with pytest.raises(TopNotAllowedError):
         member(GuardedString((a,), ()), parse("T", AL_PQ))
+
+
+def test_member_rejects_atoms_that_leave_a_test_unassigned():
+    a = all_atoms(AL_PB)[1]  # assigns b only
+    assert member(GuardedString((a, a), ("p",)), parse("b p b", AL_PB))
+    with pytest.raises(SortError, match="^atom does not assign 'c'$"):
+        member(GuardedString((a,), ()), parse("b + c", ALPHABET))
 
 
 def test_member_agrees_with_bounded_language():
@@ -164,7 +171,7 @@ def test_equivalent_rejects_a_name_of_the_wrong_sort():
 
 def test_state_sets_stay_canonical():
     # duplicates collapse: derivative of p + p is the singleton {1}
-    engine = decide._Engine([all_atoms(AL_PQ)[0]])
+    engine = decide._Engine(1, {})
     assert engine.step((parse("p + p", AL_PQ),), 0, "p") == frozenset((ONE,))
     assert engine.step((Dot(parse("p", AL_PQ), ONE),), 0, "p") == frozenset((ONE,))
 
@@ -185,7 +192,7 @@ def test_concurrent_checks_agree():
         rng = random.Random(83)
         pairs = [(random_term(rng, alphabet, 3), random_term(rng, alphabet, 3))
                  for _ in range(24)]
-        decide._test_masks.cache_clear()  # the threads race to fill the shared test masks
+        # the threads race on the intern table, building the same derivatives
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -202,7 +209,9 @@ def _per_atom_equivalent(t1, t2, alphabet):
     atom classes: the reference for verdicts, sides and witnesses."""
     atoms = all_atoms(alphabet)
     acts = prune_alphabet(alphabet, t1, t2).actions
-    engine = decide._Engine(atoms)
+    engine = decide._Engine(len(atoms), {
+        name: sum(1 << i for i, atom in enumerate(atoms) if atom.value(name))
+        for name in alphabet.tests})
     start = (frozenset((t1,)), frozenset((t2,)))
     parents = {start: None}
     classes = decide._UnionFind()
@@ -298,3 +307,43 @@ def test_a_guarded_loop_steps_once_per_atom_class(monkeypatch):
     # two pairs popped x three classes (every test, !b0, the rest) x two actions
     # x two sides, at any k; atom by atom it was 2 x 2^k x 2 x 2 (128 and 8192)
     assert counts[4] == counts[10] == 24
+
+
+def test_test_masks_follow_the_atom_order(monkeypatch):
+    masks = []
+    engine = decide._Engine
+    monkeypatch.setattr(decide, "_Engine",
+                        lambda count, tests: masks.append(tests) or engine(count, tests))
+    for k in (0, 1, 3, 10):
+        alphabet = Alphabet(("p",), tuple(f"b{i}" for i in range(k)))
+        masks.clear()
+        equivalent(parse("p", alphabet), parse("p", alphabet), alphabet)
+        atoms = all_atoms(alphabet)
+        assert masks == [{name: sum(1 << i for i, a in enumerate(atoms) if a.value(name))
+                          for name in alphabet.tests}]
+
+
+@pytest.mark.parametrize("p, q, merged", [(5, 7, 11), (47, 53, 99)])
+def test_the_union_find_merges_each_pair_once(monkeypatch, p, q, merged):
+    # (a^p)* (1 + a + ... + a^(p-1)) is a*; its states count the a's modulo
+    # p.  Merging classes pairs p + q - 1 of them; pairing states alone
+    # would visit all lcm(p, q): 35 and 2491.
+    alphabet = Alphabet(("a",), ())
+
+    def counting_up_to(n):
+        power = lambda m: " ".join(["a"] * m) or "1"
+        return parse(f"({power(n)})* ({' + '.join(power(m) for m in range(n))})", alphabet)
+
+    unions = []
+    union = decide._UnionFind.union
+    monkeypatch.setattr(decide._UnionFind, "union",
+                        lambda self, x, y: unions.append(1) or union(self, x, y))
+    verdict = equivalent(counting_up_to(p), counting_up_to(q), alphabet)
+    assert isinstance(verdict, Equivalent) and len(unions) == merged
+
+
+def test_an_unsound_witness_names_deep_terms_without_recursing(monkeypatch):
+    monkeypatch.setattr(decide, "_member", lambda *args: True)  # both sides accept
+    deep = parse("p " * 3000, AL_PQ)
+    with pytest.raises(InternalError, match=r"^unsound witness '\[\] p \[\]' for 'p' and 'p p "):
+        equivalent(parse("p", AL_PQ), deep, AL_PQ)

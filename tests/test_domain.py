@@ -86,9 +86,9 @@ def test_each_comparison_makes_one_decision(monkeypatch, compare):
                         lambda *args: calls.append(1) or decision(*args))
 
     class CountingEngine(decide._Engine):
-        def __init__(self, atoms):
+        def __init__(self, *args):
             engines.append(1)
-            super().__init__(atoms)
+            super().__init__(*args)
 
     monkeypatch.setattr(decide, "_Engine", CountingEngine)
     reducts, rewrite = [], reduction.reduce

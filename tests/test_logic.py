@@ -53,6 +53,15 @@ def test_check_triple_hoare():
     assert member(refuted.string, parse("b p !c", AL_PB))
 
 
+def test_hoare_triples_count_only_the_tests_that_occur():
+    wide = Alphabet(("p", "q"), tuple(f"b{i}" for i in range(11)))  # over the atom cap
+    assert isinstance(check_triple(triple("hoare", "b0", "p b1", "b1 + b0", wide), wide),
+                      Equivalent)
+    refuted = check_triple(triple("hoare", "b3", "p", "b10", wide), wide)
+    assert refuted.string.first_atom.tests == ("b3", "b10")
+    assert member(refuted.string, parse("b3 p !b10", wide))
+
+
 def test_check_triple_incorrectness():
     assert isinstance(check_triple(triple("incorrectness", "1", "p", "0"), AL_PB),
                       Provable)

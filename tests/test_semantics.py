@@ -53,6 +53,12 @@ def test_satisfies():
         satisfies(a, parse("p", ALPHABET))
 
 
+def test_satisfies_names_a_deep_term_without_recursing():
+    # 3000 nested sequences: the message renders the term, and repr would recurse
+    with pytest.raises(SortError, match="^not a test-only term: 'p p p "):
+        satisfies(atom((True, False)), parse("p " * 3000, ALPHABET))
+
+
 @given(boolean_terms())
 def test_satisfies_respects_boolean_rewrites(t):
     from topkat.syntax import Dot, Not, Plus
