@@ -60,7 +60,7 @@ def _read_terms(args, expected: int | None) -> list[str]:
     return texts
 
 
-def _read_triples(args, expected: int | None) -> list[str]:
+def _read_triple_file(args, expected: int | None) -> list[str]:
     """The pre, program and post texts of every triple in the file, in
     order; each triple's line number and kind go to `args.lines`."""
     with open(args.file, encoding="utf-8") as handle:
@@ -279,7 +279,7 @@ COMMANDS: dict[str, Command] = {
         _arg("--file", required=True, help="triples, one per line"),
         _arg("--direction", choices=logic.DIRECTIONS, default="under",
              help="incorrectness encoding orientation (default under)"),
-    ), read=_read_triples),
+    ), read=_read_triple_file),
     "search": Command("search finite relational countermodels", _cmd_search, 2, TERM_ARGS + (
         _arg("--kind", required=True, choices=["equality", "leq", "dom-geq", "cod-geq"],
              help="comparison to refute (term order as in the other subcommands)"),

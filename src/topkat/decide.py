@@ -49,32 +49,33 @@ def _sdot(left: Term, right: Term) -> Term:
 class _Engine:
     """Per-invocation memo of one fact per term over `count` atoms, given
     each test's mask (bit i for atom i) and no atoms: the mask of atoms at
-    which the term accepts, and its linear form, mapping each action to the
-    term's partial derivatives, each with the mask of atoms for which it
-    is one.  The cases are those of the atom-by-atom derivative (1 for an
-    action, union for `+`, `d r` plus D(r) where l accepts for `l r`,
-    `d s*` for `s*`, composites equal to 0 dropped), so every derivative
-    set and state is the same as atom by atom; a fact is built from its
-    children's in one `postorder` loop, and a test's is one lookup.
-    The guard masks of a state set's derivatives split the atoms into
-    classes; atoms of one class have the same `step` for every action.
+    which the term accepts, and its linear form, one map from each
+    (action, partial derivative) pair to the mask of atoms for which the
+    term steps by that action to that derivative.  The cases are those of
+    the atom-by-atom derivative (1 for an action, union for `+`, `d r`
+    plus D(r) where l accepts for `l r`, `d s*` for `s*`, composites
+    equal to 0 dropped), so every derivative set and state is the same as
+    atom by atom; a fact is built from its children's in one `postorder`
+    loop, and a test's is one lookup.  The guard masks of a state set's
+    linear forms split the atoms into classes; atoms of one class have
+    the same `step` for every action.
     """
 
     def __init__(self, count: int, tests: dict[str, int]) -> None:
         self.full = (1 << count) - 1
         self._tests = tests
-        self._facts: dict[Term, tuple[int, dict[str, dict[Term, int]]]] = {}
+        self._facts: dict[Term, tuple[int, dict[tuple[str, Term], int]]] = {}
 
-    def facts(self, t: Term) -> tuple[int, dict[str, dict[Term, int]]]:
+    def facts(self, t: Term) -> tuple[int, dict[tuple[str, Term], int]]:
         if t not in self._facts:
             for s in postorder(t):
                 if s not in self._facts:
                     self._facts[s] = self._fact(s)
         return self._facts[t]
 
-    def _fact(self, t: Term) -> tuple[int, dict[str, dict[Term, int]]]:
+    def _fact(self, t: Term) -> tuple[int, dict[tuple[str, Term], int]]:
         facts = self._facts
-        parts: list[tuple[str, Term, int]] = []  # (action, derivative, mask)
+        parts: list = []  # ((action, derivative), mask) pairs
         match t:
             case Zero():
                 acc = 0
@@ -85,31 +86,30 @@ class _Engine:
             case Not(arg):
                 acc = self.full & ~facts[arg][0]
             case Act(name):
-                acc, parts = 0, [(name, ONE, self.full)]
+                acc, parts = 0, [((name, ONE), self.full)]
             case Plus(left, right):
                 acc = facts[left][0] | facts[right][0]
-                parts = _triples(facts[left][1]) + _triples(facts[right][1])
+                parts = [*facts[left][1].items(), *facts[right][1].items()]
             case Dot(left, right):
                 (acc_l, lf_l), (acc_r, lf_r) = facts[left], facts[right]
                 acc = acc_l & acc_r
-                parts = [(act, _sdot(d, right), m) for act, d, m in _triples(lf_l)]
-                parts += [(act, d, m & acc_l) for act, d, m in _triples(lf_r)]
+                parts = [((act, _sdot(d, right)), m) for (act, d), m in lf_l.items()]
+                parts += [(key, m & acc_l) for key, m in lf_r.items()]
             case Star(arg):
                 acc = self.full
-                parts = [(act, _sdot(d, t), m) for act, d, m in _triples(facts[arg][1])]
+                parts = [((act, _sdot(d, t)), m) for (act, d), m in facts[arg][1].items()]
             case _:
                 raise TopNotAllowedError("T has no derivatives; eliminate it first")
-        linear: dict[str, dict[Term, int]] = {}
-        for act, d, mask in parts:
-            if mask and d is not ZERO:
-                ds = linear.setdefault(act, {})
-                ds[d] = ds.get(d, 0) | mask
+        linear: dict[tuple[str, Term], int] = {}
+        for key, mask in parts:
+            if mask and key[1] is not ZERO:
+                linear[key] = linear.get(key, 0) | mask
         return acc, linear
 
     def step(self, states: StateSet, i: int, act: str) -> StateSet:
         """The derivatives of the states for atom i and the action."""
-        return frozenset(d for t in states for d, mask in self.facts(t)[1].get(act, {}).items()
-                         if mask >> i & 1)
+        return frozenset(d for t in states for (a, d), mask in self.facts(t)[1].items()
+                         if a == act and mask >> i & 1)
 
     def accepts(self, states: StateSet) -> int:
         """The mask of the atoms at which some state accepts."""
@@ -117,10 +117,6 @@ class _Engine:
         for t in states:
             acc |= self.facts(t)[0]
         return acc
-
-
-def _triples(linear: dict[str, dict[Term, int]]) -> list[tuple[str, Term, int]]:
-    return [(act, d, mask) for act, ds in linear.items() for d, mask in ds.items()]
 
 
 def member(s: GuardedString, t: Term) -> bool:
@@ -218,8 +214,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
                                     f"{render(t1)!r} and {render(t2)!r}")
             return Witness(witness, "left" if m1 else "right")
         classes.union(left, right)
-        guards = {mask for t in left | right
-                  for ds in engine.facts(t)[1].values() for mask in ds.values()}
+        guards = {mask for t in left | right for mask in engine.facts(t)[1].values()}
         rest = engine.full
         while rest:
             least = rest & -rest

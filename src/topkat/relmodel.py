@@ -18,7 +18,7 @@ import random
 import re
 from typing import Sequence
 
-from .errors import ResourceLimitError, UndeclaredIdentifierError
+from .errors import ResourceLimitError, TopNotAllowedError, UndeclaredIdentifierError
 from .syntax import (
     ONE, TOP, ZERO, Act, Alphabet, Dot, Plus, Star, Term, Test, Value, contains_top,
     postorder, prune_alphabet,
@@ -498,7 +498,7 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if any(contains_top(t) for pair in [*hyps, goal] for t in pair):
-        raise ValueError("comparison sides must be top-free")
+        raise TopNotAllowedError("comparison sides must be top-free")
     # cod_geq(r1, r2) is violated when cod(r2) escapes cod(r1)
     return _first_hit("cod_geq", [(v, u) for u, v in hyps], (goal[1], goal[0]),
                       alphabet, max_n, budget)

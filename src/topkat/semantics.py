@@ -212,7 +212,9 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int) -> frozenset[Gua
 # ---------------------------------------------------------------------------
 # Textual guarded strings: `[b&!c] p [b&c]`, with `[]` for an empty test set.
 
-_GS_TOKEN = re.compile(r"\s*(?:(?P<atom>\[[^\]]*\])|(?P<act>[A-Za-z_][A-Za-z0-9_]*))")
+# As in `syntax._TOKEN_RE`, the last alternative takes any other character.
+_GS_TOKEN = re.compile(
+    r"\s*(?:(?P<atom>\[[^\]]*\])|(?P<act>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))")
 
 
 def _parse_atom(text: str, alphabet: Alphabet, pos: int) -> Atom:
@@ -235,31 +237,26 @@ def _parse_atom(text: str, alphabet: Alphabet, pos: int) -> Atom:
 
 
 def parse_guarded_string(text: str, alphabet: Alphabet) -> GuardedString:
-    """Parse the textual form; atoms must assign every declared test."""
+    """Parse the textual form; atoms must assign every declared test.  An
+    atom is due when there are as many atoms as actions so far."""
     atoms: list[Atom] = []
     acts: list[str] = []
-    pos = 0
-    expect_atom = True
-    while pos < len(text):
-        m = _GS_TOKEN.match(text, pos)
-        if m is None:
-            if not text[pos:].strip():
-                break
+    for m in _GS_TOKEN.finditer(text):
+        kind = m.lastgroup
+        token, pos = m[kind], m.start(kind)
+        if kind == "bad":
             raise ParseError("unexpected character in guarded string", pos)
-        if m.lastgroup == "atom":
-            if not expect_atom:
-                raise ParseError("expected an action, found an atom", m.start("atom"))
-            atoms.append(_parse_atom(m.group("atom"), alphabet, m.start("atom")))
+        if kind == "atom":
+            if len(atoms) > len(acts):
+                raise ParseError("expected an action, found an atom", pos)
+            atoms.append(_parse_atom(token, alphabet, pos))
         else:
-            name = m.group("act")
-            if expect_atom:
-                raise ParseError(f"expected an atom, found {name!r}", m.start("act"))
-            if name not in alphabet.actions:
-                raise ParseError(f"undeclared action {name!r}", m.start("act"))
-            acts.append(name)
-        expect_atom = not expect_atom
-        pos = m.end()
-    if not atoms or len(atoms) != len(acts) + 1:
+            if len(atoms) == len(acts):
+                raise ParseError(f"expected an atom, found {token!r}", pos)
+            if token not in alphabet.actions:
+                raise ParseError(f"undeclared action {token!r}", pos)
+            acts.append(token)
+    if len(atoms) != len(acts) + 1:
         raise ParseError("guarded string must alternate atoms and actions, "
                          "starting and ending with an atom", len(text))
     return GuardedString(tuple(atoms), tuple(acts))

@@ -108,8 +108,8 @@ def _build(value: Value, fields: tuple) -> None:
     value._check()
 
 
-class _Masks(Value):  # an alphabet's derived facts: not fields, so not compared
-    __slots__ = ("act_mask", "test_mask", "_sorts")
+class _Masks(Value):  # an alphabet's name masks: derived, not fields, so not compared
+    __slots__ = ("act_mask", "test_mask")
 
 
 class Alphabet(_Masks):
@@ -127,17 +127,15 @@ class Alphabet(_Masks):
         for name in self.actions + self.tests:
             if not IDENT_RE.fullmatch(name) or name == "T":
                 raise ValueError(f"invalid identifier {name!r}")
-        sorts = dict.fromkeys(self.actions, "action")
-        sorts.update(dict.fromkeys(self.tests, "test"))
-        if len(sorts) != len(self.actions) + len(self.tests):
+        if len(set(self.actions + self.tests)) != len(self.actions) + len(self.tests):
             raise ValueError("actions and tests must be disjoint and duplicate-free")
         with _INTERN_LOCK:  # unlike an Interned value's, this check runs unlocked
             object.__setattr__(self, "act_mask", sum(map(_bit, self.actions)))
             object.__setattr__(self, "test_mask", sum(map(_bit, self.tests)))
-        object.__setattr__(self, "_sorts", sorts)
 
     def sort_of(self, name: str) -> str | None:
-        return self._sorts.get(name)
+        bit = _NAME_BITS.get(name, 0)
+        return "action" if bit & self.act_mask else "test" if bit & self.test_mask else None
 
 
 def declare_alphabet(actions: tuple[str, ...] | list[str],
@@ -190,6 +188,11 @@ class Interned(Value):
     __init__ = object.__init__
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __deepcopy__(self, memo=None):  # an immutable value is its own copy
+        return self
+
+    __copy__ = __deepcopy__
 
     def __new__(cls, *fields):
         key = (cls, *fields)

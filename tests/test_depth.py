@@ -6,11 +6,13 @@ exhaust the interpreter stack.  Each call must give a verdict (exit 0 or
 `lang`, or the search ceiling.
 """
 
+import copy
 import tracemalloc
 
 import pytest
 
 from topkat.cli import COMMANDS, main
+from topkat.logic import Triple
 from topkat.syntax import Alphabet, parse, postorder, render, reverse
 
 
@@ -73,6 +75,16 @@ def test_deep_terms_round_trip(shape):
     position = {s: i for i, s in enumerate(order)}
     assert len(position) == len(order) and order[-1] is t
     assert all(position[k] < position[s] for s in order for k in s.kids)
+
+
+def test_deep_terms_are_their_own_copies():
+    alphabet = Alphabet(("p", "q"), ("b",))
+    sequence, stars = parse(DEEP["sequence"], alphabet), parse(DEEP["stars"], alphabet)
+    for t in (sequence, stars):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+    b = parse("b", alphabet)
+    triple = Triple("hoare", b, sequence, b)
+    assert copy.copy(triple) == triple and copy.deepcopy(triple) == triple
 
 
 def test_a_long_chain_of_distinct_actions_reduces_in_bounded_memory(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import ALPHABET, encoding_sides
-from topkat.errors import ResourceLimitError, UndeclaredIdentifierError
+from topkat.errors import ResourceLimitError, TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_interpretation, random_relation, random_term
 from topkat.relmodel import (
     KINDS, Relation, RelInterpretation, SearchBudget, SearchHit,
@@ -278,6 +278,14 @@ def test_falsify_implication_unsatisfiable_hypothesis():
                               (parse("p", AL_PQ), parse("q", AL_PQ)),
                               AL_PQ, 2, EXHAUSTIVE)
     assert hit is None
+
+
+@pytest.mark.parametrize("where", ["hypothesis", "goal"])
+def test_falsify_implication_rejects_top_as_a_topkat_error(where):
+    p, p_top = parse("p", AL_PQ), parse("p T", AL_PQ)
+    hyps, goal = ([(p, p_top)], (p, p)) if where == "hypothesis" else ([], (p_top, p))
+    with pytest.raises(TopNotAllowedError, match="^comparison sides must be top-free$"):
+        falsify_implication(hyps, goal, AL_PQ, 2, EXHAUSTIVE)
 
 
 def test_exhaustive_search_without_a_hit_builds_no_relation(monkeypatch):

@@ -193,6 +193,29 @@ def test_textual_form_errors():
         parse_guarded_string("[b&b] p [b]", al)    # duplicate literal
 
 
+ALTERNATE = "guarded string must alternate atoms and actions, starting and ending with an atom"
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("", ALTERNATE, 0),
+    ("[b&c] p", ALTERNATE, 7),
+    ("[b&c] ?", "unexpected character in guarded string", 6),  # the '?' itself
+    ("[b&c] [b&c]", "expected an action, found an atom", 6),
+    ("p", "expected an atom, found 'p'", 0),
+    ("[b&c] p q", "expected an atom, found 'q'", 8),
+    ("[b&c] r [b&c]", "undeclared action 'r'", 6),
+    ("[b&d]", "undeclared test 'd' in atom", 0),
+    ("[b&b&c]", "test 'b' assigned twice in atom", 0),
+    ("[b]", "atom does not assign 'c'", 0),
+    ("[b&c", "unexpected character in guarded string", 0),  # an unclosed atom
+])
+def test_each_textual_form_error_names_its_position(text, message, position):
+    with pytest.raises(ParseError) as caught:
+        parse_guarded_string(text, ALPHABET)
+    assert caught.value.position == position
+    assert str(caught.value) == f"{message} (at position {position})"
+
+
 def test_gs_sort_key_orders_by_length_then_content():
     al = Alphabet(("p", "q"), ("b",))
     strings = sorted(lang_bounded(parse("(p + q)*", al), al, 1),
