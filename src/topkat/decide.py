@@ -7,8 +7,7 @@ mask of atoms where it holds.  A pair of state sets steps once per atom
 class: the atoms that no derivative guard of its states tells apart
 (Pous, "Symbolic Algorithms for Language Equivalence and KAT", POPL 2015,
 with bit masks in place of BDDs).  Inequivalence comes with a shortest
-distinguishing guarded string, re-verified by membership before it is
-returned.
+distinguishing guarded string, re-checked by membership.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import InternalError, TopNotAllowedError
 from .semantics import GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Value, Zero, ZERO,
-    check_over, contains_top, postorder, prune_alphabet, render,
+    check_over, contains_top, postorder, render,
 )
 
 
@@ -40,83 +39,85 @@ Verdict = Union[Equivalent, Witness]
 StateSet = frozenset  # of Term
 
 
-def _sdot(left: Term, right: Term) -> Term:
-    if left is ZERO or right is ZERO:
-        return ZERO
-    return right if left is ONE else left if right is ONE else Dot(left, right)
-
-
 class _Engine:
-    """Per-invocation memo of one fact per term over `count` atoms, given
-    each test's mask (bit i for atom i) and no atoms: the mask of atoms at
-    which the term accepts, and its linear form, one map from each
-    (action, partial derivative) pair to the mask of atoms for which the
-    term steps by that action to that derivative.  The cases are those of
-    the atom-by-atom derivative (1 for an action, union for `+`, `d r`
-    plus D(r) where l accepts for `l r`, `d s*` for `s*`, composites
-    equal to 0 dropped), so every derivative set and state is the same as
-    atom by atom; a fact is built from its children's in one `postorder`
-    loop, and a test's is one lookup.  The guard masks of a state set's
-    linear forms split the atoms into classes; atoms of one class have
-    the same `step` for every action.
+    """Per-invocation memo over `count` atoms, given each test's mask (bit
+    i for atom i) and no atoms.  A term's accepting atoms are one mask,
+    from its `postorder` walk, or from its parts for a derivative built
+    here.  A state's linear form maps each (action, partial derivative)
+    pair to the mask of atoms at which the state so steps.  One walk of
+    the state's head builds it, carrying the rest as a continuation c
+    (Antimirov, TCS 1996): D(a, c) = {(a, c)}, D(l + r, c) = D(l, c) +
+    D(r, c), D(l r, c) = D(l, r c) + acc(l) D(r, c), D(s*, c) = D(s, s* c).
+    So a derivative shares its tail with its state and costs one new node.
+    The walk skips test-only subterms and 0 continuations, and meets each
+    (subterm, continuation) pair once per atom.
     """
 
     def __init__(self, count: int, tests: dict[str, int]) -> None:
         self.full = (1 << count) - 1
         self._tests = tests
-        self._facts: dict[Term, tuple[int, dict[tuple[str, Term], int]]] = {}
-
-    def facts(self, t: Term) -> tuple[int, dict[tuple[str, Term], int]]:
-        if t not in self._facts:
-            for s in postorder(t):
-                if s not in self._facts:
-                    self._facts[s] = self._fact(s)
-        return self._facts[t]
-
-    def _fact(self, t: Term) -> tuple[int, dict[tuple[str, Term], int]]:
-        facts = self._facts
-        parts: list = []  # ((action, derivative), mask) pairs
-        match t:
-            case Zero():
-                acc = 0
-            case One():
-                acc = self.full
-            case Test(name):
-                acc = self._tests[name]
-            case Not(arg):
-                acc = self.full & ~facts[arg][0]
-            case Act(name):
-                acc, parts = 0, [((name, ONE), self.full)]
-            case Plus(left, right):
-                acc = facts[left][0] | facts[right][0]
-                parts = [*facts[left][1].items(), *facts[right][1].items()]
-            case Dot(left, right):
-                (acc_l, lf_l), (acc_r, lf_r) = facts[left], facts[right]
-                acc = acc_l & acc_r
-                parts = [((act, _sdot(d, right)), m) for (act, d), m in lf_l.items()]
-                parts += [(key, m & acc_l) for key, m in lf_r.items()]
-            case Star(arg):
-                acc = self.full
-                parts = [((act, _sdot(d, t)), m) for (act, d), m in facts[arg][1].items()]
-            case _:
-                raise TopNotAllowedError("T has no derivatives; eliminate it first")
-        linear: dict[tuple[str, Term], int] = {}
-        for key, mask in parts:
-            if mask and key[1] is not ZERO:
-                linear[key] = linear.get(key, 0) | mask
-        return acc, linear
-
-    def step(self, states: StateSet, i: int, act: str) -> StateSet:
-        """The derivatives of the states for atom i and the action."""
-        return frozenset(d for t in states for (a, d), mask in self.facts(t)[1].items()
-                         if a == act and mask >> i & 1)
+        self._acc: dict[Term, int] = {}
+        self._linear: dict[Term, dict[tuple[str, Term], int]] = {}
 
     def accepts(self, states: StateSet) -> int:
         """The mask of the atoms at which some state accepts."""
-        acc = 0
+        acc, accepting = self._acc, 0
         for t in states:
-            acc |= self.facts(t)[0]
-        return acc
+            for s in () if t in acc else postorder(t):
+                match s:
+                    case Zero() | Act():
+                        acc[s] = 0
+                    case One() | Star():
+                        acc[s] = self.full
+                    case Test(name):
+                        acc[s] = self._tests[name]
+                    case Not(arg):
+                        acc[s] = self.full & ~acc[arg]
+                    case Plus(left, right):
+                        acc[s] = acc[left] | acc[right]
+                    case Dot(left, right):
+                        acc[s] = acc[left] & acc[right]
+                    case _:
+                        raise TopNotAllowedError("T has no derivatives; eliminate it first")
+            accepting |= acc[t]
+        return accepting
+
+    def _sdot(self, r: Term, c: Term) -> Term:
+        """r c, with 0 and 1 absorbed and its accepting mask kept; c is not 0."""
+        d = ZERO if r is ZERO else c if r is ONE else r if c is ONE else Dot(r, c)
+        if d not in self._acc:
+            self._acc[d] = self._acc[r] & self._acc[c]
+        return d
+
+    def linear(self, t: Term) -> dict[tuple[str, Term], int]:
+        """The state's linear form, built once."""
+        if t not in self._linear:
+            self.accepts((t,))  # the masks of t's subterms
+            acc, linear, walked, stack = self._acc, {}, {}, [(t, ONE, self.full)]
+            while stack:
+                s, c, mask = stack.pop()
+                mask &= ~walked.get((s, c), 0)
+                if not mask or s.test_only or c is ZERO:
+                    continue
+                walked[s, c] = walked.get((s, c), 0) | mask
+                match s:
+                    case Act(name):
+                        linear[name, c] = linear.get((name, c), 0) | mask
+                    case Plus(left, right):
+                        stack += (right, c, mask), (left, c, mask)
+                    case Dot(left, right):
+                        stack.append((right, c, mask & acc[left]))
+                        if not left.test_only:
+                            stack.append((left, self._sdot(right, c), mask))
+                    case Star(arg) if not arg.test_only:
+                        stack.append((arg, self._sdot(s, c), mask))
+            self._linear[t] = linear
+        return self._linear[t]
+
+    def step(self, states: StateSet, i: int, act: str) -> StateSet:
+        """The derivatives of the states for atom i and the action."""
+        return frozenset(d for t in states for (a, d), mask in self.linear(t).items()
+                         if a == act and mask >> i & 1)
 
 
 def member(s: GuardedString, t: Term) -> bool:
@@ -176,14 +177,17 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     successor for every action, and atom by atom nothing new is enqueued
     at an atom that is not the least of its class (its successors were met
     at the least one, where first parent wins).  The witness's last atom
-    is the lowest bit of `differ` either way.
+    is the lowest bit of `differ` either way.  Only the actions in the
+    pair's linear forms are stepped, in declared order: any other leads to
+    the pair of empty sets, which never separates and has no successors,
+    so skipping it moves no other pair in the queue.
     """
     for t in (t1, t2):
         if contains_top(t):
             raise TopNotAllowedError("equivalence is decided on top-free terms")
         check_over(t, alphabet)
     atoms = all_atoms(alphabet)
-    acts = prune_alphabet(alphabet, t1, t2).actions
+    order = {act: n for n, act in enumerate(alphabet.actions)}
     # in the all_atoms order, test j of k holds on every other run of
     # 2^(k-1-j) atoms: a repunit of period twice the run times one run
     full, tests = (1 << len(atoms)) - 1, {}
@@ -204,7 +208,11 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
             continue
         differ = engine.accepts(left) ^ engine.accepts(right)
         if differ:
-            steps = _path(parents, pair)
+            steps, node = [], pair
+            while parents[node] is not None:
+                node, i, act = parents[node]
+                steps.append((i, act))
+            steps.reverse()
             last = (differ & -differ).bit_length() - 1  # least atom where one side accepts
             witness = GuardedString(tuple(atoms[i] for i, _ in steps) + (atoms[last],),
                                     tuple(act for _, act in steps))
@@ -214,7 +222,9 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
                                     f"{render(t1)!r} and {render(t2)!r}")
             return Witness(witness, "left" if m1 else "right")
         classes.union(left, right)
-        guards = {mask for t in left | right for mask in engine.facts(t)[1].values()}
+        forms = [engine.linear(t) for t in left | right]
+        guards = {mask for form in forms for mask in form.values()}
+        acts = sorted({act for form in forms for act, _ in form}, key=order.__getitem__)
         rest = engine.full
         while rest:
             least = rest & -rest
@@ -229,16 +239,6 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
                     parents[successor] = (pair, i, act)
                     queue.append(successor)
     return Equivalent()
-
-
-def _path(parents: dict, pair: tuple) -> list[tuple[int, str]]:
-    """The (atom index, action) steps from the start pair to the pair."""
-    steps: list[tuple[int, str]] = []
-    while parents[pair] is not None:
-        pair, i, act = parents[pair]
-        steps.append((i, act))
-    steps.reverse()
-    return steps
 
 
 def leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:

@@ -3,7 +3,9 @@
 Every pass over a term is a loop over `syntax.postorder`, so no input can
 exhaust the interpreter stack.  Each call must give a verdict (exit 0 or
 1), or exit 3 naming a declared cap: the atom cap, the string cap of
-`lang`, or the search ceiling.
+`lang`, or the search ceiling.  What a decision walks and builds grows
+linearly in the length of a sequence and in the depth of a nested star,
+which the growth tests pin with counts rather than clocks.
 """
 
 import copy
@@ -11,8 +13,9 @@ import tracemalloc
 
 import pytest
 
+from topkat import decide, syntax
 from topkat.cli import COMMANDS, main
-from topkat.logic import Triple
+from topkat.logic import Triple, check_triple
 from topkat.syntax import Alphabet, parse, postorder, render, reverse
 
 
@@ -34,13 +37,9 @@ DEEP = {
 CAPS = ("atom cap", "guarded strings within the action bound", "over the ceiling")
 
 
-def _argv(command: str, term: str, tmp_path, shape: str) -> list[str]:
-    # A Hoare triple over the 10^4-action sequence with a satisfiable
-    # precondition explores 10^4 derivative levels, each a fresh
-    # left-nested term: quadratic time, not a question of depth.
-    pre = "0" if shape == "sequence" else "b"
+def _argv(command: str, term: str, tmp_path) -> list[str]:
     triples = tmp_path / "triples.txt"
-    triples.write_text(f"hoare {{{pre}}} {term} {{b}}\nincorrectness [b] {term} [b]\n",
+    triples.write_text(f"hoare {{b}} {term} {{b}}\nincorrectness [b] {term} [b]\n",
                        encoding="utf-8")
     search = ["--exhaustive", "--max-states", "1"]
     return {
@@ -56,7 +55,7 @@ def _argv(command: str, term: str, tmp_path, shape: str) -> list[str]:
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("shape", DEEP)
 def test_every_command_takes_any_depth(capsys, tmp_path, shape, command):
-    code = main(_argv(command, DEEP[shape], tmp_path, shape))
+    code = main(_argv(command, DEEP[shape], tmp_path))
     out, err = capsys.readouterr()
     assert "recursion" not in err.lower()
     if code == 3:
@@ -101,3 +100,84 @@ def test_a_long_chain_of_distinct_actions_reduces_in_bounded_memory(capsys):
     out, err = capsys.readouterr()
     assert (code, out, err) == (0, term + "\n", "")
     assert peak < 64 * 2**20, peak
+
+
+def test_a_triple_over_distinct_actions_decides_in_bounded_memory(capsys, tmp_path):
+    # The parsed sequence nests to the left; its first derivative is the
+    # rest nested to the right, and every later one is a tail of that, so
+    # the decision builds about n nodes.  Rebuilding the rest of the
+    # sequence at each step held about n^2/2, some 1.9 GB at n = 2000.
+    triples = tmp_path / "triples.txt"
+    program = " ".join(f"a{i}" for i in range(10_000))
+    triples.write_text(f"hoare {{b}} {program} {{b}}\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["triple", "--tests", "b", "--file", str(triples)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "line 1: hoare not provable\n", "")
+    assert peak < 128 * 2**20, peak
+
+
+def _hoare(program: str, actions) -> None:
+    alphabet = Alphabet(tuple(actions), ("b",))
+    b = parse("b", alphabet)
+    check_triple(Triple("hoare", b, parse(program, alphabet), b), alphabet)
+
+
+def _nested_star(k: int) -> None:
+    alphabet, s = Alphabet(("p", "q"), ()), "p"
+    for _ in range(k):
+        s = f"({s})* q"
+    decide.equivalent(parse(f"({s})*", alphabet), parse(f"({s})* ({s})*", alphabet), alphabet)
+
+
+def _stars(k: int) -> None:
+    alphabet = Alphabet(("p",), ())
+    decide.equivalent(parse("p" + "*" * k, alphabet), parse("p*", alphabet), alphabet)
+
+
+def _star_plus(k: int) -> None:
+    alphabet, t = Alphabet(("p", "q"), ()), "p"
+    for i in range(k):
+        t = f"({t} + q)" if i % 2 else f"({t})*"
+    decide.equivalent(parse(t, alphabet), parse("p*", alphabet), alphabet)
+
+
+# Each case: what is counted (calls of a function, or the length of what
+# it returns), the decision at size n, and n.  The derivatives of a
+# state share its tail, each state is walked once, and a walk meets each
+# (subterm, continuation) pair once per atom; so doubling n about doubles
+# each count.  Where derivatives were fresh left-nested terms the first
+# three counts grew fourfold, and without the per-walk map so do the last two.
+GROWTH = {
+    "acceptance walk, (p q)^n": (
+        decide, "postorder", len, lambda n: _hoare(" ".join(["p q"] * n), "pq"), 500),
+    "terms built, a0 ... a(n-1)": (
+        syntax, "_build", None,
+        lambda n: _hoare(" ".join(f"a{i}" for i in range(n)), [f"a{i}" for i in range(n)]), 250),
+    "terms built, nested star": (syntax, "_build", None, _nested_star, 50),
+    "continuations built, p with n stars": (decide._Engine, "_sdot", None, _stars, 1000),
+    "continuations built, star-plus nest": (decide._Engine, "_sdot", None, _star_plus, 1000),
+}
+
+
+@pytest.mark.parametrize("case", GROWTH)
+def test_the_decider_grows_linearly(monkeypatch, case):
+    owner, name, measure, decision, n = GROWTH[case]
+    original, total = getattr(owner, name), [0]
+
+    def counted(*args):
+        result = original(*args)
+        total[0] += measure(result) if measure else 1
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+    counts = []
+    for size in (n, 2 * n):
+        total[0] = 0
+        decision(size)
+        counts.append(total[0])
+    assert 0 < counts[1] <= 2.2 * counts[0], counts
