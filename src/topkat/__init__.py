@@ -17,7 +17,7 @@ from .relmodel import (
     falsify_implication, search_countermodel,
 )
 from .semantics import (
-    Atom, GuardedString, all_atoms, fuse, lang_bounded, satisfies,
+    Atom, GuardedString, all_atoms, fuse, lang_bounded,
 )
 from .syntax import (
     Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,

@@ -28,10 +28,6 @@ from .syntax import Alphabet, Value, declare_alphabet, parse, render, scan_ident
 Output = tuple[list[str], dict, int]
 
 
-class UsageError(TopkatError):
-    pass
-
-
 def _split_names(flag: str | None) -> tuple[str, ...]:
     return tuple(name.strip() for name in (flag or "").split(",") if name.strip())
 
@@ -52,11 +48,11 @@ def _read_terms(args, expected: int | None) -> list[str]:
     texts = list(args.terms)
     if getattr(args, "file", None) is not None:
         if texts:
-            raise UsageError("give terms positionally or via --file, not both")
+            raise ValueError("give terms positionally or via --file, not both")
         with open(args.file, encoding="utf-8") as handle:
             texts = [line.strip() for line in handle if line.strip()]
     if expected is not None and len(texts) != expected:
-        raise UsageError(f"expected {expected} term(s), got {len(texts)}")
+        raise ValueError(f"expected {expected} term(s), got {len(texts)}")
     return texts
 
 
@@ -67,7 +63,7 @@ def _read_triple_file(args, expected: int | None) -> list[str]:
         split = [(lineno, *logic.split_triple_line(line))
                  for lineno, line in logic.split_triple_file(handle.read())]
     if not split:
-        raise UsageError(f"no triples in {args.file}")
+        raise ValueError(f"no triples in {args.file}")
     args.lines = [(lineno, kind) for lineno, kind, *_ in split]
     return [text for _, _, *texts in split for text in texts]
 
@@ -90,13 +86,13 @@ def _countermodel_lines(carrier: list[str], interp) -> list[str]:
 
 def _budget(args) -> SearchBudget:
     if args.exhaustive and args.samples is not None:
-        raise UsageError("choose either --exhaustive or --samples, not both")
+        raise ValueError("choose either --exhaustive or --samples, not both")
     if args.exhaustive:
         return SearchBudget(exhaustive=True, ceiling=args.ceiling)
     if args.samples is None:
-        raise UsageError("choose a search mode: --exhaustive or --samples N --seed S")
+        raise ValueError("choose a search mode: --exhaustive or --samples N --seed S")
     if args.seed is None:
-        raise UsageError("--samples requires --seed")
+        raise ValueError("--samples requires --seed")
     return SearchBudget(exhaustive=False, samples=args.samples, seed=args.seed,
                         ceiling=args.ceiling)
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import re
 from typing import Sequence, Union
 
-from .decide import Verdict, equivalent
+from .decide import Verdict
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
+from .reduction import topkat_equivalent
 from .relmodel import SearchBudget, falsify_implication
-from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO, contains_top, prune_alphabet
+from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO, contains_top
 
 DIRECTIONS = ("under", "as-printed")
 
@@ -37,7 +38,7 @@ class Triple(Value):
 
 
 class EncodedEquation(Value):
-    """Decide with `equivalent(left, right)`."""
+    """Decide with `topkat_equivalent(left, right)`."""
 
     __slots__ = ("left", "right")
 
@@ -62,14 +63,14 @@ def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedIne
 
 def check_triple(tr: Triple, alphabet: Alphabet,
                  direction: str = "under") -> Union[Verdict, ComparisonVerdict]:
-    """Hoare triples via the equational decision over the alphabet pruned
-    to the equation's names, so a witness's atoms assign only the tests
-    that occur; incorrectness triples via the codomain comparison, so
-    refutations carry relational countermodels.  An encoded inequality
-    T u <= T v is `cod_geq(v, u)`."""
+    """Hoare triples via the equational decision, which `topkat_equivalent`
+    makes over the alphabet pruned to the equation's names, so a witness's
+    atoms assign only the tests that occur; incorrectness triples via the
+    codomain comparison, so refutations carry relational countermodels.
+    An encoded inequality T u <= T v is `cod_geq(v, u)`."""
     enc = encode(tr, direction)
     if isinstance(enc, EncodedEquation):
-        return equivalent(enc.left, enc.right, prune_alphabet(alphabet, enc.left, enc.right))
+        return topkat_equivalent(enc.left, enc.right, alphabet)
     return cod_geq(enc.larger.right, enc.smaller.right, alphabet)
 
 
@@ -90,10 +91,6 @@ class RuleReport(Value):
     """One-sided refutation outcome: absence of a hit proves nothing."""
 
     __slots__ = ("rule", "hyps", "goal", "hit", "budget")
-
-    @property
-    def refuted(self) -> bool:
-        return self.hit is not None
 
 
 def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[

@@ -427,6 +427,8 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
     is drawn.  Otherwise the draws run, and every draw of a size not
     skipped is evaluated, so the hit reported is the first drawn hit.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     every = [t for pair in [*hyps, goal] for t in pair]
     pruned = prune_alphabet(alphabet, *every)
     actions, tests = pruned.actions, pruned.tests
@@ -482,8 +484,6 @@ def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     return _first_hit(kind, [], (t1, t2), alphabet, max_n, budget)
 
 
@@ -495,8 +495,6 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
     Hypotheses and goal are pairs (u, v) read as `T u <= T v`, i.e. as the
     codomain inclusion cod(u) <= cod(v).  Sound refuter only.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     if any(contains_top(t) for pair in [*hyps, goal] for t in pair):
         raise TopNotAllowedError("comparison sides must be top-free")
     # cod_geq(r1, r2) is violated when cod(r2) escapes cod(r1)

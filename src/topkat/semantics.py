@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
     Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Value, Zero,
-    check_over, contains_top, postorder, render,
+    check_over, contains_top, postorder,
 )
 
 ATOM_CAP = 10
@@ -88,28 +88,6 @@ def all_atoms(alphabet: Alphabet) -> tuple[Atom, ...]:
 def _atoms(tests: tuple[str, ...]) -> tuple[Atom, ...]:
     return tuple(Atom(tests, bits)
                  for bits in itertools.product((False, True), repeat=len(tests)))
-
-
-def satisfies(atom: Atom, t: Term) -> bool:
-    """Boolean evaluation of a test-only term under the atom's assignment."""
-    if not t.test_only:
-        raise SortError(f"not a test-only term: {render(t)!r}")
-    value: dict[Term, bool] = {}
-    for s in postorder(t):
-        match s:
-            case Zero():
-                value[s] = False
-            case One():
-                value[s] = True
-            case Test(name):
-                value[s] = atom.value(name)
-            case Not(arg):
-                value[s] = not value[arg]
-            case Plus(left, right):
-                value[s] = value[left] or value[right]
-            case Dot(left, right):
-                value[s] = value[left] and value[right]
-    return value[t]
 
 
 def fuse(s1: GuardedString, s2: GuardedString) -> GuardedString | None:

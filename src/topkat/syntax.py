@@ -92,8 +92,22 @@ class Value:
         return type(self), self._fields()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        """`Cls(field=...)`, written from a stack of the pieces still to
+        write, last first: text, or a value, so any depth prints."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__name__}("]
+            for i, name in enumerate(item.__slots__):
+                field = getattr(item, name)
+                pieces += [", " * bool(i) + name + "=",
+                           field if isinstance(field, Value) else repr(field)]
+            stack += reversed(pieces + [")"])
+        return "".join(out)
 
 
 def _build(value: Value, fields: tuple) -> None:
@@ -228,6 +242,14 @@ class Term(Interned):
     def _kids(self) -> tuple:  # the fields that are terms: none for a leaf
         return ()
 
+    def __reduce__(self):
+        # flat, so any depth pickles: each node as (class, *fields), a
+        # child term by its index in the list
+        order = postorder(self)
+        index = {t: i for i, t in enumerate(order)}
+        return _unflatten, (tuple((type(t), *(index[f] if isinstance(f, Term) else f
+                                              for f in t._fields())) for t in order),)
+
     def _check(self) -> None:
         kids = self._kids()
         test_only, has_top = self._test_like, type(self) is Top
@@ -295,6 +317,14 @@ class Star(Term):
     __slots__ = ("arg",)
     _test_like = False
     _kids = Not._kids
+
+
+def _unflatten(nodes: tuple) -> Term:
+    """The last node of a flat `Term.__reduce__` list, built first to last."""
+    built: list[Term] = []
+    for cls, *fields in nodes:
+        built.append(cls(*(built[f] if type(f) is int else f for f in fields)))
+    return built[-1]
 
 
 ZERO = Zero()

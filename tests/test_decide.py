@@ -10,7 +10,7 @@ from topkat.decide import Equivalent, Witness, equivalent, leq, member
 from topkat.errors import InternalError, SortError, TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
-from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, ZERO, parse, prune_alphabet
+from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, TOP, ZERO, parse, prune_alphabet
 
 
 AL_PQ = Alphabet(("p", "q"), ())
@@ -143,6 +143,12 @@ def test_witnesses_are_deterministic_and_minimal():
 def test_equivalent_rejects_top():
     with pytest.raises(TopNotAllowedError):
         equivalent(parse("T", ALPHABET), parse("p", ALPHABET), ALPHABET)
+
+
+def test_the_engine_walk_refuses_top():
+    # the engine's own walk refuses T, should a caller skip `equivalent`'s check
+    with pytest.raises(TopNotAllowedError, match="^T has no derivatives; eliminate it first$"):
+        decide._Engine(1, {}).accepts(frozenset({TOP}))
 
 
 @pytest.mark.parametrize("left, right, error", [

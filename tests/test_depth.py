@@ -9,6 +9,7 @@ which the growth tests pin with counts rather than clocks.
 """
 
 import copy
+import pickle
 import tracemalloc
 
 import pytest
@@ -84,6 +85,24 @@ def test_deep_terms_are_their_own_copies():
     b = parse("b", alphabet)
     triple = Triple("hoare", b, sequence, b)
     assert copy.copy(triple) == triple and copy.deepcopy(triple) == triple
+
+
+def test_deep_terms_print_at_any_depth():
+    alphabet = Alphabet(("p", "q"), ("b",))
+    text = repr(parse(DEEP["sequence"], alphabet))
+    # 9999 nodes "Dot(left=..., right=...)" around 10^4 leaves "Act(name='p')"
+    assert text.startswith("Dot(left=Dot(left=")
+    assert len(text) == 9999 * len("Dot(left=, right=)") + 10_000 * len("Act(name='p')")
+
+
+def test_deep_terms_pickle_to_themselves():
+    alphabet = Alphabet(("p", "q"), ("b",))
+    sequence, stars = parse(DEEP["sequence"], alphabet), parse(DEEP["stars"], alphabet)
+    for t in (sequence, stars):
+        assert pickle.loads(pickle.dumps(t)) is t
+    b = parse("b", alphabet)
+    triple = Triple("hoare", b, sequence, b)
+    assert pickle.loads(pickle.dumps(triple)) == triple
 
 
 def test_a_long_chain_of_distinct_actions_reduces_in_bounded_memory(capsys):

@@ -67,7 +67,7 @@ PUBLIC_API = [
     "check_rule_instance", "check_triple", "cod_geq", "contains_top",
     "declare_alphabet", "dom_geq", "embed_back", "encode", "equivalent", "evaluate",
     "falsify_implication", "fuse", "lang_bounded", "leq", "member", "parse", "reduce",
-    "render", "reverse", "satisfies", "search_countermodel", "topkat_equivalent",
+    "render", "reverse", "search_countermodel", "topkat_equivalent",
     "topkat_leq",
 ]
 

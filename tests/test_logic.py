@@ -132,16 +132,28 @@ def test_rule_instance_shapes():
         rule_instance("frame", [one])
 
 
+def test_rule_parameters_must_be_top_free():
+    one, p = parse("1", AL_PB), parse("p", AL_PB)
+    with pytest.raises(TopNotAllowedError, match="^rule parameters must be top-free$"):
+        rule_instance("choice", [one, one, TOP, p])
+
+
+def test_encode_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$") as caught:
+        encode(triple("incorrectness", "b", "p", "c"), direction="sideways")
+    assert type(caught.value) is ValueError
+
+
 def test_named_rules_survive_exhaustive_search():
     one = parse("1", AL_PB)
     b, c = parse("b", AL_PB), parse("c", AL_PB)
     p = parse("p", AL_PB)
     seq = check_rule_instance("sequencing", [b, c, one, p, p], AL_PB, 2, EXHAUSTIVE)
-    assert not seq.refuted and seq.budget == "exhaustive n<=2"
+    assert seq.hit is None and seq.budget == "exhaustive n<=2"
     choice = check_rule_instance("choice", [b, c, p, p], AL_PB, 2, EXHAUSTIVE)
-    assert not choice.refuted
+    assert choice.hit is None
     cons = check_rule_instance("consequence", [b, one, c, one, p], AL_PB, 2, EXHAUSTIVE)
-    assert not cons.refuted
+    assert cons.hit is None
 
 
 def test_broken_rule_is_refuted():

@@ -256,6 +256,31 @@ def test_test_relations_must_be_sub_identity():
         RelInterpretation(2, {}, {"b": Relation.from_pairs(2, [(0, 1)])})
 
 
+P, Q = parse("p", AL_PQ), parse("q", AL_PQ)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Relation(2, 16), "^relation mask out of range for carrier size$"),
+    (lambda: Relation.from_pairs(2, [(0, 2)]), r"^pair \(0,2\) outside carrier of size 2$"),
+    (lambda: RelInterpretation(2, {"p": Relation(3, 0)}, {}),
+     "^relation carrier size mismatch$"),
+    (lambda: search_countermodel("subset", P, Q, AL_PQ, 2, EXHAUSTIVE),
+     "^unknown kind 'subset'; expected one of "),
+    (lambda: search_countermodel("leq", P, Q, AL_PQ, 0, EXHAUSTIVE), "^max_n must be >= 1$"),
+    (lambda: falsify_implication([], (P, Q), AL_PQ, 0, EXHAUSTIVE), "^max_n must be >= 1$"),
+], ids=["mask", "pair", "carrier", "kind", "search-max-n", "falsify-max-n"])
+def test_malformed_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        call()
+    assert type(caught.value) is ValueError
+
+
+def test_a_search_takes_one_mode(capsys):
+    code = cli.main(["search", "--kind", "leq", "--exhaustive", "--samples", "3", "p", "q"])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: choose either --exhaustive or --samples, not both\n"))
+
+
 def test_falsify_implication_sequencing_instance():
     one = parse("1", AL_PQ)
     p, q = parse("p", AL_PQ), parse("q", AL_PQ)

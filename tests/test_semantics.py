@@ -9,9 +9,9 @@ from topkat.errors import ParseError, ResourceLimitError, SortError, TopNotAllow
 from topkat.gen import random_term
 from topkat.semantics import (
     Atom, GuardedString, all_atoms, fuse, gs_sort_key,
-    STRING_CAP, lang_bounded, parse_guarded_string, satisfies,
+    STRING_CAP, lang_bounded, parse_guarded_string,
 )
-from topkat.syntax import Alphabet, parse
+from topkat.syntax import Alphabet, Dot, Not, Plus, parse
 
 
 def atom(bits, tests=("b", "c")):
@@ -42,6 +42,12 @@ def test_all_atoms_cap():
         all_atoms(big)
 
 
+def satisfies(a, t):
+    """Whether the atom satisfies the test-only term: its one-atom string
+    lies in the term's language."""
+    return GuardedString((a,), ()) in lang_bounded(t, ALPHABET, 0)
+
+
 def test_satisfies():
     a = atom((True, False))
     assert satisfies(a, parse("b !c", ALPHABET))
@@ -50,18 +56,18 @@ def test_satisfies():
         assert satisfies(atom(bits), parse("b + !b", ALPHABET))
         assert not satisfies(atom(bits), parse("0", ALPHABET))
     with pytest.raises(SortError):
-        satisfies(a, parse("p", ALPHABET))
+        Not(parse("p", ALPHABET))
 
 
 def test_satisfies_names_a_deep_term_without_recursing():
-    # 3000 nested sequences: the message renders the term, and repr would recurse
-    with pytest.raises(SortError, match="^not a test-only term: 'p p p "):
-        satisfies(atom((True, False)), parse("p " * 3000, ALPHABET))
+    # only a test-only term has a truth value: negating 3000 nested
+    # sequences is refused, and the message renders the operand
+    with pytest.raises(SortError, match="^negation requires a test-only term, got 'p p p "):
+        Not(parse("p " * 3000, ALPHABET))
 
 
 @given(boolean_terms())
 def test_satisfies_respects_boolean_rewrites(t):
-    from topkat.syntax import Dot, Not, Plus
     for a in all_atoms(ALPHABET):
         match t:
             case Plus(l, r):
@@ -131,6 +137,12 @@ def test_lang_bounded_refuses_more_than_the_string_cap():
 def test_lang_bounded_rejects_top():
     with pytest.raises(TopNotAllowedError):
         lang_bounded(parse("T", ALPHABET), ALPHABET, 1)
+
+
+def test_lang_bounded_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="^max_actions must be >= 0$") as caught:
+        lang_bounded(parse("p", ALPHABET), ALPHABET, -1)
+    assert type(caught.value) is ValueError
 
 
 @given(terms())

@@ -72,6 +72,11 @@ def test_render_basics():
     assert render(Plus(Act("p"), Plus(Act("q"), Act("p")))) == "p + (q + p)"
 
 
+def test_render_refuses_what_is_not_a_term():
+    with pytest.raises(TypeError, match="^not a term: 5$"):
+        render(5)
+
+
 @given(terms(allow_top=True))
 def test_parse_render_roundtrip(t):
     assert parse(render(t), ALPHABET) == t
