@@ -49,7 +49,7 @@ def _read_terms(args, expected: int | None) -> list[str]:
     if getattr(args, "file", None) is not None:
         if texts:
             raise ValueError("give terms positionally or via --file, not both")
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             texts = [line.strip() for line in handle if line.strip()]
     if expected is not None and len(texts) != expected:
         raise ValueError(f"expected {expected} term(s), got {len(texts)}")
@@ -59,7 +59,7 @@ def _read_terms(args, expected: int | None) -> list[str]:
 def _read_triple_file(args, expected: int | None) -> list[str]:
     """The pre, program and post texts of every triple in the file, in
     order; each triple's line number and kind go to `args.lines`."""
-    with open(args.file, encoding="utf-8") as handle:
+    with open(args.file, encoding="utf-8-sig") as handle:
         split = [(lineno, *logic.split_triple_line(line))
                  for lineno, line in logic.split_triple_file(handle.read())]
     if not split:
@@ -277,7 +277,7 @@ COMMANDS: dict[str, Command] = {
              help="incorrectness encoding orientation (default under)"),
     ), read=_read_triple_file),
     "search": Command("search finite relational countermodels", _cmd_search, 2, TERM_ARGS + (
-        _arg("--kind", required=True, choices=["equality", "leq", "dom-geq", "cod-geq"],
+        _arg("--kind", required=True, choices=[k.replace("_", "-") for k in relmodel.KINDS],
              help="comparison to refute (term order as in the other subcommands)"),
     ) + SEARCH_ARGS),
     "rule": Command("try to refute a proof-rule instance", _cmd_rule, None, (
@@ -328,8 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 3
-    except (ResourceLimitError, RecursionError, MemoryError) as exc:
-        # too deep or too large to decide: no verdict was computed
+    except (ResourceLimitError, MemoryError) as exc:
+        # too large to decide: no verdict was computed
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (TopkatError, ValueError, OSError) as exc:

@@ -28,7 +28,7 @@ class Triple(Value):
     __slots__ = ("kind", "pre", "prog", "post")
 
     def _check(self) -> None:
-        if self.kind not in ("hoare", "incorrectness"):
+        if self.kind not in _TRIPLE_LINES:
             raise ValueError(f"unknown triple kind {self.kind!r}")
         for side, t in (("precondition", self.pre), ("postcondition", self.post)):
             if not t.test_only:
@@ -130,20 +130,20 @@ def check_rule_instance(rule: str, terms: Sequence[Term], alphabet: Alphabet,
 # Triple files: one triple per line, `hoare {b} p;q {c}` or
 # `incorrectness [b] p;q [c]`.  Blank lines and #-comments are skipped.
 
-_HOARE_RE = re.compile(r"^\s*hoare\s*\{(?P<pre>[^}]*)\}(?P<prog>.*)\{(?P<post>[^}]*)\}\s*$")
-_INCOR_RE = re.compile(r"^\s*incorrectness\s*\[(?P<pre>[^\]]*)\](?P<prog>.*)\[(?P<post>[^\]]*)\]\s*$")
+# The triple kinds, each with the pattern of its lines.
+_TRIPLE_LINES = {
+    "hoare": re.compile(r"\s*hoare\s*\{(?P<pre>[^}]*)\}(?P<prog>.*)\{(?P<post>[^}]*)\}\s*$"),
+    "incorrectness": re.compile(
+        r"\s*incorrectness\s*\[(?P<pre>[^\]]*)\](?P<prog>.*)\[(?P<post>[^\]]*)\]\s*$"),
+}
 
 
 def split_triple_line(line: str) -> tuple[str, str, str, str]:
     """Split a triple line into (kind, pre text, prog text, post text)."""
-    m = _HOARE_RE.match(line)
-    kind = "hoare"
-    if m is None:
-        m = _INCOR_RE.match(line)
-        kind = "incorrectness"
-    if m is None:
-        raise ParseError(f"not a triple: {line.strip()!r}")
-    return kind, m.group("pre"), m.group("prog"), m.group("post")
+    for kind, pattern in _TRIPLE_LINES.items():
+        if m := pattern.match(line):
+            return kind, m["pre"], m["prog"], m["post"]
+    raise ParseError(f"not a triple: {line.strip()!r}")
 
 
 def split_triple_file(text: str) -> list[tuple[int, str]]:

@@ -458,11 +458,10 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
         return None
     n, lane, values = found
     shift, full = lane * n * n, _block(n)[4]
-    r1, r2 = (values[slot[t]] >> shift & full for t in goal)
-    rels = [Relation(n, value >> shift & full)
-            for value in values[3:3 + len(actions) + len(tests)]]
-    interp = RelInterpretation(n, dict(zip(actions, rels)),
-                               dict(zip(tests, rels[len(actions):])))
+    r1, r2, *masks = (values[slot[t]] >> shift & full
+                      for t in [*goal, *map(Act, actions), *map(Test, tests)])
+    rels = [Relation(n, mask) for mask in masks]
+    interp = RelInterpretation(n, dict(zip(actions, rels)), dict(zip(tests, rels[len(actions):])))
     return SearchHit(interp, kind, *_violation(kind, n, r1, r2))
 
 

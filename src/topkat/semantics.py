@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
-    Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Value, Zero,
+    IDENT_RE, Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Value, Zero,
     check_over, contains_top, postorder,
 )
 
@@ -192,7 +192,7 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int) -> frozenset[Gua
 
 # As in `syntax._TOKEN_RE`, the last alternative takes any other character.
 _GS_TOKEN = re.compile(
-    r"\s*(?:(?P<atom>\[[^\]]*\])|(?P<act>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))")
+    rf"\s*(?:(?P<atom>\[[^\]]*\])|(?P<act>{IDENT_RE.pattern})|(?P<bad>\S))")
 
 
 def _parse_atom(text: str, alphabet: Alphabet, pos: int) -> Atom:

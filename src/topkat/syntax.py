@@ -143,9 +143,10 @@ class Alphabet(_Masks):
                 raise ValueError(f"invalid identifier {name!r}")
         if len(set(self.actions + self.tests)) != len(self.actions) + len(self.tests):
             raise ValueError("actions and tests must be disjoint and duplicate-free")
+        set_act_mask, set_test_mask = _Masks._setters
         with _INTERN_LOCK:  # unlike an Interned value's, this check runs unlocked
-            object.__setattr__(self, "act_mask", sum(map(_bit, self.actions)))
-            object.__setattr__(self, "test_mask", sum(map(_bit, self.tests)))
+            set_act_mask(self, sum(map(_bit, self.actions)))
+            set_test_mask(self, sum(map(_bit, self.tests)))
 
     def sort_of(self, name: str) -> str | None:
         bit = _NAME_BITS.get(name, 0)
@@ -407,11 +408,15 @@ def check_over(t: Term, alphabet: Alphabet) -> None:
 # The last alternative takes any other character, so matches are
 # contiguous and the first bad character is where the scan fails.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[01!*+;.()])|(?P<bad>\S))")
-_OP_KINDS = {"0": "zero", "1": "one"}
+    rf"\s*(?:(?P<ident>{IDENT_RE.pattern})|(?P<op>[01!*+;.()])|(?P<bad>\S))")
+_LEAVES = {"0": ZERO, "1": ONE, "T": TOP}
+_LEAF_TEXT = {t: text for text, t in _LEAVES.items()}
+_ATOM_STARTERS = {*_LEAVES, "ident", "!", "("}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token: the kind of an operator, 0, 1 or T
+    is its text, and of any other identifier "ident"."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -419,16 +424,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = m.end() - len(value)
         if kind == "bad":
             raise ParseError(f"unexpected character {value!r}", pos)
-        if kind == "ident":
-            kind = "top" if value == "T" else "ident"
-        else:
-            kind = _OP_KINDS.get(value, value)
-        tokens.append((kind, value, pos))
+        tokens.append(("ident" if kind == "ident" and value != "T" else value, value, pos))
     return tokens
-
-
-_ATOM_STARTERS = {"zero", "one", "top", "ident", "!", "("}
-_LEAVES = {"zero": ZERO, "one": ONE, "top": TOP}
 
 
 def parse(text: str, alphabet: Alphabet) -> Term:
@@ -523,7 +520,7 @@ def render(t: Term) -> str:
             continue
         match t:
             case Zero() | One() | Top():
-                out.append({ZERO: "0", ONE: "1", TOP: "T"}[t])
+                out.append(_LEAF_TEXT[t])
             case Act(name) | Test(name):
                 out.append(name)
             case Not(arg):

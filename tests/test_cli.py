@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from topkat import decide, logic
+from topkat import cli, decide, logic
 from topkat.cli import COMMANDS, Command, main
 from topkat.relmodel import Relation, RelInterpretation, SearchHit
 
@@ -124,6 +124,19 @@ def test_triple_file_without_triples_is_a_usage_error(tmp_path, capsys, mode):
     path.write_text("# no triples here\n\n   # nor here\n", encoding="utf-8")
     code, out, err = run(capsys, "triple", "--file", str(path), "--tests", "b", *mode)
     assert code == 2 and out == "" and "no triples" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["decide"], "p*\n1 + p p*\n"),
+    (["triple", "--tests", "b"], "hoare {b} p {b}\nincorrectness [1] p [1]\n"),
+], ids=["terms", "triples"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, argv, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    code, out, err = run(capsys, *argv, "--file", str(plain))
+    assert code in (0, 1) and out and err == ""
+    assert run(capsys, *argv, "--file", str(marked)) == (code, out, err)
 
 
 def test_search_modes_and_seed_echo(capsys):
@@ -311,6 +324,21 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
                                                     decide_command.terms, decide_command.args,
                                                     decide_command.read))
     assert run(capsys, "decide", "p", "q") == (3, "", "error: internal error: KeyError: 'p'\n")
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "error: MemoryError\n"),
+    # no pass over a term recurses, so a RecursionError is a fault in topkat
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: internal error: RecursionError: maximum recursion depth exceeded\n"),
+], ids=["memory", "recursion"])
+def test_running_out_of_memory_is_a_limit_and_recursing_a_fault(capsys, monkeypatch,
+                                                                 error, message):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "topkat_equivalent", failing)
+    assert run(capsys, "decide", "p", "p") == (3, "", message)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -200,3 +200,11 @@ def test_no_function_recurses():
     recursive = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
                  for name in on_cycles(call_graph(path.read_text(encoding="utf-8")))}
     assert recursive == set()
+
+
+def test_no_function_calls_itself():
+    # the shortest cycle, read from the same call graph: a direct call by
+    # the function's own name, or through `self.`/`cls.`
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph = call_graph(path.read_text(encoding="utf-8"))
+        assert [name for name, callees in graph.items() if name in callees] == [], path.name
