@@ -4,8 +4,8 @@ Comparison subcommands take their two terms in the order the inequality
 is usually written: `leq T1 T2` decides T1 >= T2, and `cod-geq T1 T2`
 decides cod(T1) >= cod(T2).  Exit codes: 0 the property is provable (or
 no countermodel/refutation was found), 1 it is not (a witness or
-countermodel is emitted), 2 usage or input error, 3 a resource cap was
-exceeded.
+countermodel is emitted), 2 usage or input error, 3 no verdict was
+computed: a resource cap was exceeded, or topkat hit an internal error.
 """
 
 from __future__ import annotations
@@ -68,20 +68,17 @@ def _read_triple_file(args, expected: int | None) -> list[str]:
     return [text for _, _, *texts in split for text in texts]
 
 
-def _countermodel_payload(carrier: list[str], interp, extra: dict) -> dict:
-    relations = {name: [list(pair) for pair in rel.pairs]
-                 for name, rel in {**interp.action_map, **interp.test_map}.items()}
-    return {"carrier": carrier, "relations": relations, **extra}
-
-
-def _countermodel_lines(carrier: list[str], interp) -> list[str]:
-    lines = ["carrier:"]
-    lines += [f"  {i} = {label}" for i, label in enumerate(carrier)]
-    lines.append("relations:")
+def _countermodel(carrier: list[str], labels: list[str], interp,
+                  extra: dict) -> tuple[list[str], dict]:
+    """A countermodel's human lines, which name carrier element i `labels[i]`,
+    and its JSON, which names it `carrier[i]` and ends with `extra`."""
+    lines = ["carrier:", *(f"  {i} = {label}" for i, label in enumerate(labels)), "relations:"]
+    relations = {}
     for name, rel in {**interp.action_map, **interp.test_map}.items():
+        relations[name] = [list(pair) for pair in rel.pairs]
         body = " ".join(f"({i},{j})" for i, j in rel.pairs)
         lines.append(f"  {name} = {{{body}}}")
-    return lines
+    return lines, {"carrier": carrier, "relations": relations, **extra}
 
 
 def _budget(args) -> SearchBudget:
@@ -109,15 +106,13 @@ def _verdict_payload(verdict: decide.Verdict, ok_word: str, bad_word: str,
 def _comparison_payload(args, cm: domain.ComparisonVerdict) -> Output:
     if isinstance(cm, domain.Provable):
         return ["provable"], {"verdict": "provable"}, 0
-    carrier = [s.render() for s in cm.carrier]
-    witness, point = cm.witness.render(), cm.violating_point.render()
-    labels = [str(i) for i in range(len(carrier))] if args.numeric else carrier
-    human = ["not provable", f"witness: {witness}", *_countermodel_lines(labels, cm.interp),
-             f"violating point: {cm.violating_index}" + ("" if args.numeric else f" = {point}")]
-    payload = {"verdict": "not-provable", "witness": witness,
-               "countermodel": _countermodel_payload(carrier, cm.interp, {
-                   "violating_point": point, "witness": witness, "side": cm.side})}
-    return human, payload, 1
+    carrier, witness = [s.render() for s in cm.carrier], cm.witness.render()
+    lines, model = _countermodel(
+        carrier, [str(i) for i in range(len(carrier))] if args.numeric else carrier, cm.interp,
+        {"violating_point": witness, "witness": witness, "side": "right"})
+    human = ["not provable", f"witness: {witness}", *lines,
+             f"violating point: {cm.violating_index}" + ("" if args.numeric else f" = {witness}")]
+    return human, {"verdict": "not-provable", "witness": witness, "countermodel": model}, 1
 
 
 def _search_payload(hit: SearchHit | None, budget: SearchBudget,
@@ -130,21 +125,21 @@ def _search_payload(hit: SearchHit | None, budget: SearchBudget,
             return ["no countermodel"] + seed_line, {"verdict": "no-countermodel", **seed}, 0
         return ([f"no refutation found (budget {rule_budget})"] + seed_line,
                 {"verdict": "no-refutation", "budget": rule_budget, **seed}, 0)
-    carrier = [str(i) for i in range(hit.interp.n)]
     extra: dict = {}
-    found = "countermodel" if rule_budget is None else "refuted"
-    human = [found] + _countermodel_lines(carrier, hit.interp)
+    where = []
     if hit.violating_point is not None:
         extra["violating_point"] = str(hit.violating_point)
-        human.append(f"violating point: {hit.violating_point}")
+        where.append(f"violating point: {hit.violating_point}")
     if hit.violating_pair is not None:
         extra["violating_pair"] = list(hit.violating_pair)
-        human.append(f"violating pair: ({hit.violating_pair[0]},{hit.violating_pair[1]})")
-    payload = {"verdict": found, **seed,
-               "countermodel": _countermodel_payload(carrier, hit.interp, extra)}
+        where.append(f"violating pair: ({hit.violating_pair[0]},{hit.violating_pair[1]})")
+    carrier = [str(i) for i in range(hit.interp.n)]
+    lines, model = _countermodel(carrier, carrier, hit.interp, extra)
+    found = "countermodel" if rule_budget is None else "refuted"
+    payload = {"verdict": found, **seed, "countermodel": model}
     if rule_budget is not None:
         payload["budget"] = rule_budget
-    return human + seed_line, payload, 1
+    return [found, *lines, *where, *seed_line], payload, 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +203,10 @@ def _cmd_search(args, alphabet, t1, t2) -> Output:
 
 
 def _cmd_rule(args, alphabet, *terms) -> Output:
-    budget = _budget(args)
-    report = logic.check_rule_instance(args.name, terms, alphabet, args.max_states, budget)
-    return _search_payload(report.hit, budget, report.budget)
+    budget, n = _budget(args), args.max_states
+    hit = logic.check_rule_instance(args.name, terms, alphabet, n, budget)
+    return _search_payload(hit, budget, f"exhaustive n<={n}" if budget.exhaustive
+                           else f"{budget.samples} samples n<={n} seed={budget.seed}")
 
 
 # ---------------------------------------------------------------------------

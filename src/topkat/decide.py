@@ -19,7 +19,7 @@ from .errors import InternalError, TopNotAllowedError
 from .semantics import GuardedString, all_atoms
 from .syntax import (
     Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Value, Zero, ZERO,
-    check_over, contains_top, postorder, render,
+    check_over, postorder, render,
 )
 
 
@@ -122,7 +122,7 @@ class _Engine:
 
 def member(s: GuardedString, t: Term) -> bool:
     """Decide s in L(t) by folding derivatives over the action steps."""
-    if contains_top(t):
+    if t.has_top:
         raise TopNotAllowedError("membership is defined for top-free terms")
     index = {atom: i for i, atom in enumerate(dict.fromkeys(s.atoms))}
     steps = [(index[atom], act) for atom, act in zip(s.atoms, s.acts)]
@@ -183,7 +183,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     so skipping it moves no other pair in the queue.
     """
     for t in (t1, t2):
-        if contains_top(t):
+        if t.has_top:
             raise TopNotAllowedError("equivalence is decided on top-free terms")
         check_over(t, alphabet)
     atoms = all_atoms(alphabet)

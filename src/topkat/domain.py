@@ -16,7 +16,7 @@ from .errors import InternalError, TopNotAllowedError
 from .reduction import TOP_ACTION, topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
 from .semantics import GuardedString
-from .syntax import Alphabet, Dot, Term, TOP, Value, contains_top, prune_alphabet
+from .syntax import Alphabet, Dot, Term, TOP, Value, prune_alphabet
 
 
 class Provable(Value):
@@ -27,15 +27,15 @@ class RelCountermodel(Value):
     """A finite relational interpretation refuting the comparison.
 
     Carrier elements are guarded strings; `carrier[i]` labels the numeric
-    element i of `interp`.  The violating point lies in the `side` term's
-    (co)domain only, and `witness` is the underlying language-level witness.
+    element i of `interp`.  The violating point, in the right term's
+    (co)domain only, is the language-level `witness` itself.
     """
 
-    __slots__ = ("interp", "carrier", "violating_point", "witness", "side")
+    __slots__ = ("interp", "carrier", "witness")
 
     @property
     def violating_index(self) -> int:
-        return self.carrier.index(self.violating_point)
+        return self.carrier.index(self.witness)
 
 
 ComparisonVerdict = Union[Provable, RelCountermodel]
@@ -69,7 +69,7 @@ def _compare(t1: Term, t2: Term, alphabet: Alphabet, domain: bool) -> Comparison
     own engine, over these same interned reducts and pruned alphabet.
     """
     for t in (t1, t2):
-        if contains_top(t):
+        if t.has_top:
             raise TopNotAllowedError(
                 "term contains T: (co)domain comparison is only complete "
                 "for top-free terms")
@@ -127,4 +127,4 @@ def _countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet,
     if point not in reach(evaluate(t2, interp)) or point in reach(evaluate(t1, interp)):
         raise InternalError(f"{'suffix' if domain else 'prefix'} "
                             "countermodel failed verification")
-    return RelCountermodel(interp, tuple(carrier), carrier[point], w, "right")
+    return RelCountermodel(interp, tuple(carrier), w)

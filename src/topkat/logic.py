@@ -16,8 +16,8 @@ from .decide import Verdict
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
 from .reduction import topkat_equivalent
-from .relmodel import SearchBudget, falsify_implication
-from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO, contains_top
+from .relmodel import SearchBudget, SearchHit, falsify_implication
+from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO
 
 DIRECTIONS = ("under", "as-printed")
 
@@ -33,7 +33,7 @@ class Triple(Value):
         for side, t in (("precondition", self.pre), ("postcondition", self.post)):
             if not t.test_only:
                 raise SortError(f"{side} must be a test-only term")
-        if contains_top(self.prog):
+        if self.prog.has_top:
             raise TopNotAllowedError("triple programs must be top-free")
 
 
@@ -87,12 +87,6 @@ RULES: dict[str, tuple[str, ...]] = {
 }
 
 
-class RuleReport(Value):
-    """One-sided refutation outcome: absence of a hit proves nothing."""
-
-    __slots__ = ("rule", "hyps", "goal", "hit", "budget")
-
-
 def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[
         tuple[tuple[Term, Term], ...], tuple[Term, Term]]:
     """Hypotheses and goal for a named rule, each pair read as T u <= T v."""
@@ -106,7 +100,7 @@ def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[
     for name in params:
         if name.startswith(("a", "b", "c")) and not binding[name].test_only:
             raise SortError(f"rule parameter {name!r} must be a test-only term")
-        if contains_top(binding[name]):
+        if binding[name].has_top:
             raise TopNotAllowedError("rule parameters must be top-free")
     if rule == "sequencing":
         a, b, c, p, q = (binding[x] for x in params)
@@ -119,11 +113,11 @@ def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[
 
 
 def check_rule_instance(rule: str, terms: Sequence[Term], alphabet: Alphabet,
-                        max_n: int, budget: SearchBudget) -> RuleReport:
-    """Search for a relational refutation of the instantiated rule."""
-    hyps, goal = rule_instance(rule, terms)
-    hit = falsify_implication(hyps, goal, alphabet, max_n, budget)
-    return RuleReport(rule, hyps, goal, hit, budget.describe(max_n))
+                        max_n: int, budget: SearchBudget) -> SearchHit | None:
+    """The first model, within the budget, of the instantiated rule's
+    hypotheses that violates its goal, else None: a refuter only, so None
+    proves nothing.  `rule_instance` gives the hypotheses and goal."""
+    return falsify_implication(*rule_instance(rule, terms), alphabet, max_n, budget)
 
 
 # ---------------------------------------------------------------------------

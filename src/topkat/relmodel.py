@@ -20,8 +20,7 @@ from typing import Sequence
 
 from .errors import ResourceLimitError, TopNotAllowedError, UndeclaredIdentifierError
 from .syntax import (
-    ONE, TOP, ZERO, Act, Alphabet, Dot, Plus, Star, Term, Test, Value, contains_top,
-    postorder, prune_alphabet,
+    ONE, TOP, ZERO, Act, Alphabet, Dot, Plus, Star, Term, Test, Value, postorder, prune_alphabet,
 )
 
 
@@ -225,16 +224,11 @@ class SearchBudget(Value):
         if self.ceiling < 0:
             raise ValueError("ceiling must be >= 0")
 
-    def describe(self, max_n: int) -> str:
-        if self.exhaustive:
-            return f"exhaustive n<={max_n}"
-        return f"{self.samples} samples n<={max_n} seed={self.seed}"
-
 
 class SearchHit(Value):
-    """A verified violating interpretation, plus what it violates."""
+    """A violating interpretation, with its least violating pair or point."""
 
-    __slots__ = ("interp", "kind", "violating_pair", "violating_point")
+    __slots__ = ("interp", "violating_pair", "violating_point")
 
 
 def _violation(kind: str, n: int, r1: int, r2: int) -> tuple | None:
@@ -462,7 +456,7 @@ def _first_hit(kind: str, hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, T
                       for t in [*goal, *map(Act, actions), *map(Test, tests)])
     rels = [Relation(n, mask) for mask in masks]
     interp = RelInterpretation(n, dict(zip(actions, rels)), dict(zip(tests, rels[len(actions):])))
-    return SearchHit(interp, kind, *_violation(kind, n, r1, r2))
+    return SearchHit(interp, *_violation(kind, n, r1, r2))
 
 
 def search_countermodel(kind: str, t1: Term, t2: Term, alphabet: Alphabet,
@@ -494,7 +488,7 @@ def falsify_implication(hyps: Sequence[tuple[Term, Term]], goal: tuple[Term, Ter
     Hypotheses and goal are pairs (u, v) read as `T u <= T v`, i.e. as the
     codomain inclusion cod(u) <= cod(v).  Sound refuter only.
     """
-    if any(contains_top(t) for pair in [*hyps, goal] for t in pair):
+    if any(t.has_top for pair in [*hyps, goal] for t in pair):
         raise TopNotAllowedError("comparison sides must be top-free")
     # cod_geq(r1, r2) is violated when cod(r2) escapes cod(r1)
     return _first_hit("cod_geq", [(v, u) for u, v in hyps], (goal[1], goal[0]),

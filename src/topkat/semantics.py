@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from .errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from .syntax import (
     IDENT_RE, Act, Alphabet, Dot, Interned, Not, One, Plus, Star, Term, Test, Value, Zero,
-    check_over, contains_top, postorder,
+    check_over, postorder,
 )
 
 ATOM_CAP = 10
@@ -148,7 +148,7 @@ def _fuse_sets(left: Iterable[_Raw], right: Iterable[_Raw], max_actions: int) ->
 def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int) -> frozenset[GuardedString]:
     """Exactly the guarded strings of t's language with <= max_actions actions;
     ResourceLimitError once any set built on the way exceeds STRING_CAP."""
-    if contains_top(t):
+    if t.has_top:
         raise TopNotAllowedError("term contains T; eliminate it first")
     check_over(t, alphabet)
     if max_actions < 0:

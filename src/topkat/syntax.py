@@ -138,6 +138,8 @@ class Alphabet(_Masks):
     __slots__ = ("actions", "tests")
 
     def _check(self) -> None:
+        if not (isinstance(self.actions, tuple) and isinstance(self.tests, tuple)):
+            raise TypeError("actions and tests must be tuples of names")
         for name in self.actions + self.tests:
             if not IDENT_RE.fullmatch(name) or name == "T":
                 raise ValueError(f"invalid identifier {name!r}")
@@ -158,8 +160,11 @@ def declare_alphabet(actions: tuple[str, ...] | list[str],
     """Build an alphabet from user declarations.
 
     Rejects ``__``-prefixed names so user identifiers can never collide
-    with reserved internal actions.
+    with reserved internal actions, and a bare string, whose letters would
+    each be declared.
     """
+    if isinstance(actions, str) or isinstance(tests, str):
+        raise TypeError("actions and tests must be sequences of names, not strings")
     for name in tuple(actions) + tuple(tests):
         if name.startswith("__"):
             raise ValueError(f"identifiers starting with '__' are reserved: {name!r}")

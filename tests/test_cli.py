@@ -227,7 +227,7 @@ def test_rule_json_without_refutation(capsys):
 REFUTING_HIT = SearchHit(
     RelInterpretation(2, {"p": Relation.from_pairs(2, [(0, 1)])},
                       {"b": Relation.from_pairs(2, [(0, 0)]), "c": Relation(2, 0)}),
-    "cod_geq", None, 1)
+    None, 1)
 REFUTED_MODEL = ('"countermodel": {"carrier": ["0", "1"], "relations": '
                  '{"p": [[0, 1]], "b": [[0, 0]], "c": []}, "violating_point": "1"}')
 REFUTED_HUMAN = ("refuted\ncarrier:\n  0 = 0\n  1 = 1\nrelations:\n  p = {(0,1)}\n"
@@ -238,9 +238,8 @@ def test_rule_refuted_output(capsys, monkeypatch):
     real = logic.check_rule_instance
 
     def refuted(*args):
-        report = real(*args)
-        return logic.RuleReport(report.rule, report.hyps, report.goal, REFUTING_HIT,
-                                report.budget)
+        assert real(*args) is None
+        return REFUTING_HIT
 
     monkeypatch.setattr(logic, "check_rule_instance", refuted)
     rule = ("rule", "choice", "b", "c", "p", "p", "--tests", "b,c")

@@ -54,7 +54,7 @@ def test_dom_geq_examples():
     assert isinstance(verdict, RelCountermodel)
     assert 0 in evaluate(parse("p", AL_PB), verdict.interp).dom()
     assert 0 not in evaluate(parse("b p", AL_PB), verdict.interp).dom()
-    assert verdict.violating_point == verdict.witness
+    assert verdict.carrier[verdict.violating_index] == verdict.witness
     assert len(verdict.carrier) == verdict.witness.num_actions + 1
 
 
@@ -157,7 +157,7 @@ def _check_countermodel_shape(direction):
     assert w == topkat_leq(pad(t2), pad(t1), AL_PB).string
     assert len(model.carrier) == w.num_actions + 1
     assert model.violating_index == violating(len(model.carrier))
-    assert model.violating_point == w
+    assert model.carrier[model.violating_index] == w
     # carrier element i is keyed on the witness's i-th atom: the last atom
     # of a prefix, the first atom of a suffix
     for i, s in enumerate(model.carrier):

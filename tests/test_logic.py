@@ -149,11 +149,11 @@ def test_named_rules_survive_exhaustive_search():
     b, c = parse("b", AL_PB), parse("c", AL_PB)
     p = parse("p", AL_PB)
     seq = check_rule_instance("sequencing", [b, c, one, p, p], AL_PB, 2, EXHAUSTIVE)
-    assert seq.hit is None and seq.budget == "exhaustive n<=2"
+    assert seq is None
     choice = check_rule_instance("choice", [b, c, p, p], AL_PB, 2, EXHAUSTIVE)
-    assert choice.hit is None
+    assert choice is None
     cons = check_rule_instance("consequence", [b, one, c, one, p], AL_PB, 2, EXHAUSTIVE)
-    assert cons.hit is None
+    assert cons is None
 
 
 def test_broken_rule_is_refuted():

@@ -290,12 +290,13 @@ def test_falsify_implication_sequencing_instance():
 
 
 def test_falsify_implication_empty_hypotheses():
-    hit = falsify_implication([], (parse("p", AL_PQ), parse("q", AL_PQ)),
-                              AL_PQ, 2, EXHAUSTIVE)
-    assert hit is not None
-    r_p = evaluate(parse("p", AL_PQ), hit.interp)
-    r_q = evaluate(parse("q", AL_PQ), hit.interp)
-    assert not r_p.cod() <= r_q.cod()
+    p, q = parse("p", AL_PQ), parse("q", AL_PQ)
+    for budget in (EXHAUSTIVE, SearchBudget(exhaustive=False, samples=40, seed=5)):
+        hit = falsify_implication([], (p, q), AL_PQ, 2, budget)
+        assert hit is not None
+        assert not evaluate(p, hit.interp).cod() <= evaluate(q, hit.interp).cod()
+        # with no hypotheses, T p <= T q is the comparison cod(q) >= cod(p)
+        assert hit == search_countermodel("cod_geq", q, p, AL_PQ, 2, budget)
 
 
 def test_falsify_implication_unsatisfiable_hypothesis():
@@ -418,7 +419,7 @@ def reference_search(kind, hyps, goal, alphabet, max_n, budget):
             continue
         found = violated(goal)
         if found is not None:
-            return SearchHit(model, kind, *found)
+            return SearchHit(model, *found)
     return None
 
 

@@ -120,6 +120,17 @@ def test_alphabet_validation():
     with pytest.raises(ValueError):
         declare_alphabet(["__top__"], [])
     assert declare_alphabet(["p"], ["b"]).sort_of("p") == "action"
+    assert declare_alphabet(["p"], ["b"]) == Alphabet(("p",), ("b",))
+
+
+@pytest.mark.parametrize("declare, message", [
+    (lambda: Alphabet(("push"), ("b")), "must be tuples"),  # no trailing commas: strings
+    (lambda: Alphabet(["p"], ["b"]), "must be tuples"),  # unhashable
+    (lambda: declare_alphabet("pq", "b"), "not strings"),
+], ids=["strings", "lists", "declared-strings"])
+def test_alphabet_names_are_a_tuple(declare, message):
+    with pytest.raises(TypeError, match=message):
+        declare()
 
 
 def test_scan_identifiers():
