@@ -11,6 +11,7 @@ computed: a resource cap was exceeded, or topkat hit an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,6 +85,8 @@ def _countermodel(carrier: list[str], labels: list[str], interp,
 def _budget(args) -> SearchBudget:
     if args.exhaustive and args.samples is not None:
         raise ValueError("choose either --exhaustive or --samples, not both")
+    if args.exhaustive and args.seed is not None:
+        raise ValueError("choose either --exhaustive or --seed, not both")
     if args.exhaustive:
         return SearchBudget(exhaustive=True, ceiling=args.ceiling)
     if args.samples is None:
@@ -284,9 +287,13 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser: a command name and that command's arguments,
-    which `main` parses with the command's own parser."""
+    which `main` parses with the command's own parser.  It is built once
+    per process and shared: callers parse with it and never add to it.
+    Help still wraps to the terminal's width, which argparse reads when it
+    formats, not when it builds."""
     width = max(map(len, COMMANDS)) + 2
     parser = argparse.ArgumentParser(
         prog="topkat", formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -302,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
+    """A new parser per call: `parse_intermixed_args` changes its parser
+    while it parses, so a shared one would need a lock."""
     parser = argparse.ArgumentParser(prog=f"topkat {name}", description=COMMANDS[name].help)
     for names, options in COMMON_ARGS + COMMANDS[name].args:
         parser.add_argument(*names, **options)

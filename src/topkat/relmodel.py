@@ -219,6 +219,8 @@ class SearchBudget(Value):
     def _check(self) -> None:
         if not self.exhaustive and (self.samples is None or self.seed is None):
             raise ValueError("random search needs both samples and seed")
+        if self.exhaustive and (self.samples is not None or self.seed is not None):
+            raise ValueError("exhaustive search takes neither samples nor seed")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.ceiling < 0:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -156,6 +158,15 @@ def test_search_modes_and_seed_echo(capsys):
     assert code == 2 and "search mode" in err
 
 
+@pytest.mark.parametrize("command", [["search", "--kind", "equality", "p", "p"],
+                                     ["rule", "choice", "--tests", "a,b", "a", "b", "p", "q"]],
+                         ids=["search", "rule"])
+def test_an_exhaustive_search_refuses_a_seed(capsys, command):
+    code, out, err = run(capsys, *command, "--exhaustive", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: choose either --exhaustive or --seed, not both\n"
+
+
 def test_search_ceiling_exit_code(capsys):
     code, _, err = run(capsys, "search", "--kind", "leq", "--max-states", "3",
                        "--exhaustive", "--ceiling", "1000", "--tests", "",
@@ -304,6 +315,72 @@ def test_help_and_bare_invocation(capsys, argv):
             assert re.search(rf"^  {name} +{re.escape(command.help)}$", out, re.M)
     else:
         assert code == 0 and out.startswith(f"usage: topkat {argv[0]} ")
+
+
+def test_main_builds_only_the_commands_parser(capsys, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    triples = tmp_path / "specs.txt"
+    triples.write_text("hoare {b} p {b}\n", encoding="utf-8")
+    run(capsys, "decide", "p", "p")  # builds the shared parser, if no test has yet
+    for argv in (["decide", "p", "q"], ["search", "--kind", "leq", "--exhaustive", "p", "q"],
+                 ["triple", "--file", str(triples), "--tests", "b"]):
+        built.clear()
+        assert run(capsys, *argv)[0] in (0, 1)
+        assert built == [f"topkat {argv[0]}"]
+    built.clear()
+    assert run(capsys, "--help")[0] == 0 and built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+WORK_PREFIX = "perfbench/_work/"
+
+
+def corpus_queries(directory: pathlib.Path, workload: str) -> list[tuple[list[str], int]]:
+    """(argv, exit code) of every query of a benchmark corpus, with the
+    corpus's files written to `directory`."""
+    corpus = json.loads((CORPUS_DIR / f"{workload}.json").read_text(encoding="utf-8"))
+    directory.mkdir()
+    for name, text in corpus["files"].items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return [([str(directory / arg[len(WORK_PREFIX):]) if arg.startswith(WORK_PREFIX) else arg
+              for arg in query["argv"]], query["code"]) for query in corpus["queries"]]
+
+
+def test_the_shared_parser_parses_alike_from_several_threads(tmp_path):
+    argvs = [argv for workload in ("desk-mix", "wide-guards", "relsearch")
+             for argv, _ in corpus_queries(tmp_path / workload, workload)]
+    parse = cli.build_parser().parse_args
+    serial = [parse(argv) for argv in argvs]
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(parse, argvs)) == serial
+
+
+def test_main_gives_every_corpus_exit_code_from_several_threads(capsys, tmp_path):
+    queries = [query for workload in ("wide-guards", "relsearch")
+               for query in corpus_queries(tmp_path / workload, workload)]
+    with ThreadPoolExecutor(4) as pool:
+        codes = list(pool.map(main, [argv for argv, _ in queries]))
+    capsys.readouterr()
+    assert codes == [code for _, code in queries]
+
+
+@pytest.mark.parametrize("columns, wrapped", [("40", True), ("200", False)])
+def test_help_follows_the_terminal_width_once_the_parser_is_built(capsys, monkeypatch,
+                                                                  columns, wrapped):
+    cli.build_parser()
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert bool(re.search(r"^  COMMAND +one of the commands\n +below$", out, re.M)) == wrapped
+    assert ("one of the commands below" in out) != wrapped
 
 
 def test_an_unsound_witness_is_an_internal_error(capsys, monkeypatch):

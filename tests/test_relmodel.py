@@ -202,6 +202,13 @@ def test_search_budget_requires_seed():
         SearchBudget(exhaustive=False, samples=10)
 
 
+@pytest.mark.parametrize("extra", [{"samples": 3, "seed": 1}, {"samples": 3}, {"seed": 1}],
+                         ids=["samples-and-seed", "samples", "seed"])
+def test_an_exhaustive_budget_refuses_samples_and_seed(extra):
+    with pytest.raises(ValueError, match="exhaustive"):
+        SearchBudget(exhaustive=True, **extra)
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_search_budget_requires_a_sample(samples):
     with pytest.raises(ValueError, match="samples"):
