@@ -8,7 +8,7 @@ from .errors import (
     ParseError, ResourceLimitError, SortError, TopNotAllowedError, TopkatError,
     UndeclaredIdentifierError,
 )
-from .logic import Triple, check_rule_instance, check_triple, encode
+from .logic import Triple, check_triple
 from .reduction import (
     TOP_ACTION, ExtendedAlphabet, embed_back, reduce, topkat_equivalent, topkat_leq,
 )

@@ -76,8 +76,8 @@ def _countermodel(carrier: list[str], labels: list[str], interp,
     lines = ["carrier:", *(f"  {i} = {label}" for i, label in enumerate(labels)), "relations:"]
     relations = {}
     for name, rel in {**interp.action_map, **interp.test_map}.items():
-        relations[name] = [list(pair) for pair in rel.pairs]
-        body = " ".join(f"({i},{j})" for i, j in rel.pairs)
+        relations[name] = pairs = [list(pair) for pair in rel.pairs]
+        body = " ".join(f"({i},{j})" for i, j in pairs)
         lines.append(f"  {name} = {{{body}}}")
     return lines, {"carrier": carrier, "relations": relations, **extra}
 
@@ -207,7 +207,7 @@ def _cmd_search(args, alphabet, t1, t2) -> Output:
 
 def _cmd_rule(args, alphabet, *terms) -> Output:
     budget, n = _budget(args), args.max_states
-    hit = logic.check_rule_instance(args.name, terms, alphabet, n, budget)
+    hit = relmodel.falsify_implication(*logic.rule_instance(args.name, terms), alphabet, n, budget)
     return _search_payload(hit, budget, f"exhaustive n<={n}" if budget.exhaustive
                            else f"{budget.samples} samples n<={n} seed={budget.seed}")
 

@@ -1,10 +1,11 @@
-"""Hoare and incorrectness triples, and refutation of proof-rule instances.
+"""Hoare and incorrectness triples, and the instances of proof rules.
 
 A Hoare triple {b} p {c} becomes the equation b p !c = 0.  An
 incorrectness triple [b] p [c] asserts that every c-state is reachable
 from some b-state through p, i.e. the codomain inclusion T c <= T (b p);
 refutations therefore come back as verified relational countermodels.
 The printed-direction encoding T (b p) <= T c is available behind a flag.
+A rule instance's hypotheses and goal go to `falsify_implication` to refute.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from .decide import Verdict
 from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
 from .reduction import topkat_equivalent
-from .relmodel import SearchBudget, SearchHit, falsify_implication
-from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO
+from .syntax import Alphabet, Dot, Not, Plus, Term, Value, ZERO
 
 DIRECTIONS = ("under", "as-printed")
 
@@ -37,41 +37,22 @@ class Triple(Value):
             raise TopNotAllowedError("triple programs must be top-free")
 
 
-class EncodedEquation(Value):
-    """Decide with `topkat_equivalent(left, right)`."""
-
-    __slots__ = ("left", "right")
-
-
-class EncodedInequality(Value):
-    """Decide with `topkat_leq(smaller, larger)`."""
-
-    __slots__ = ("smaller", "larger")
-
-
-def encode(tr: Triple, direction: str = "under") -> EncodedEquation | EncodedInequality:
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    if tr.kind == "hoare":
-        return EncodedEquation(Dot(Dot(tr.pre, tr.prog), Not(tr.post)), ZERO)
-    reach = Dot(TOP, Dot(tr.pre, tr.prog))
-    claim = Dot(TOP, tr.post)
-    if direction == "under":
-        return EncodedInequality(claim, reach)
-    return EncodedInequality(reach, claim)
-
-
 def check_triple(tr: Triple, alphabet: Alphabet,
                  direction: str = "under") -> Union[Verdict, ComparisonVerdict]:
-    """Hoare triples via the equational decision, which `topkat_equivalent`
-    makes over the alphabet pruned to the equation's names, so a witness's
-    atoms assign only the tests that occur; incorrectness triples via the
-    codomain comparison, so refutations carry relational countermodels.
-    An encoded inequality T u <= T v is `cod_geq(v, u)`."""
-    enc = encode(tr, direction)
-    if isinstance(enc, EncodedEquation):
-        return topkat_equivalent(enc.left, enc.right, alphabet)
-    return cod_geq(enc.larger.right, enc.smaller.right, alphabet)
+    """A Hoare triple {b} p {c} is the equation b p !c = 0, decided by
+    `topkat_equivalent` over the alphabet pruned to the equation's names,
+    so a witness's atoms assign only the tests that occur.  An
+    incorrectness triple [b] p [c] is T c <= T (b p), i.e. `cod_geq(b p,
+    c)`, so refutations carry relational countermodels; `as-printed`
+    decides T (b p) <= T c, i.e. `cod_geq(c, b p)`."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    reach = Dot(tr.pre, tr.prog)
+    if tr.kind == "hoare":
+        return topkat_equivalent(Dot(reach, Not(tr.post)), ZERO, alphabet)
+    if direction == "under":
+        return cod_geq(reach, tr.post, alphabet)
+    return cod_geq(tr.post, reach, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +91,6 @@ def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[
         return ((Dot(a, p), b), (Dot(a, q), b)), (Dot(a, Plus(p, q)), b)
     a_weak, a, b, b_weak, p = (binding[x] for x in params)
     return ((a_weak, a), (Dot(a, p), b), (b, b_weak)), (Dot(a_weak, p), b_weak)
-
-
-def check_rule_instance(rule: str, terms: Sequence[Term], alphabet: Alphabet,
-                        max_n: int, budget: SearchBudget) -> SearchHit | None:
-    """The first model, within the budget, of the instantiated rule's
-    hypotheses that violates its goal, else None: a refuter only, so None
-    proves nothing.  `rule_instance` gives the hypotheses and goal."""
-    return falsify_implication(*rule_instance(rule, terms), alphabet, max_n, budget)
 
 
 # ---------------------------------------------------------------------------

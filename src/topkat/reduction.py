@@ -32,7 +32,7 @@ class ExtendedAlphabet(Value):
 
     def sum_star(self) -> Term:
         """The largest element of the extended KAT: (a1 + ... + ak + top)*."""
-        return Star(functools.reduce(Plus, map(Act, self.alphabet.actions)))
+        return Star(functools.reduce(Plus, map(Act, self.base.actions + (TOP_ACTION,))))
 
 
 def reduce(t: Term, alphabet: Alphabet) -> Term:

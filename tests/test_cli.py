@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from topkat import cli, decide, logic
+from topkat import cli, decide, relmodel
 from topkat.cli import COMMANDS, Command, main
 from topkat.relmodel import Relation, RelInterpretation, SearchHit
 
@@ -246,13 +246,13 @@ REFUTED_HUMAN = ("refuted\ncarrier:\n  0 = 0\n  1 = 1\nrelations:\n  p = {(0,1)}
 
 
 def test_rule_refuted_output(capsys, monkeypatch):
-    real = logic.check_rule_instance
+    real = relmodel.falsify_implication
 
     def refuted(*args):
         assert real(*args) is None
         return REFUTING_HIT
 
-    monkeypatch.setattr(logic, "check_rule_instance", refuted)
+    monkeypatch.setattr(relmodel, "falsify_implication", refuted)
     rule = ("rule", "choice", "b", "c", "p", "p", "--tests", "b,c")
     code, out, _ = run(capsys, *rule, "--exhaustive", "--json")
     assert code == 1

@@ -64,8 +64,8 @@ PUBLIC_API = [
     "ResourceLimitError", "SearchBudget", "SortError", "Star", "TOP_ACTION", "Term",
     "Test", "Top", "TopNotAllowedError", "TopkatError", "Triple",
     "UndeclaredIdentifierError", "Verdict", "Witness", "Zero", "all_atoms",
-    "check_rule_instance", "check_triple", "cod_geq", "contains_top",
-    "declare_alphabet", "dom_geq", "embed_back", "encode", "equivalent", "evaluate",
+    "check_triple", "cod_geq", "contains_top",
+    "declare_alphabet", "dom_geq", "embed_back", "equivalent", "evaluate",
     "falsify_implication", "fuse", "lang_bounded", "leq", "member", "parse", "reduce",
     "render", "reverse", "search_countermodel", "topkat_equivalent",
     "topkat_leq",

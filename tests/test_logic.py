@@ -1,17 +1,19 @@
 import random
+import sys
 
 import pytest
 
-from topkat.decide import Equivalent, member
-from topkat.domain import Provable, RelCountermodel
+from topkat import decide
+from topkat.decide import Equivalent, Witness, member
+from topkat.domain import Provable, RelCountermodel, cod_geq
 from topkat.errors import ParseError, SortError, TopNotAllowedError
 from topkat.gen import random_term, random_test_term
 from topkat.logic import (
-    EncodedEquation, EncodedInequality, Triple, check_rule_instance, check_triple,
-    encode, rule_instance, split_triple_file, split_triple_line,
+    Triple, check_triple, rule_instance, split_triple_file, split_triple_line,
 )
+from topkat.reduction import topkat_equivalent
 from topkat.relmodel import SearchBudget, evaluate, falsify_implication, search_countermodel
-from topkat.syntax import Alphabet, Dot, Not, TOP, parse
+from topkat.syntax import Alphabet, Dot, Not, TOP, ZERO, parse
 
 
 AL_PB = Alphabet(("p",), ("b", "c"))
@@ -31,18 +33,27 @@ def test_triple_validation():
         triple("partial", "b", "p", "c")
 
 
-def test_encode_shapes():
-    tr = triple("hoare", "b", "p", "c")
-    enc = encode(tr)
-    assert enc == EncodedEquation(parse("b p !c", AL_PB), parse("0", AL_PB))
-    tr = triple("incorrectness", "b", "p", "c")
-    enc = encode(tr)
-    assert isinstance(enc, EncodedInequality)
-    assert enc.smaller == Dot(TOP, parse("c", AL_PB))
-    assert enc.larger == Dot(TOP, parse("b p", AL_PB))
-    printed = encode(tr, direction="as-printed")
-    assert printed.smaller == Dot(TOP, parse("b p", AL_PB))
-    assert printed.larger == Dot(TOP, parse("c", AL_PB))
+def test_check_triple_decides_what_its_docstring_states(monkeypatch):
+    calls, decision = [], decide.equivalent
+    for module in (m for name, m in sys.modules.items() if name.startswith("topkat")):
+        if getattr(module, "equivalent", None) is decision:
+            monkeypatch.setattr(module, "equivalent",
+                                lambda *args: calls.append(1) or decision(*args))
+    rng, seen = random.Random(83), set()
+    for _ in range(100):
+        pre, prog, post = (random_test_term(rng, AL_PB, 2), random_term(rng, AL_PB, 2),
+                           random_test_term(rng, AL_PB, 2))
+        reach = Dot(pre, prog)
+        hoare = topkat_equivalent(Dot(reach, Not(post)), ZERO, AL_PB)
+        expected = {("hoare", "under"): hoare, ("hoare", "as-printed"): hoare,
+                    ("incorrectness", "under"): cod_geq(reach, post, AL_PB),
+                    ("incorrectness", "as-printed"): cod_geq(post, reach, AL_PB)}
+        for (kind, direction), verdict in expected.items():
+            calls.clear()
+            assert check_triple(Triple(kind, pre, prog, post), AL_PB, direction) == verdict
+            assert len(calls) == 1
+            seen.add(type(verdict))
+    assert seen == {Equivalent, Witness, Provable, RelCountermodel}
 
 
 def test_check_triple_hoare():
@@ -138,9 +149,9 @@ def test_rule_parameters_must_be_top_free():
         rule_instance("choice", [one, one, TOP, p])
 
 
-def test_encode_rejects_an_unknown_direction():
+def test_check_triple_rejects_an_unknown_direction():
     with pytest.raises(ValueError, match="^unknown direction 'sideways'$") as caught:
-        encode(triple("incorrectness", "b", "p", "c"), direction="sideways")
+        check_triple(triple("incorrectness", "b", "p", "c"), AL_PB, direction="sideways")
     assert type(caught.value) is ValueError
 
 
@@ -148,12 +159,9 @@ def test_named_rules_survive_exhaustive_search():
     one = parse("1", AL_PB)
     b, c = parse("b", AL_PB), parse("c", AL_PB)
     p = parse("p", AL_PB)
-    seq = check_rule_instance("sequencing", [b, c, one, p, p], AL_PB, 2, EXHAUSTIVE)
-    assert seq is None
-    choice = check_rule_instance("choice", [b, c, p, p], AL_PB, 2, EXHAUSTIVE)
-    assert choice is None
-    cons = check_rule_instance("consequence", [b, one, c, one, p], AL_PB, 2, EXHAUSTIVE)
-    assert cons is None
+    for rule, terms in (("sequencing", [b, c, one, p, p]), ("choice", [b, c, p, p]),
+                        ("consequence", [b, one, c, one, p])):
+        assert falsify_implication(*rule_instance(rule, terms), AL_PB, 2, EXHAUSTIVE) is None
 
 
 def test_broken_rule_is_refuted():

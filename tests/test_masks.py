@@ -148,3 +148,26 @@ def test_walks_per_query(monkeypatch, capsys, argv, walks):
     assert main(argv + ["--tests", "b"]) in (0, 1)
     capsys.readouterr()
     assert len(calls) == walks
+
+
+# The alphabets built in a query: the declared one, the pruned one when
+# pruning drops a name (the leq query's test b), and the pruned one's
+# extension by the reserved action, which the reducts are decided over.
+# Each T's sum-star reads the reserved action's name from the base
+# alphabet: building the extension for it made these counts 2, 5, 4, 4.
+ALPHABET_BUILDS = [
+    (["decide", "b + 1", "1"], 2),
+    (["leq", "T p", "p T"], 3),
+    (["cod-geq", "p b", "p"], 2),
+    (["dom-geq", "b p", "p"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, builds", ALPHABET_BUILDS)
+def test_alphabet_builds_per_query(monkeypatch, capsys, argv, builds):
+    calls, check = [], syntax.Alphabet._check
+    monkeypatch.setattr(syntax.Alphabet, "_check",
+                        lambda self: calls.append(self) or check(self))
+    assert main(argv + ["--tests", "b"]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == builds
