@@ -45,28 +45,38 @@ def _build_alphabet(args, texts: list[str]) -> Alphabet:
     return declare_alphabet(actions, tests)
 
 
-def _read_terms(args, expected: int | None) -> list[str]:
-    texts = list(args.terms)
+def _on_line(lineno: int | None, build: Callable, *fields):
+    """build(*fields), its input error naming their file line, if any."""
+    try:
+        return build(*fields)
+    except TopkatError as exc:
+        exc.args = (f"line {lineno}: {exc}",) if lineno else exc.args
+        raise
+
+
+def _read_terms(args, expected: int | None) -> list[tuple[int | None, str]]:
+    """Each term's file line (None: given positionally) and text."""
+    lines = [(None, text) for text in args.terms]
     if getattr(args, "file", None) is not None:
-        if texts:
+        if lines:
             raise ValueError("give terms positionally or via --file, not both")
         with open(args.file, encoding="utf-8-sig") as handle:
-            texts = [line.strip() for line in handle if line.strip()]
-    if expected is not None and len(texts) != expected:
-        raise ValueError(f"expected {expected} term(s), got {len(texts)}")
-    return texts
+            lines = [(n, line.strip()) for n, line in enumerate(handle, 1) if line.strip()]
+    if expected is not None and len(lines) != expected:
+        raise ValueError(f"expected {expected} term(s), got {len(lines)}")
+    return lines
 
 
-def _read_triple_file(args, expected: int | None) -> list[str]:
-    """The pre, program and post texts of every triple in the file, in
+def _read_triple_file(args, expected: int | None) -> list[tuple[int, str]]:
+    """The line and text of each triple's pre, program and post, in file
     order; each triple's line number and kind go to `args.lines`."""
     with open(args.file, encoding="utf-8-sig") as handle:
-        split = [(lineno, *logic.split_triple_line(line))
+        split = [(lineno, *_on_line(lineno, logic.split_triple_line, line))
                  for lineno, line in logic.split_triple_file(handle.read())]
     if not split:
         raise ValueError(f"no triples in {args.file}")
     args.lines = [(lineno, kind) for lineno, kind, *_ in split]
-    return [text for _, _, *texts in split for text in texts]
+    return [(lineno, text) for lineno, _, *texts in split for text in texts]
 
 
 def _countermodel(carrier: list[str], labels: list[str], interp,
@@ -185,7 +195,7 @@ def _cmd_member(args, alphabet, t) -> Output:
 def _cmd_triple(args, alphabet, *terms) -> Output:
     human, results = [], []
     for i, (lineno, kind) in enumerate(args.lines):
-        tr = logic.Triple(kind, *terms[3 * i:3 * i + 3])
+        tr = _on_line(lineno, logic.Triple, kind, *terms[3 * i:3 * i + 3])
         verdict = logic.check_triple(tr, alphabet, direction=args.direction)
         word = ("provable" if isinstance(verdict, (decide.Equivalent, domain.Provable))
                 else "not provable")
@@ -246,14 +256,14 @@ SEARCH_ARGS = (
 
 
 class Command(Value):
-    """One subcommand: `main` reads its term texts with `read`, checking
-    there are `terms` of them (None: the handler checks), parses them and
-    passes them to `handler`; `args` follow the common flags."""
+    """One subcommand: `main` reads the (file line, text) of its terms with
+    `read`, checking there are `terms` of them (None: the handler checks),
+    parses them and passes them to `handler`; `args` follow the common flags."""
 
     __slots__ = ("help", "handler", "terms", "args", "read")
 
     def __init__(self, help: str, handler: Callable[..., Output], terms: int | None = 2,
-                 args: tuple = TERM_ARGS, read: Callable[..., list[str]] = _read_terms) -> None:
+                 args: tuple = TERM_ARGS, read: Callable[..., list] = _read_terms) -> None:
         super().__init__(help, handler, terms, args, read)
 
 
@@ -326,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
         return _written([], exc.code if isinstance(exc.code, int) else 2)
     command = COMMANDS[top.command]
     try:
-        texts = command.read(args, command.terms)
-        alphabet = _build_alphabet(args, texts + [args.string] if "string" in args else texts)
+        lines = command.read(args, command.terms)
+        alphabet = _build_alphabet(args, [t for _, t in lines] + [getattr(args, "string", "")])
         human, payload, code = command.handler(
-            args, alphabet, *(parse(text, alphabet) for text in texts))
+            args, alphabet, *(_on_line(n, parse, text, alphabet) for n, text in lines))
     except InternalError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 3

@@ -68,17 +68,16 @@ def _compare(t1: Term, t2: Term, alphabet: Alphabet, domain: bool) -> Comparison
     left side only after re-checking that it lies in L(rs) \\ L(rl) on its
     own engine, over these same interned reducts and pruned alphabet.
     """
-    for t in (t1, t2):
-        if t.has_top:
-            raise TopNotAllowedError(
-                "term contains T: (co)domain comparison is only complete "
-                "for top-free terms")
+    if t1.has_top or t2.has_top:
+        raise TopNotAllowedError(
+            "term contains T: (co)domain comparison is only complete for top-free terms")
     pad = (lambda t: Dot(t, TOP)) if domain else (lambda t: Dot(TOP, t))
-    verdict = topkat_leq(pad(t2), pad(t1), alphabet)
+    pruned = prune_alphabet(alphabet, t1, t2)  # pruned once: pruning it again returns it
+    verdict = topkat_leq(pad(t2), pad(t1), pruned)
     if isinstance(verdict, Equivalent):
         return Provable()
     build = build_dom_countermodel if domain else build_cod_countermodel
-    return build(verdict.string, t1, t2, alphabet)
+    return build(verdict.string, t1, t2, pruned)
 
 
 def build_cod_countermodel(w: GuardedString, t1: Term, t2: Term,

@@ -233,20 +233,16 @@ class Interned(Value):
 
 class Term(Interned):
     """A term node.  Besides its fields, a node holds five facts, which
-    `_check` computes from its children in the step that builds it:
-    `kids`, the fields its class declares as terms through `_kids`, left
-    before right; `test_only`, true iff the node is built from 0, 1,
-    tests, `!`, `+` and sequence only; `has_top`, true iff T occurs;
-    `acts` and `tests`, the name masks of the actions and of the tests
-    that occur.  A name mask has one bit per name, numbered in one index
-    for the whole process, so whether a term's names are declared, or
-    which of them occur, takes a mask test instead of a walk."""
+    `_check` computes in the step that builds it: `kids`, its fields that
+    are terms, in `__slots__` order; `test_only`, true iff the node is
+    built from 0, 1, tests, `!`, `+` and sequence only; `has_top`, true iff
+    T occurs; `acts` and `tests`, the name masks of the actions and of the
+    tests that occur.  A name mask has one bit per name, numbered in one
+    index for the whole process, so whether a term's names are declared,
+    or which of them occur, takes a mask test instead of a walk."""
 
     __slots__ = ("kids", "test_only", "has_top", "acts", "tests")
     _test_like = True  # may be test-only: false for actions, T and star
-
-    def _kids(self) -> tuple:  # the fields that are terms: none for a leaf
-        return ()
 
     def __reduce__(self):
         # flat, so any depth pickles: each node as (class, *fields), a
@@ -257,16 +253,18 @@ class Term(Interned):
                                               for f in t._fields())) for t in order),)
 
     def _check(self) -> None:
-        kids = self._kids()
         test_only, has_top = self._test_like, type(self) is Top
         acts = tests = 0
-        for kid in kids:
-            test_only = test_only and kid.test_only
-            has_top = has_top or kid.has_top
-            acts |= kid.acts
-            tests |= kid.tests
-        set_kids, set_test_only, set_has_top, set_acts, set_tests = Term._setters
-        set_kids(self, kids)
+        kids = []
+        for kid in map(self.__getattribute__, self.__slots__):
+            if isinstance(kid, Term):
+                kids.append(kid)
+                test_only = test_only and kid.test_only
+                has_top = has_top or kid.has_top
+                acts |= kid.acts
+                tests |= kid.tests
+        set_children, set_test_only, set_has_top, set_acts, set_tests = Term._setters
+        set_children(self, tuple(kids))
         set_test_only(self, test_only)
         set_has_top(self, has_top)
         set_acts(self, _bit(self.name) if type(self) is Act else acts)
@@ -298,9 +296,6 @@ class Test(Term):
 class Not(Term):
     __slots__ = ("arg",)
 
-    def _kids(self) -> tuple:
-        return self.arg,
-
     def _check(self) -> None:
         super()._check()
         if not self.arg.test_only:
@@ -310,19 +305,14 @@ class Not(Term):
 class Plus(Term):
     __slots__ = ("left", "right")
 
-    def _kids(self) -> tuple:
-        return self.left, self.right
-
 
 class Dot(Term):
     __slots__ = ("left", "right")
-    _kids = Plus._kids
 
 
 class Star(Term):
     __slots__ = ("arg",)
     _test_like = False
-    _kids = Not._kids
 
 
 def _unflatten(nodes: tuple) -> Term:

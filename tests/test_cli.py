@@ -128,6 +128,24 @@ def test_triple_file_without_triples_is_a_usage_error(tmp_path, capsys, mode):
     assert code == 2 and out == "" and "no triples" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["decide"], "p\n(q\n", "line 2: unexpected end of input (at position 2)"),
+    (["triple", "--tests", "b"], "hoare {b} p {b}\n# a comment\nhoare {b} p ++ q {b}\n",
+     "line 3: unexpected '+' (at position 4)"),
+    (["triple", "--tests", "b"], "hoare {T} p {b}\n", "line 1: precondition must be a test-only term"),
+    (["triple", "--tests", "b"], "\nhoare {b} p q\n", "line 2: not a triple: 'hoare {b} p q'"),
+], ids=["term-parse", "triple-parse", "triple-sort", "not-a-triple"])
+def test_an_error_in_a_file_line_names_the_line(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, *argv, "--file", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_a_positional_term_error_names_no_line(capsys):
+    assert run(capsys, "decide", "p", "(q") == (
+        2, "", "error: unexpected end of input (at position 2)\n")
+
+
 @pytest.mark.parametrize("argv, text", [
     (["decide"], "p*\n1 + p p*\n"),
     (["triple", "--tests", "b"], "hoare {b} p {b}\nincorrectness [1] p [1]\n"),

@@ -77,6 +77,26 @@ def test_every_node_holds_the_facts_a_walk_finds(t):
         assert s.has_top == (syntax.Top in met)
 
 
+class Pair(syntax.Term):
+    """An operator class that lists its operands in `__slots__` only."""
+
+    __slots__ = ("left", "right")
+
+
+def test_a_new_node_class_needs_no_hook_for_its_operands():
+    p, b, top = Act("p"), syntax.Test("b"), syntax.TOP
+    pb = syntax.Dot(p, b)
+    t = Pair(pb, top)
+    assert t.kids == (pb, top)
+    assert postorder(t) == [p, b, pb, top, t]
+    assert syntax.rebuild(t, lambda s: syntax.ONE if s is top else s) == Pair(pb, syntax.ONE)
+    assert syntax.reverse(t) == Pair(syntax.Dot(b, p), top)
+    assert (decode(t.acts), decode(t.tests)) == ({"p"}, {"b"})
+    assert t.has_top and not Pair(p, b).has_top
+    assert Pair(b, syntax.ONE).test_only and not Pair(p, b).test_only
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
 @given(terms(WIDE, allow_top=True), alphabets)
 def test_check_over_raises_what_the_walk_raises(t, alphabet):
     assert outcome(check_over, t, alphabet) == outcome(walk_check_over, t, alphabet)
@@ -151,15 +171,20 @@ def test_walks_per_query(monkeypatch, capsys, argv, walks):
 
 
 # The alphabets built in a query: the declared one, the pruned one when
-# pruning drops a name (the leq query's test b), and the pruned one's
-# extension by the reserved action, which the reducts are decided over.
-# Each T's sum-star reads the reserved action's name from the base
-# alphabet: building the extension for it made these counts 2, 5, 4, 4.
+# pruning drops a name (the test b of the leq query and of the last two),
+# and the pruned one's extension by the reserved action, which the
+# reducts are decided over.  Each T's sum-star reads the reserved action's
+# name from the base alphabet: building the extension for it made the
+# first four counts 2, 5, 4, 4.  A refuted comparison prunes once, for its
+# decision and its countermodel: pruning again for the countermodel made
+# the last two 4.
 ALPHABET_BUILDS = [
     (["decide", "b + 1", "1"], 2),
     (["leq", "T p", "p T"], 3),
     (["cod-geq", "p b", "p"], 2),
     (["dom-geq", "b p", "p"], 2),
+    (["cod-geq", "p", "p q"], 3),
+    (["dom-geq", "p", "q p"], 3),
 ]
 
 
