@@ -55,8 +55,11 @@ def _on_line(lineno: int | None, build: Callable, *fields):
 
 
 def _read_terms(args, expected: int | None) -> list[tuple[int | None, str]]:
-    """Each term's file line (None: given positionally) and text."""
-    lines = [(None, text) for text in args.terms]
+    """Each term's file line (None: given positionally) and text.  Only LF,
+    CR LF and CR end a file line, not a form feed or a Unicode line
+    separator; a leading byte-order mark and blank lines are dropped, and
+    each line is stripped."""
+    lines = [(None, text) for text in getattr(args, "terms", ())]
     if getattr(args, "file", None) is not None:
         if lines:
             raise ValueError("give terms positionally or via --file, not both")
@@ -69,10 +72,10 @@ def _read_terms(args, expected: int | None) -> list[tuple[int | None, str]]:
 
 def _read_triple_file(args, expected: int | None) -> list[tuple[int, str]]:
     """The line and text of each triple's pre, program and post, in file
-    order; each triple's line number and kind go to `args.lines`."""
-    with open(args.file, encoding="utf-8-sig") as handle:
-        split = [(lineno, *_on_line(lineno, logic.split_triple_line, line))
-                 for lineno, line in logic.split_triple_file(handle.read())]
+    order, skipping #-comment lines; each triple's line number and kind go
+    to `args.lines`."""
+    split = [(lineno, *_on_line(lineno, logic.split_triple_line, line))
+             for lineno, line in _read_terms(args, None) if not line.startswith("#")]
     if not split:
         raise ValueError(f"no triples in {args.file}")
     args.lines = [(lineno, kind) for lineno, kind, *_ in split]
@@ -333,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         # terms may come before, between or after the flags
         args = _command_parser(top.command).parse_intermixed_args(top.args)
     except SystemExit as exc:  # usage or help text, already written
-        return _written([], exc.code if isinstance(exc.code, int) else 2)
+        return _written(sys.stdout, [], exc.code if isinstance(exc.code, int) else 2)
     command = COMMANDS[top.command]
     try:
         lines = command.read(args, command.terms)
@@ -341,31 +344,32 @@ def main(argv: list[str] | None = None) -> int:
         human, payload, code = command.handler(
             args, alphabet, *(_on_line(n, parse, text, alphabet) for n, text in lines))
     except InternalError as exc:
-        print(f"error: internal error: {exc}", file=sys.stderr)
-        return 3
+        error, code = f"internal error: {exc}", 3
     except (ResourceLimitError, MemoryError) as exc:
         # too large to decide: no verdict was computed
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
+        error, code = str(exc) or type(exc).__name__, 3
     except (TopkatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, code = str(exc), 2
     except Exception as exc:  # a fault in topkat itself: no verdict was computed
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    return _written([json.dumps({"v": 1, **payload})] if args.json else human, code)
+        error, code = f"internal error: {type(exc).__name__}: {exc}", 3
+    else:
+        return _written(sys.stdout, [json.dumps({"v": 1, **payload})] if args.json else human, code)
+    return _written(sys.stderr, [f"error: {error}"], code)
 
 
-def _written(lines: list[str], code: int) -> int:
-    """code, once lines and whatever stdout holds are written."""
+def _written(stream, lines: list[str], code: int) -> int:
+    """code, once lines and whatever `stream` holds are written.  A stream
+    that cannot be written leaves the code as it stands: one closed before
+    start (None), one that is full, and one whose reader left early."""
+    if stream is None:
+        return code
     try:
         for line in lines:
-            print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader left early: the code stands, and the
-        # flush at exit writes to /dev/null instead of failing again
+            print(line, file=stream)
+        stream.flush()
+    except OSError:  # the flush at exit writes to /dev/null instead of failing again
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
     return code
 

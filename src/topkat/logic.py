@@ -94,8 +94,7 @@ def rule_instance(rule: str, terms: Sequence[Term]) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Triple files: one triple per line, `hoare {b} p;q {c}` or
-# `incorrectness [b] p;q [c]`.  Blank lines and #-comments are skipped.
+# Triple lines: `hoare {b} p;q {c}` or `incorrectness [b] p;q [c]`.
 
 # The triple kinds, each with the pattern of its lines.
 _TRIPLE_LINES = {
@@ -112,8 +111,3 @@ def split_triple_line(line: str) -> tuple[str, str, str, str]:
             return kind, m["pre"], m["prog"], m["post"]
     raise ParseError(f"not a triple: {line.strip()!r}")
 
-
-def split_triple_file(text: str) -> list[tuple[int, str]]:
-    """The triple lines of a file's text, numbered from 1."""
-    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith("#")]

@@ -109,6 +109,13 @@ def test_triple_file(tmp_path, capsys):
     assert [r["verdict"] for r in payload["results"]] == ["provable", "provable"]
 
 
+def test_comment_and_blank_lines_of_a_triple_file_are_skipped_but_counted(tmp_path, capsys):
+    path = tmp_path / "specs.txt"
+    path.write_text("# comment\n\nhoare {1} p {1}\nincorrectness [1] p [1]\n", encoding="utf-8")
+    assert run(capsys, "triple", "--file", str(path)) == (
+        1, "line 3: hoare provable\nline 4: incorrectness not provable\n", "")
+
+
 def test_hoare_lines_count_only_the_tests_that_occur(tmp_path, capsys):
     # eleven declared tests exceed the atom cap; each line uses at most two
     path = tmp_path / "specs.txt"
@@ -139,6 +146,17 @@ def test_an_error_in_a_file_line_names_the_line(tmp_path, capsys, argv, text, me
     path = tmp_path / "input.txt"
     path.write_text(text, encoding="utf-8")
     assert run(capsys, *argv, "--file", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                       "\u2029"], ids=lambda sep: f"U+{ord(sep):04X}")
+def test_triple_lines_are_numbered_as_term_lines_are(tmp_path, capsys, separator):
+    # str.splitlines() would end a line at each of these; a file's lines end
+    # only at LF, CR LF and CR
+    path = tmp_path / "specs.txt"
+    path.write_text(f"hoare {{b}} p {{b}}{separator}\nhoare {{b}} p ++ q {{b}}\n", encoding="utf-8")
+    assert run(capsys, "triple", "--tests", "b", "--file", str(path)) == (
+        2, "", "error: line 2: unexpected '+' (at position 4)\n")
 
 
 def test_a_positional_term_error_names_no_line(capsys):
@@ -458,6 +476,31 @@ def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, lines, exit_code, 
     finally:
         child.kill()
     assert (child.returncode, err) == (exit_code, b"")
+
+
+@pytest.mark.parametrize("how", ["closed", "full"])
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+@pytest.mark.parametrize("argv, exit_code", [
+    (["decide", "p", "p"], 0),
+    (["decide", "p", "q"], 1),
+    (["decide", "p", "p +"], 2),
+    (["--help"], 0),
+], ids=["equivalent", "not-equivalent", "usage-error", "help"])
+def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch, argv, exit_code,
+                                                             fd, how):
+    if how == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(pathlib.Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    redirect = f"{fd}>&-" if how == "closed" else f"{fd}>/dev/full"
+    child = subprocess.run(["sh", "-c", f'exec "$0" -m topkat "$@" {redirect}', sys.executable,
+                            *argv], env=env, capture_output=True, timeout=60)
+    assert child.returncode == exit_code
+    assert b"Traceback" not in child.stdout and b"Traceback" not in child.stderr
+    if fd == 2:  # stdout holds the verdict's lines and nothing else
+        monkeypatch.setenv("COLUMNS", "80")
+        assert child.stdout.decode() == run(capsys, *argv)[1]
 
 
 def readme_examples():

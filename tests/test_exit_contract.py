@@ -1,8 +1,9 @@
 """The CLI's exit contract under seeded random invocations of every
 subcommand, well-formed and malformed: the code is 0-3 and no exception
 escapes, stderr is written iff the code is 2 or 3, `--json` output is
-versioned JSON, and every `decide` witness between top-free terms lies
-in exactly one side's bounded language."""
+versioned JSON, every `decide` witness between top-free terms lies in
+exactly one side's bounded language, and a triple's verdict names its
+line of the file, past blank and #-comment lines."""
 
 import json
 import random
@@ -104,10 +105,22 @@ def check_witness(argv: list[str], out: str) -> None:
     assert inside.count(True) == 1, (argv, text)
 
 
+def padding(pad: random.Random) -> str:
+    """0-2 lines that a triple file skips: blank, or #-comments."""
+    return "".join(pad.choice(["\n", " \t\n", "# a comment\n", "  # {b} p {b}\n"])
+                   for _ in range(pad.randint(0, 2)))
+
+
 def test_every_invocation_keeps_the_exit_contract(capsys, tmp_path):
+    triple_line = {}  # case -> the line of its triple file's triple
+
     def triples(text: str) -> str:
+        # the padding has its own stream, so every case draws as without it
+        pad = random.Random(case)
+        before = padding(pad)
         path = tmp_path / f"triples{len(list(tmp_path.iterdir()))}.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(before + text + padding(pad), encoding="utf-8")
+        triple_line[case] = before.count("\n") + 1
         return str(path)
 
     rng = random.Random(SEED)
@@ -127,4 +140,6 @@ def test_every_invocation_keeps_the_exit_contract(capsys, tmp_path):
             assert json.loads(out)["v"] == 1, argv
         if argv[0] == "decide" and code == 1 and not bad:
             check_witness(argv, out)
+        if argv[0] == "triple" and code < 2 and not bad and "--json" not in argv:
+            assert out.startswith(f"line {triple_line[case]}: "), (argv, out)
     assert codes == {0, 1, 2, 3}

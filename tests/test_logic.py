@@ -9,7 +9,7 @@ from topkat.domain import Provable, RelCountermodel, cod_geq
 from topkat.errors import ParseError, SortError, TopNotAllowedError
 from topkat.gen import random_term, random_test_term
 from topkat.logic import (
-    Triple, check_triple, rule_instance, split_triple_file, split_triple_line,
+    Triple, check_triple, rule_instance, split_triple_line,
 )
 from topkat.reduction import topkat_equivalent
 from topkat.relmodel import SearchBudget, evaluate, falsify_implication, search_countermodel
@@ -180,6 +180,3 @@ def test_triple_parsing():
     assert parse_line("incorrectness [b] p [c]").kind == "incorrectness"
     with pytest.raises(ParseError):
         split_triple_line("hoare [b] p [c]")
-    text = "# comment\n\nhoare {1} p {1}\nincorrectness [1] p [1]\n"
-    rows = [(lineno, parse_line(line)) for lineno, line in split_triple_file(text)]
-    assert [(lineno, tr.kind) for lineno, tr in rows] == [(3, "hoare"), (4, "incorrectness")]
