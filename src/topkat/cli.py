@@ -200,8 +200,7 @@ def _cmd_triple(args, alphabet, *terms) -> Output:
     for i, (lineno, kind) in enumerate(args.lines):
         tr = _on_line(lineno, logic.Triple, kind, *terms[3 * i:3 * i + 3])
         verdict = logic.check_triple(tr, alphabet, direction=args.direction)
-        word = ("provable" if isinstance(verdict, (decide.Equivalent, domain.Provable))
-                else "not provable")
+        word = "provable" if isinstance(verdict, decide.Equivalent) else "not provable"
         human.append(f"line {lineno}: {kind} {word}")
         results.append({"line": lineno, "kind": kind, "verdict": word.replace(" ", "-")})
     code = int(any(r["verdict"] != "provable" for r in results))
@@ -360,17 +359,18 @@ def main(argv: list[str] | None = None) -> int:
 def _written(stream, lines: list[str], code: int) -> int:
     """code, once lines and whatever `stream` holds are written.  A stream
     that cannot be written leaves the code as it stands: one closed before
-    start (None), one that is full, and one whose reader left early."""
+    start (None) or by the caller, one that is full, and one whose reader left early."""
     if stream is None:
         return code
     try:
         for line in lines:
             print(line, file=stream)
         stream.flush()
-    except OSError:  # the flush at exit writes to /dev/null instead of failing again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stream.fileno())
-        os.close(devnull)
+    except (OSError, ValueError):  # the flush at exit writes to /dev/null, not failing again
+        if not stream.closed:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
     return code
 
 

@@ -2,22 +2,21 @@
 
 A Hoare triple {b} p {c} becomes the equation b p !c = 0.  An
 incorrectness triple [b] p [c] asserts that every c-state is reachable
-from some b-state through p, i.e. the codomain inclusion T c <= T (b p);
-refutations therefore come back as verified relational countermodels.
-The printed-direction encoding T (b p) <= T c is available behind a flag.
+from some b-state through p: the inclusion T c <= T (b p), which TopKAT
+decides completely, so the decider's verdict is the answer.  The
+printed-direction encoding T (b p) <= T c is available behind a flag.
 A rule instance's hypotheses and goal go to `falsify_implication` to refute.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence, Union
+from typing import Sequence
 
 from .decide import Verdict
-from .domain import ComparisonVerdict, cod_geq
 from .errors import ParseError, SortError, TopNotAllowedError
-from .reduction import topkat_equivalent
-from .syntax import Alphabet, Dot, Not, Plus, Term, Value, ZERO
+from .reduction import topkat_equivalent, topkat_leq
+from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO
 
 DIRECTIONS = ("under", "as-printed")
 
@@ -37,22 +36,21 @@ class Triple(Value):
             raise TopNotAllowedError("triple programs must be top-free")
 
 
-def check_triple(tr: Triple, alphabet: Alphabet,
-                 direction: str = "under") -> Union[Verdict, ComparisonVerdict]:
+def check_triple(tr: Triple, alphabet: Alphabet, direction: str = "under") -> Verdict:
     """A Hoare triple {b} p {c} is the equation b p !c = 0, decided by
-    `topkat_equivalent` over the alphabet pruned to the equation's names,
-    so a witness's atoms assign only the tests that occur.  An
-    incorrectness triple [b] p [c] is T c <= T (b p), i.e. `cod_geq(b p,
-    c)`, so refutations carry relational countermodels; `as-printed`
-    decides T (b p) <= T c, i.e. `cod_geq(c, b p)`."""
+    `topkat_equivalent`; an incorrectness triple [b] p [c] is T c <=
+    T (b p), decided by `topkat_leq` (`as-printed`: T (b p) <= T c).  Both
+    prune the alphabet to the names that occur, so a witness's atoms
+    assign only those tests.  For a relational countermodel to an
+    incorrectness line, call `domain.cod_geq(b p, c)` (as-printed:
+    `cod_geq(c, b p)`), whose `witness` is this verdict's string."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     reach = Dot(tr.pre, tr.prog)
     if tr.kind == "hoare":
         return topkat_equivalent(Dot(reach, Not(tr.post)), ZERO, alphabet)
-    if direction == "under":
-        return cod_geq(reach, tr.post, alphabet)
-    return cod_geq(tr.post, reach, alphabet)
+    sides = (Dot(TOP, tr.post), Dot(TOP, reach))
+    return topkat_leq(*(sides if direction == "under" else sides[::-1]), alphabet)
 
 
 # ---------------------------------------------------------------------------

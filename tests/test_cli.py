@@ -109,6 +109,30 @@ def test_triple_file(tmp_path, capsys):
     assert [r["verdict"] for r in payload["results"]] == ["provable", "provable"]
 
 
+@pytest.mark.parametrize("direction, verdicts", [
+    ("under", ["not provable", "not provable", "provable", "not provable"]),
+    ("as-printed", ["provable", "not provable", "provable", "not provable"]),
+])
+def test_triple_verdicts_evaluate_no_relational_model(tmp_path, capsys, monkeypatch,
+                                                      direction, verdicts):
+    # an incorrectness verdict is its decided inequation; a countermodel of
+    # the long line would be evaluated on 401 points
+    calls, evaluate = [], relmodel.evaluate
+    for module in (m for name, m in sys.modules.items() if name.startswith("topkat")):
+        if getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate",
+                                lambda *args: calls.append(1) or evaluate(*args))
+    path = tmp_path / "specs.txt"
+    path.write_text("incorrectness [1] p [1]\nincorrectness [b] p [c]\nhoare {b} p {1}\n"
+                    f"incorrectness [1] {' '.join(['p'] * 400)} [b]\n", encoding="utf-8")
+    kinds = ["incorrectness", "incorrectness", "hoare", "incorrectness"]
+    out = "".join(f"line {n}: {kind} {verdict}\n"
+                  for n, (kind, verdict) in enumerate(zip(kinds, verdicts), 1))
+    assert run(capsys, "triple", "--tests", "b,c", "--direction", direction,
+               "--file", str(path)) == (1, out, "")
+    assert calls == []
+
+
 def test_comment_and_blank_lines_of_a_triple_file_are_skipped_but_counted(tmp_path, capsys):
     path = tmp_path / "specs.txt"
     path.write_text("# comment\n\nhoare {1} p {1}\nincorrectness [1] p [1]\n", encoding="utf-8")
@@ -478,14 +502,23 @@ def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, lines, exit_code, 
     assert (child.returncode, err) == (exit_code, b"")
 
 
-@pytest.mark.parametrize("how", ["closed", "full"])
-@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
-@pytest.mark.parametrize("argv, exit_code", [
-    (["decide", "p", "p"], 0),
-    (["decide", "p", "q"], 1),
-    (["decide", "p", "p +"], 2),
-    (["--help"], 0),
-], ids=["equivalent", "not-equivalent", "usage-error", "help"])
+STREAM_COMMANDS = [
+    ("equivalent", ["decide", "p", "p"], 0),
+    ("not-equivalent", ["decide", "p", "q"], 1),
+    ("usage-error", ["decide", "p", "p +"], 2),
+    ("help", ["--help"], 0),
+]
+
+
+# closed: the descriptor is closed before start; full: it is /dev/full;
+# object-closed: `sys.stdout` or `sys.stderr` is a closed file object, as
+# a caller of `main` may leave it (argparse's help and usage writes are
+# not guarded there, so `--help` is left out)
+@pytest.mark.parametrize("argv, exit_code, fd, how", [
+    pytest.param(argv, exit_code, fd, how, id=f"{name}-{('stdout', 'stderr')[fd - 1]}-{how}")
+    for name, argv, exit_code in STREAM_COMMANDS for fd in (1, 2)
+    for how in ("closed", "full", "object-closed") if (name, how) != ("help", "object-closed")
+])
 def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch, argv, exit_code,
                                                              fd, how):
     if how == "full" and not os.path.exists("/dev/full"):
@@ -493,9 +526,14 @@ def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch
     env = {**os.environ, "COLUMNS": "80"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(pathlib.Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-    redirect = f"{fd}>&-" if how == "closed" else f"{fd}>/dev/full"
-    child = subprocess.run(["sh", "-c", f'exec "$0" -m topkat "$@" {redirect}', sys.executable,
-                            *argv], env=env, capture_output=True, timeout=60)
+    if how == "object-closed":
+        stream = ("stdout", "stderr")[fd - 1]
+        command = [sys.executable, "-c", f"import sys; sys.{stream}.close(); "
+                   "from topkat.cli import main; sys.exit(main(sys.argv[1:]))", *argv]
+    else:
+        redirect = f"{fd}>&-" if how == "closed" else f"{fd}>/dev/full"
+        command = ["sh", "-c", f'exec "$0" -m topkat "$@" {redirect}', sys.executable, *argv]
+    child = subprocess.run(command, env=env, capture_output=True, timeout=60)
     assert child.returncode == exit_code
     assert b"Traceback" not in child.stdout and b"Traceback" not in child.stderr
     if fd == 2:  # stdout holds the verdict's lines and nothing else

@@ -48,6 +48,11 @@ def test_import_graph_is_read():
     assert {"decide", "domain", "logic", "relmodel"} <= graph["cli"]
 
 
+def test_triples_are_decided_without_relational_models():
+    # an incorrectness triple is one TopKAT inequation, decided completely
+    assert not internal_imports()["logic"] & {"domain", "relmodel"}
+
+
 def test_oracles_do_not_import_the_engine():
     graph = internal_imports()
     for oracle in ("semantics", "relmodel"):

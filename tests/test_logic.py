@@ -5,13 +5,13 @@ import pytest
 
 from topkat import decide
 from topkat.decide import Equivalent, Witness, member
-from topkat.domain import Provable, RelCountermodel, cod_geq
+from topkat.domain import cod_geq
 from topkat.errors import ParseError, SortError, TopNotAllowedError
 from topkat.gen import random_term, random_test_term
 from topkat.logic import (
     Triple, check_triple, rule_instance, split_triple_line,
 )
-from topkat.reduction import topkat_equivalent
+from topkat.reduction import topkat_equivalent, topkat_leq
 from topkat.relmodel import SearchBudget, evaluate, falsify_implication, search_countermodel
 from topkat.syntax import Alphabet, Dot, Not, TOP, ZERO, parse
 
@@ -45,15 +45,16 @@ def test_check_triple_decides_what_its_docstring_states(monkeypatch):
                            random_test_term(rng, AL_PB, 2))
         reach = Dot(pre, prog)
         hoare = topkat_equivalent(Dot(reach, Not(post)), ZERO, AL_PB)
+        cod_post, cod_reach = Dot(TOP, post), Dot(TOP, reach)
         expected = {("hoare", "under"): hoare, ("hoare", "as-printed"): hoare,
-                    ("incorrectness", "under"): cod_geq(reach, post, AL_PB),
-                    ("incorrectness", "as-printed"): cod_geq(post, reach, AL_PB)}
+                    ("incorrectness", "under"): topkat_leq(cod_post, cod_reach, AL_PB),
+                    ("incorrectness", "as-printed"): topkat_leq(cod_reach, cod_post, AL_PB)}
         for (kind, direction), verdict in expected.items():
             calls.clear()
             assert check_triple(Triple(kind, pre, prog, post), AL_PB, direction) == verdict
             assert len(calls) == 1
             seen.add(type(verdict))
-    assert seen == {Equivalent, Witness, Provable, RelCountermodel}
+    assert seen == {Equivalent, Witness}
 
 
 def test_check_triple_hoare():
@@ -75,20 +76,20 @@ def test_hoare_triples_count_only_the_tests_that_occur():
 
 def test_check_triple_incorrectness():
     assert isinstance(check_triple(triple("incorrectness", "1", "p", "0"), AL_PB),
-                      Provable)
+                      Equivalent)
     assert isinstance(check_triple(triple("incorrectness", "b", "b p", "0"), AL_PB),
-                      Provable)
+                      Equivalent)
     refuted = check_triple(triple("incorrectness", "1", "p", "1"), AL_PB)
-    assert isinstance(refuted, RelCountermodel)
-    assert refuted.witness.num_actions == 0  # an atom outside the codomain
+    assert isinstance(refuted, Witness)
+    assert refuted.string.num_actions == 0  # an atom outside the codomain
 
 
 def test_check_triple_as_printed_direction_differs():
     tr = triple("incorrectness", "1", "p", "1")
     under = check_triple(tr, AL_PB)
     printed = check_triple(tr, AL_PB, direction="as-printed")
-    assert isinstance(under, RelCountermodel)
-    assert isinstance(printed, Provable)  # cod(1 p) <= cod(1) holds trivially
+    assert isinstance(under, Witness)
+    assert isinstance(printed, Equivalent)  # cod(1 p) <= cod(1) holds trivially
 
 
 def test_incorrectness_verdicts_match_relational_search_at_n2():
@@ -101,14 +102,16 @@ def test_incorrectness_verdicts_match_relational_search_at_n2():
                     random_test_term(rng, AL_PB, 2))
         verdict = check_triple(tr, AL_PB)
         prog = Dot(tr.pre, tr.prog)
-        if isinstance(verdict, Provable):
+        if isinstance(verdict, Equivalent):
             assert search_countermodel("cod_geq", prog, tr.post, AL_PB,
                                        2, EXHAUSTIVE) is None
         else:
             checked_refuted += 1
-            idx = verdict.violating_index
-            assert idx in evaluate(tr.post, verdict.interp).cod()
-            assert idx not in evaluate(prog, verdict.interp).cod()
+            model = cod_geq(prog, tr.post, AL_PB)
+            assert model.witness == verdict.string
+            idx = model.violating_index
+            assert idx in evaluate(tr.post, model.interp).cod()
+            assert idx not in evaluate(prog, model.interp).cod()
     assert checked_refuted > 0
 
 
