@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     Help still wraps to the terminal's width, which argparse reads when it
     formats, not when it builds."""
     width = max(map(len, COMMANDS)) + 2
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topkat", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Decide KAT/TopKAT (in)equalities, compare (co)domains, and extract\n"
                     "finite relational countermodels.",
@@ -320,10 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Parser(argparse.ArgumentParser):  # writes through `_written`, usage never to stdout
+    def print_usage(self, file=None) -> None:
+        self._print_message(self.format_usage(), file)
+
+    def _print_message(self, message: str, file=None) -> None:
+        _written(file or sys.stderr, [message.removesuffix("\n")] if message else [], 0)
+
+
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """A new parser per call: `parse_intermixed_args` changes its parser
     while it parses, so a shared one would need a lock."""
-    parser = argparse.ArgumentParser(prog=f"topkat {name}", description=COMMANDS[name].help)
+    parser = _Parser(prog=f"topkat {name}", description=COMMANDS[name].help)
     for names, options in COMMON_ARGS + COMMANDS[name].args:
         parser.add_argument(*names, **options)
     return parser
@@ -342,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         alphabet = _build_alphabet(args, [t for _, t in lines] + [getattr(args, "string", "")])
         human, payload, code = command.handler(
             args, alphabet, *(_on_line(n, parse, text, alphabet) for n, text in lines))
+        return _written(sys.stdout, [json.dumps({"v": 1, **payload})] if args.json else human, code)
     except InternalError as exc:
         error, code = f"internal error: {exc}", 3
     except (ResourceLimitError, MemoryError) as exc:
@@ -351,8 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         error, code = str(exc), 2
     except Exception as exc:  # a fault in topkat itself: no verdict was computed
         error, code = f"internal error: {type(exc).__name__}: {exc}", 3
-    else:
-        return _written(sys.stdout, [json.dumps({"v": 1, **payload})] if args.json else human, code)
     return _written(sys.stderr, [f"error: {error}"], code)
 
 

@@ -1,12 +1,14 @@
-"""Equivalence of top-free terms over guarded-string languages.
+"""Equivalence of TopKAT terms over guarded-string languages.
 
 Uses Antimirov-style partial derivatives (sets of terms as determinized
 states) and a breadth-first bisimulation with eagerly merged classes.
-Atoms are bits of an int mask, and the engine knows a test only by the
-mask of atoms where it holds.  A pair of state sets steps once per atom
-class: the atoms that no derivative guard of its states tells apart
-(Pous, "Symbolic Algorithms for Language Equivalence and KAT", POPL 2015,
-with bit masks in place of BDDs).  Inequivalence comes with a shortest
+T accepts at every atom and steps to itself by every action, as its
+sum-star reduct does (Zhang, de Amorim and Gaboardi, POPL 2022).  Atoms
+are bits of an int mask, and the engine knows a test only by the mask of
+atoms where it holds.  A pair of state sets steps once per atom class:
+the atoms that no derivative guard of its states tells apart (Pous,
+"Symbolic Algorithms for Language Equivalence and KAT", POPL 2015, with
+bit masks in place of BDDs).  Inequivalence comes with a shortest
 distinguishing guarded string, re-checked by membership.
 """
 
@@ -18,7 +20,7 @@ from typing import Union
 from .errors import InternalError, TopNotAllowedError
 from .semantics import GuardedString, all_atoms
 from .syntax import (
-    Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Value, Zero, ZERO,
+    Act, Alphabet, Dot, Not, One, ONE, Plus, Star, Term, Test, Top, Value, Zero, ZERO,
     check_over, postorder, render,
 )
 
@@ -41,21 +43,22 @@ StateSet = frozenset  # of Term
 
 class _Engine:
     """Per-invocation memo over `count` atoms, given each test's mask (bit
-    i for atom i) and no atoms.  A term's accepting atoms are one mask,
-    from its `postorder` walk, or from its parts for a derivative built
-    here.  A state's linear form maps each (action, partial derivative)
-    pair to the mask of atoms at which the state so steps.  One walk of
-    the state's head builds it, carrying the rest as a continuation c
-    (Antimirov, TCS 1996): D(a, c) = {(a, c)}, D(l + r, c) = D(l, c) +
-    D(r, c), D(l r, c) = D(l, r c) + acc(l) D(r, c), D(s*, c) = D(s, s* c).
+    i for atom i) and the actions T steps by, and no atoms.  A term's accepting atoms
+    are one mask, from its `postorder` walk, or from its parts for a
+    derivative built here.  A state's linear form maps each (action,
+    partial derivative) pair to the mask of atoms at which the state so
+    steps.  One walk of the state's head builds it, carrying the rest as a
+    continuation c (Antimirov, TCS 1996): D(a, c) = {(a, c)}, D(T, c) =
+    {(a, T c) for every action a}, D(l + r, c) = D(l, c) + D(r, c),
+    D(l r, c) = D(l, r c) + acc(l) D(r, c), D(s*, c) = D(s, s* c).
     So a derivative shares its tail with its state and costs one new node.
     The walk skips test-only subterms and 0 continuations, and meets each
     (subterm, continuation) pair once per atom.
     """
 
-    def __init__(self, count: int, tests: dict[str, int]) -> None:
+    def __init__(self, count: int, tests: dict[str, int], actions: tuple[str, ...] = ()) -> None:
         self.full = (1 << count) - 1
-        self._tests = tests
+        self._tests, self._actions = tests, actions
         self._acc: dict[Term, int] = {}
         self._linear: dict[Term, dict[tuple[str, Term], int]] = {}
 
@@ -67,7 +70,7 @@ class _Engine:
                 match s:
                     case Zero() | Act():
                         acc[s] = 0
-                    case One() | Star():
+                    case One() | Star() | Top():
                         acc[s] = self.full
                     case Test(name):
                         acc[s] = self._tests[name]
@@ -77,8 +80,6 @@ class _Engine:
                         acc[s] = acc[left] | acc[right]
                     case Dot(left, right):
                         acc[s] = acc[left] & acc[right]
-                    case _:
-                        raise TopNotAllowedError("T has no derivatives; eliminate it first")
             accepting |= acc[t]
         return accepting
 
@@ -103,6 +104,10 @@ class _Engine:
                 match s:
                     case Act(name):
                         linear[name, c] = linear.get((name, c), 0) | mask
+                    case Top():
+                        d = self._sdot(s, c)
+                        for name in self._actions:
+                            linear[name, d] = linear.get((name, d), 0) | mask
                     case Plus(left, right):
                         stack += (right, c, mask), (left, c, mask)
                     case Dot(left, right):
@@ -160,7 +165,7 @@ class _UnionFind:
 
 
 def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
-    """Decide language equality of two top-free terms.
+    """Decide language equality; T is every guarded string over the alphabet.
 
     Breadth-first exploration of state-set pairs with union-find merging;
     the returned witness is shortest, with ties broken by atom bit order
@@ -183,8 +188,6 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     so skipping it moves no other pair in the queue.
     """
     for t in (t1, t2):
-        if t.has_top:
-            raise TopNotAllowedError("equivalence is decided on top-free terms")
         check_over(t, alphabet)
     atoms = all_atoms(alphabet)
     order = {act: n for n, act in enumerate(alphabet.actions)}
@@ -195,7 +198,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
         run = 1 << len(alphabet.tests) - 1 - j
         tests[name] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
 
-    engine = _Engine(len(atoms), tests)
+    engine = _Engine(len(atoms), tests, alphabet.actions)
     start = (frozenset((t1,)), frozenset((t2,)))
     parents: dict[tuple, tuple | None] = {start: None}
     classes = _UnionFind()

@@ -63,10 +63,10 @@ def dom_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
 def _compare(t1: Term, t2: Term, alphabet: Alphabet, domain: bool) -> ComparisonVerdict:
     """Decide pad(t2) <= pad(t1), T padded on the right (domain) or left.
 
-    The witness needs no membership check of its own: `equivalent(Plus(rs,
-    rl), rl)`, for the reducts rs, rl of pad(t2), pad(t1), returns it as its
-    left side only after re-checking that it lies in L(rs) \\ L(rl) on its
-    own engine, over these same interned reducts and pruned alphabet.
+    The witness needs no membership check of its own: `equivalent(Plus(s,
+    l), l)`, for s = pad(t2) and l = pad(t1), returns it as its left side
+    only after re-checking that it lies in L(s) \\ L(l) on its own engine,
+    over these same interned terms and the extended pruned alphabet.
     """
     if t1.has_top or t2.has_top:
         raise TopNotAllowedError(
@@ -104,7 +104,7 @@ def _countermodel(w: GuardedString, t1: Term, t2: Term, alphabet: Alphabet,
 
     Element j is keyed on atom j of w, the first atom of suffix j and the
     last atom of prefix j; each action step of w relates j to j + 1.  The
-    point is in a term's (co)domain iff w is in its padded reduct.
+    point is in a term's (co)domain iff w is in its padded term's language.
     """
     pruned = prune_alphabet(alphabet, t1, t2)
     n = len(w.atoms)

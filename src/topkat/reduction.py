@@ -1,8 +1,8 @@
-"""Reduction of TopKAT terms to plain KAT over an extended alphabet.
+"""The reduction of TopKAT to plain KAT over an extended alphabet.
 
-T is rewritten to the sum-of-all-actions star over the alphabet extended
-with one reserved action, decided there with `decide`, and mapped back by
-re-interpreting the reserved action as T.
+T is the sum-star of every action over the alphabet extended with one
+reserved action (Zhang, de Amorim and Gaboardi, POPL 2022).  `decide`
+steps T as that sum-star; `reduce` writes it out, `embed_back` undoes it.
 """
 
 from __future__ import annotations
@@ -49,27 +49,25 @@ def embed_back(t: Term) -> Term:
     return rebuild(t, lambda s: TOP if s == Act(TOP_ACTION) else s)
 
 
-def _reducts(t1: Term, t2: Term, alphabet: Alphabet) -> tuple[Term, Term, Alphabet]:
-    """Both reducts over the alphabet pruned to the terms' primitives, and
-    the extended alphabet they are decided over.
-
-    Pruning first keeps the reserved sum-star to the relevant actions.
-    `reduce` checks each term over the pruned alphabet, which keeps exactly
-    the declared names that occur, so an undeclared or mis-sorted name
-    fails at the same node, with the same message, as over the full one.
-    """
+def _extended(t1: Term, t2: Term, alphabet: Alphabet) -> tuple[Term, Term, Alphabet]:
+    """Both terms, and the extension of the alphabet pruned to their names.
+    Each term is checked over the pruned alphabet, so an undeclared or
+    mis-sorted name, the reserved action too, fails at the same node, with
+    the same message, as over the full one."""
     pruned = prune_alphabet(alphabet, t1, t2)
-    return reduce(t1, pruned), reduce(t2, pruned), ExtendedAlphabet(pruned).alphabet
+    for t in (t1, t2):
+        check_over(t, pruned)
+    return t1, t2, ExtendedAlphabet(pruned).alphabet
 
 
 def topkat_equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
-    """Decide a TopKAT equation by deciding the reducts as plain KAT.
+    """Decide a TopKAT equation as its reducts' plain KAT equation.
 
     Witnesses are guarded strings over the extended alphabet.
     """
-    return equivalent(*_reducts(t1, t2, alphabet))
+    return equivalent(*_extended(t1, t2, alphabet))
 
 
 def topkat_leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     """Decide t1 <= t2 in TopKAT; a witness lies in L(r(t1)) \\ L(r(t2))."""
-    return leq(*_reducts(t1, t2, alphabet))
+    return leq(*_extended(t1, t2, alphabet))

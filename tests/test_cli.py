@@ -477,6 +477,14 @@ def test_running_out_of_memory_is_a_limit_and_recursing_a_fault(capsys, monkeypa
     assert run(capsys, "decide", "p", "p") == (3, "", message)
 
 
+def test_building_the_json_falls_under_the_same_guard(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.json, "dumps", failing)
+    assert run(capsys, "decide", "--json", "p", "p") == (3, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, lines, exit_code", [
     (["lang", "--tests", "b,c", "--max-actions", "4", "(p+q)*"], 1, 0),  # about 700 kB
@@ -507,17 +515,17 @@ STREAM_COMMANDS = [
     ("not-equivalent", ["decide", "p", "q"], 1),
     ("usage-error", ["decide", "p", "p +"], 2),
     ("help", ["--help"], 0),
+    ("argparse-usage", ["decide", "--bogus", "p", "p"], 2),
 ]
 
 
 # closed: the descriptor is closed before start; full: it is /dev/full;
 # object-closed: `sys.stdout` or `sys.stderr` is a closed file object, as
-# a caller of `main` may leave it (argparse's help and usage writes are
-# not guarded there, so `--help` is left out)
+# a caller of `main` may leave it
 @pytest.mark.parametrize("argv, exit_code, fd, how", [
     pytest.param(argv, exit_code, fd, how, id=f"{name}-{('stdout', 'stderr')[fd - 1]}-{how}")
     for name, argv, exit_code in STREAM_COMMANDS for fd in (1, 2)
-    for how in ("closed", "full", "object-closed") if (name, how) != ("help", "object-closed")
+    for how in ("closed", "full", "object-closed")
 ])
 def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch, argv, exit_code,
                                                              fd, how):

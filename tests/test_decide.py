@@ -9,10 +9,12 @@ from topkat import decide
 from topkat.decide import Equivalent, Witness, equivalent, leq, member
 from topkat.errors import InternalError, SortError, TopNotAllowedError, UndeclaredIdentifierError
 from topkat.gen import random_term
+from topkat.reduction import TOP_ACTION, topkat_equivalent
 from topkat.semantics import GuardedString, all_atoms, gs_sort_key, lang_bounded
 from topkat.syntax import Alphabet, Dot, ONE, Plus, Star, TOP, ZERO, parse, prune_alphabet
 
 
+AL_P = Alphabet(("p",), ())
 AL_PQ = Alphabet(("p", "q"), ())
 AL_PB = Alphabet(("p",), ("b",))
 
@@ -140,20 +142,25 @@ def test_witnesses_are_deterministic_and_minimal():
             assert first.string == min(separating, key=gs_sort_key(ALPHABET))
 
 
-def test_equivalent_rejects_top():
-    with pytest.raises(TopNotAllowedError):
-        equivalent(parse("T", ALPHABET), parse("p", ALPHABET), ALPHABET)
+def test_equivalent_reads_top_as_every_guarded_string_over_its_alphabet():
+    # over ({p}, {}), T and p* are the same language; a TopKAT decision
+    # extends the alphabet by the reserved action, which only T takes
+    t, p_star = parse("T", AL_P), parse("p*", AL_P)
+    assert isinstance(equivalent(t, p_star, AL_P), Equivalent)
+    verdict = topkat_equivalent(t, p_star, AL_P)
+    assert isinstance(verdict, Witness) and verdict.side == "left"
+    assert verdict.string.render() == f"[] {TOP_ACTION} []"
 
 
-def test_the_engine_walk_refuses_top():
-    # the engine's own walk refuses T, should a caller skip `equivalent`'s check
-    with pytest.raises(TopNotAllowedError, match="^T has no derivatives; eliminate it first$"):
-        decide._Engine(1, {}).accepts(frozenset({TOP}))
+def test_the_engine_steps_top_to_itself_by_every_action():
+    engine = decide._Engine(2, {}, ("p", "q"))
+    assert engine.accepts(frozenset({TOP})) == engine.full == 0b11
+    assert engine.linear(TOP) == {("p", TOP): 0b11, ("q", TOP): 0b11}
 
 
 @pytest.mark.parametrize("left, right, error", [
     ("p q", "T", UndeclaredIdentifierError),  # q is undeclared in AL_PB
-    ("T", "p q", TopNotAllowedError),
+    ("T", "p q", UndeclaredIdentifierError),
     ("p c", "T b", UndeclaredIdentifierError),
     ("b", "q", UndeclaredIdentifierError),
     ("p", "p b", None),
@@ -319,7 +326,8 @@ def test_test_masks_follow_the_atom_order(monkeypatch):
     masks = []
     engine = decide._Engine
     monkeypatch.setattr(decide, "_Engine",
-                        lambda count, tests: masks.append(tests) or engine(count, tests))
+                        lambda count, tests, actions: masks.append(tests)
+                        or engine(count, tests, actions))
     for k in (0, 1, 3, 10):
         alphabet = Alphabet(("p",), tuple(f"b{i}" for i in range(k)))
         masks.clear()

@@ -138,16 +138,17 @@ def test_an_alphabet_knows_each_sort_and_survives_pickling():
 
 
 # The walks left in a query: the decider's facts, one walk per term it has
-# not met (a compared term or a new derivative); one `rebuild` per term
-# with T, which the padded terms of a (co)domain comparison have; and one
-# `evaluate` per compared term to verify a countermodel.  Validation,
-# pruning and top-free reducts read the node facts: walking the terms for
-# them made these counts 9, 10, 13 and 12.
+# not met (a compared term or a new derivative), and one `evaluate` per
+# compared term to verify a countermodel.  Validation, pruning and top-free
+# reducts read the node facts: walking the terms for them made these counts
+# 9, 10, 13 and 12.  The decider steps T itself: one `rebuild` per term with
+# T, which the padded terms of a (co)domain comparison have, made the last
+# three 4, 6 and 5.
 WALKS = [
     (["decide", "b + 1", "1"], 1),
-    (["leq", "T p", "p T"], 4),
-    (["cod-geq", "p b", "p"], 6),
-    (["dom-geq", "b p", "p"], 5),
+    (["leq", "T p", "p T"], 2),
+    (["cod-geq", "p b", "p"], 4),
+    (["dom-geq", "b p", "p"], 3),
 ]
 
 
@@ -172,9 +173,8 @@ def test_walks_per_query(monkeypatch, capsys, argv, walks):
 
 # The alphabets built in a query: the declared one, the pruned one when
 # pruning drops a name (the test b of the leq query and of the last two),
-# and the pruned one's extension by the reserved action, which the
-# reducts are decided over.  Each T's sum-star reads the reserved action's
-# name from the base alphabet: building the extension for it made the
+# and the pruned one's extension by the reserved action, over which the
+# terms are decided.  Building an extension for each T's sum-star made the
 # first four counts 2, 5, 4, 4.  A refuted comparison prunes once, for its
 # decision and its countermodel: pruning again for the countermodel made
 # the last two 4.

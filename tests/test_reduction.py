@@ -4,6 +4,7 @@ import pytest
 
 from conftest import ALPHABET
 from topkat.decide import Equivalent, Witness, equivalent, leq, member
+from topkat.errors import UndeclaredIdentifierError
 from topkat.gen import random_term
 from topkat.reduction import (
     TOP_ACTION, ExtendedAlphabet, embed_back, prune_alphabet, reduce,
@@ -127,3 +128,32 @@ def test_reduce_with_no_declared_actions():
     assert render(reduce(parse("T", empty), empty)) == "__top__*"
     assert isinstance(topkat_equivalent(parse("T T", empty), parse("T", empty), empty),
                       Equivalent)
+
+
+@pytest.mark.parametrize("tests", [(), ("b",), ("b", "c", "d")])
+def test_the_engine_decides_top_as_its_reduct(tests):
+    # the engine steps T itself; deciding the written-out reducts is the oracle
+    alphabet = Alphabet(("p", "q"), tests)
+    rng = random.Random(53 + len(tests))
+    witnesses = 0
+    for _ in range(150):
+        t1, t2 = (random_term(rng, alphabet, 4, allow_top=True) for _ in range(2))
+        pruned = prune_alphabet(alphabet, t1, t2)
+        ext = ExtendedAlphabet(pruned).alphabet
+        r1, r2 = reduce(t1, pruned), reduce(t2, pruned)
+        for native, oracle in ((equivalent, equivalent), (leq, leq),
+                               (topkat_equivalent, equivalent), (topkat_leq, leq)):
+            verdict = native(t1, t2, ext if native in (equivalent, leq) else alphabet)
+            assert verdict == oracle(r1, r2, ext)
+            witnesses += isinstance(verdict, Witness)
+    assert 0 < witnesses < 600
+
+
+@pytest.mark.parametrize("decision", [topkat_equivalent, topkat_leq])
+def test_the_reserved_action_is_undeclared_in_a_topkat_decision(decision):
+    # only T stands for the reserved action: written out, it is undeclared,
+    # on either side, though the decision runs over the extended alphabet
+    reserved = Act(TOP_ACTION)
+    for t1, t2 in ((reserved, TOP), (TOP, Dot(parse("p", AL_P), reserved))):
+        with pytest.raises(UndeclaredIdentifierError, match="^undeclared action '__top__'$"):
+            decision(t1, t2, AL_P)
