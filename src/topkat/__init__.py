@@ -17,11 +17,11 @@ from .relmodel import (
     falsify_implication, search_countermodel,
 )
 from .semantics import (
-    Atom, GuardedString, all_atoms, fuse, lang_bounded,
+    Atom, GuardedString, all_atoms, lang_bounded,
 )
 from .syntax import (
     Act, Alphabet, Dot, Not, One, Plus, Star, Term, Test, Top, Zero,
-    contains_top, declare_alphabet, parse, render, reverse,
+    contains_top, declare_alphabet, parse, render,
 )
 
 __version__ = "0.1.0"

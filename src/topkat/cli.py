@@ -199,7 +199,7 @@ def _cmd_triple(args, alphabet, *terms) -> Output:
     human, results = [], []
     for i, (lineno, kind) in enumerate(args.lines):
         tr = _on_line(lineno, logic.Triple, kind, *terms[3 * i:3 * i + 3])
-        verdict = logic.check_triple(tr, alphabet, direction=args.direction)
+        verdict = _on_line(lineno, logic.check_triple, tr, alphabet, args.direction)
         word = "provable" if isinstance(verdict, decide.Equivalent) else "not provable"
         human.append(f"line {lineno}: {kind} {word}")
         results.append({"line": lineno, "kind": kind, "verdict": word.replace(" ", "-")})
@@ -353,9 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         return _written(sys.stdout, [json.dumps({"v": 1, **payload})] if args.json else human, code)
     except InternalError as exc:
         error, code = f"internal error: {exc}", 3
-    except (ResourceLimitError, MemoryError) as exc:
-        # too large to decide: no verdict was computed
-        error, code = str(exc) or type(exc).__name__, 3
+    except MemoryError:  # its traceback holds the memory until this clause ends: build nothing
+        error, code = "MemoryError", 3
+    except ResourceLimitError as exc:  # too large to decide: no verdict was computed
+        error, code = str(exc), 3
     except (TopkatError, ValueError, OSError) as exc:
         error, code = str(exc), 2
     except Exception as exc:  # a fault in topkat itself: no verdict was computed

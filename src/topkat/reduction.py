@@ -49,15 +49,15 @@ def embed_back(t: Term) -> Term:
     return rebuild(t, lambda s: TOP if s == Act(TOP_ACTION) else s)
 
 
-def _extended(t1: Term, t2: Term, alphabet: Alphabet) -> tuple[Term, Term, Alphabet]:
-    """Both terms, and the extension of the alphabet pruned to their names.
-    Each term is checked over the pruned alphabet, so an undeclared or
+def _extended(t1: Term, t2: Term, alphabet: Alphabet) -> Alphabet:
+    """The extension of the alphabet pruned to both terms' names.  Each
+    term is checked over the pruned alphabet, so an undeclared or
     mis-sorted name, the reserved action too, fails at the same node, with
     the same message, as over the full one."""
     pruned = prune_alphabet(alphabet, t1, t2)
     for t in (t1, t2):
         check_over(t, pruned)
-    return t1, t2, ExtendedAlphabet(pruned).alphabet
+    return ExtendedAlphabet(pruned).alphabet
 
 
 def topkat_equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
@@ -65,9 +65,9 @@ def topkat_equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
 
     Witnesses are guarded strings over the extended alphabet.
     """
-    return equivalent(*_extended(t1, t2, alphabet))
+    return equivalent(t1, t2, _extended(t1, t2, alphabet))
 
 
 def topkat_leq(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     """Decide t1 <= t2 in TopKAT; a witness lies in L(r(t1)) \\ L(r(t2))."""
-    return leq(*_extended(t1, t2, alphabet))
+    return leq(t1, t2, _extended(t1, t2, alphabet))

@@ -1,4 +1,4 @@
-"""Atoms, guarded strings, fusion, and the bounded-language oracle.
+"""Atoms, guarded strings, and the bounded-language oracle.
 
 `lang_bounded` computes guarded-string languages by direct set
 computation up to an action-count bound.  It is the independent oracle
@@ -55,10 +55,6 @@ class GuardedString(Value):
             raise ValueError("need exactly one more atom than actions")
 
     @property
-    def first_atom(self) -> Atom:
-        return self.atoms[0]
-
-    @property
     def last_atom(self) -> Atom:
         return self.atoms[-1]
 
@@ -88,13 +84,6 @@ def all_atoms(alphabet: Alphabet) -> tuple[Atom, ...]:
 def _atoms(tests: tuple[str, ...]) -> tuple[Atom, ...]:
     return tuple(Atom(tests, bits)
                  for bits in itertools.product((False, True), repeat=len(tests)))
-
-
-def fuse(s1: GuardedString, s2: GuardedString) -> GuardedString | None:
-    """Fusion product: concatenate when the boundary atoms agree, else None."""
-    if s1.last_atom != s2.first_atom:
-        return None
-    return GuardedString(s1.atoms + s2.atoms[1:], s1.acts + s2.acts)
 
 
 def gs_sort_key(alphabet: Alphabet) -> Callable[[GuardedString], tuple]:

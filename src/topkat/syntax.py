@@ -1,5 +1,5 @@
-"""Alphabets, term abstract syntax, traversals (reversal, rebuilding,
-alphabet pruning), parsing, and printing.
+"""Alphabets, term abstract syntax, traversals (rebuilding, alphabet
+pruning), parsing, and printing.
 
 Terms are immutable, hash-consed trees: equal terms are the same object.
 The grammar (precedence `!` > `*` > sequence > `+`, sequence
@@ -352,22 +352,12 @@ def postorder(*terms: Term) -> list[Term]:
     return list(done)
 
 
-def rebuild(t: Term, leaf: Callable[[Term], Term], flip: bool = False) -> Term:
-    """Copy t bottom-up with every leaf s replaced by leaf(s); with flip,
-    the operands of every sequential composition are swapped too."""
+def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
+    """Copy t bottom-up with every leaf s replaced by leaf(s)."""
     new: dict[Term, Term] = {}
     for s in postorder(t):
-        if s.kids:
-            kids = [new[k] for k in s.kids]
-            new[s] = type(s)(*(reversed(kids) if flip and isinstance(s, Dot) else kids))
-        else:
-            new[s] = leaf(s)
+        new[s] = type(s)(*(new[k] for k in s.kids)) if s.kids else leaf(s)
     return new[t]
-
-
-def reverse(t: Term) -> Term:
-    """Flip every sequential composition; an involution."""
-    return rebuild(t, lambda s: s, flip=True)
 
 
 def prune_alphabet(alphabet: Alphabet, *terms: Term) -> Alphabet:

@@ -3,11 +3,32 @@ import hypothesis.strategies as st
 
 from topkat import syntax
 from topkat.relmodel import evaluate
+from topkat.semantics import GuardedString
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("suite")
 
 ALPHABET = syntax.Alphabet(("p", "q"), ("b", "c"))
+
+
+def fuse(s1, s2):
+    """The fusion product of two guarded strings (Kozen and Smith, CSL
+    1996): their concatenation when the boundary atoms agree, else None."""
+    if s1.atoms[-1] != s2.atoms[0]:
+        return None
+    return GuardedString(s1.atoms + s2.atoms[1:], s1.acts + s2.acts)
+
+
+def reverse(t):
+    """t with the operands of every sequential composition swapped; an
+    involution.  One loop over `postorder`, so any depth reverses."""
+    new = {}
+    for s in syntax.postorder(t):
+        kids = [new[k] for k in s.kids]
+        if isinstance(s, syntax.Dot):
+            kids.reverse()
+        new[s] = type(s)(*kids) if kids else s
+    return new[t]
 
 
 def encoding_sides(interp, t1, t2):

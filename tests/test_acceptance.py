@@ -9,7 +9,7 @@ and finite-model oracles.
 import random
 import time
 
-from conftest import encoding_sides
+from conftest import encoding_sides, fuse, reverse
 from topkat.cli import main as cli_main
 from topkat.decide import Equivalent, equivalent, leq, member
 from topkat.domain import Provable, RelCountermodel, cod_geq, dom_geq
@@ -18,8 +18,8 @@ from topkat.reduction import (
     ExtendedAlphabet, embed_back, prune_alphabet, reduce, topkat_equivalent,
 )
 from topkat.relmodel import Relation, SearchBudget, evaluate, search_countermodel
-from topkat.semantics import fuse, lang_bounded
-from topkat.syntax import Alphabet, Dot, TOP, parse, reverse
+from topkat.semantics import lang_bounded
+from topkat.syntax import Alphabet, Dot, TOP, parse
 
 ALPH = Alphabet(("p", "q"), ("b", "c"))
 EXHAUSTIVE = SearchBudget(exhaustive=True)

@@ -159,17 +159,25 @@ def test_triple_file_without_triples_is_a_usage_error(tmp_path, capsys, mode):
     assert code == 2 and out == "" and "no triples" in err
 
 
-@pytest.mark.parametrize("argv, text, message", [
-    (["decide"], "p\n(q\n", "line 2: unexpected end of input (at position 2)"),
+ELEVEN = [f"b{i}" for i in range(11)]
+
+
+@pytest.mark.parametrize("argv, text, message, code", [
+    (["decide"], "p\n(q\n", "line 2: unexpected end of input (at position 2)", 2),
     (["triple", "--tests", "b"], "hoare {b} p {b}\n# a comment\nhoare {b} p ++ q {b}\n",
-     "line 3: unexpected '+' (at position 4)"),
-    (["triple", "--tests", "b"], "hoare {T} p {b}\n", "line 1: precondition must be a test-only term"),
-    (["triple", "--tests", "b"], "\nhoare {b} p q\n", "line 2: not a triple: 'hoare {b} p q'"),
-], ids=["term-parse", "triple-parse", "triple-sort", "not-a-triple"])
-def test_an_error_in_a_file_line_names_the_line(tmp_path, capsys, argv, text, message):
+     "line 3: unexpected '+' (at position 4)", 2),
+    (["triple", "--tests", "b"], "hoare {T} p {b}\n",
+     "line 1: precondition must be a test-only term", 2),
+    (["triple", "--tests", "b"], "\nhoare {b} p q\n", "line 2: not a triple: 'hoare {b} p q'", 2),
+    # a line that parses but uses more tests than the atom cap allows
+    (["triple", "--tests", ",".join(ELEVEN)],
+     f"hoare {{b0}} p {{b0}}\nhoare {{{' '.join(ELEVEN)}}} p {{b0}}\n",
+     "line 2: 11 tests exceed the atom cap of 10 (2^11 atoms)", 3),
+], ids=["term-parse", "triple-parse", "triple-sort", "not-a-triple", "triple-too-large"])
+def test_an_error_in_a_file_line_names_the_line(tmp_path, capsys, argv, text, message, code):
     path = tmp_path / "input.txt"
     path.write_text(text, encoding="utf-8")
-    assert run(capsys, *argv, "--file", str(path)) == (2, "", f"error: {message}\n")
+    assert run(capsys, *argv, "--file", str(path)) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",

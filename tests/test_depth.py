@@ -14,10 +14,11 @@ import tracemalloc
 
 import pytest
 
+from conftest import reverse
 from topkat import decide, syntax
 from topkat.cli import COMMANDS, main
 from topkat.logic import Triple, check_triple
-from topkat.syntax import Alphabet, parse, postorder, render, reverse
+from topkat.syntax import Alphabet, parse, postorder, rebuild, render
 
 
 def _alternating(depth: int) -> str:
@@ -71,6 +72,7 @@ def test_deep_terms_round_trip(shape):
     t = parse(DEEP[shape], alphabet)
     assert parse(render(t), alphabet) is t
     assert reverse(reverse(t)) is t
+    assert rebuild(t, lambda s: s) is t
     order = postorder(t)
     position = {s: i for i, s in enumerate(order)}
     assert len(position) == len(order) and order[-1] is t

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import ALPHABET
+from conftest import ALPHABET, fuse, reverse
 from topkat import decide, reduction, syntax
 from topkat.decide import Witness, member
 from topkat.domain import (
@@ -16,8 +16,8 @@ from topkat.reduction import (
     ExtendedAlphabet, prune_alphabet, reduce, topkat_equivalent, topkat_leq,
 )
 from topkat.relmodel import SearchBudget, evaluate, search_countermodel
-from topkat.semantics import fuse, lang_bounded
-from topkat.syntax import Act, Alphabet, Dot, TOP, parse, reverse
+from topkat.semantics import lang_bounded
+from topkat.syntax import Act, Alphabet, Dot, TOP, parse
 
 
 AL_PB = Alphabet(("p",), ("b",))
@@ -162,7 +162,7 @@ def _check_countermodel_shape(direction):
     # carrier element i is keyed on the witness's i-th atom: the last atom
     # of a prefix, the first atom of a suffix
     for i, s in enumerate(model.carrier):
-        assert (s.last_atom if direction == "cod" else s.first_atom) == w.atoms[i]
+        assert (s.last_atom if direction == "cod" else s.atoms[0]) == w.atoms[i]
     # the carrier grows one step at a time and primitive steps only move forward
     for name, rel in model.interp.action_map.items():
         assert all(j == i + 1 for i, j in rel.pairs), name

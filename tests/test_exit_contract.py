@@ -3,10 +3,18 @@ subcommand, well-formed and malformed: the code is 0-3 and no exception
 escapes, stderr is written iff the code is 2 or 3, `--json` output is
 versioned JSON, every `decide` witness between top-free terms lies in
 exactly one side's bounded language, and a triple's verdict names its
-line of the file, past blank and #-comment lines."""
+line of the file, past blank and #-comment lines.  The contract also
+holds when memory runs out: each command's worst known shape, in a child
+whose address space is limited, exits 0-3 with no traceback."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from topkat.cli import COMMANDS, main
 from topkat.gen import random_term, random_test_term
@@ -143,3 +151,50 @@ def test_every_invocation_keeps_the_exit_contract(capsys, tmp_path):
         if argv[0] == "triple" and code < 2 and not bad and "--json" not in argv:
             assert out.startswith(f"line {triple_line[case]}: "), (argv, out)
     assert codes == {0, 1, 2, 3}
+
+
+MB = 1 << 20
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BLOWUP = 16  # the subset blow-up: the automaton of (p+q)* p (p+q)^n has 2^n states
+
+
+def limited(megabytes: int, cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+    """`python *argv` in a child whose address space is capped; only the
+    child is limited."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes * MB, megabytes * MB))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, preexec_fn=cap, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def address_space_is_limited(tmp_path_factory):
+    pytest.importorskip("resource")
+    probe = limited(100, tmp_path_factory.getbasetemp(), "-c", f"bytearray({400 * MB})")
+    if "MemoryError" not in probe.stderr:
+        pytest.skip("RLIMIT_AS is not enforced here")
+
+
+@pytest.mark.parametrize("megabytes, argv", [
+    (150, ["decide", "(p+q)* p" + " (p+q)" * BLOWUP, "(q+p)* p" + " (q+p)" * BLOWUP]),
+    (120, ["reduce", "--file", "names.txt"]),
+    (60, ["lang", "--tests", "b,c", "--max-actions", "6", "(p+q)*"]),
+    (100, ["search", "--kind", "equality", "--max-states", "1000", "--samples", "3",
+           "--seed", "1", "p", "q"]),
+], ids=["decide", "reduce", "lang", "search"])
+def test_running_out_of_memory_keeps_the_exit_contract(address_space_is_limited, tmp_path,
+                                                       megabytes, argv):
+    # 60 000 distinct names in one sequence
+    (tmp_path / "names.txt").write_text(" ".join(f"p{i}" for i in range(60_000)) + "\n",
+                                        encoding="utf-8")
+    done = limited(megabytes, tmp_path, "-m", "topkat", *argv)
+    assert done.returncode in (0, 1, 2, 3), done.stderr
+    assert "Traceback" not in done.stdout + done.stderr, done.stderr
+    assert bool(done.stdout) == (done.returncode < 2), (done.returncode, done.stderr)
+    if done.returncode == 3:
+        assert any(line.startswith("error: ") for line in done.stderr.splitlines()), done.stderr

@@ -71,8 +71,8 @@ PUBLIC_API = [
     "UndeclaredIdentifierError", "Verdict", "Witness", "Zero", "all_atoms",
     "check_triple", "cod_geq", "contains_top",
     "declare_alphabet", "dom_geq", "embed_back", "equivalent", "evaluate",
-    "falsify_implication", "fuse", "lang_bounded", "leq", "member", "parse", "reduce",
-    "render", "reverse", "search_countermodel", "topkat_equivalent",
+    "falsify_implication", "lang_bounded", "leq", "member", "parse", "reduce",
+    "render", "search_countermodel", "topkat_equivalent",
     "topkat_leq",
 ]
 

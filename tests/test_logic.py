@@ -70,7 +70,7 @@ def test_hoare_triples_count_only_the_tests_that_occur():
     assert isinstance(check_triple(triple("hoare", "b0", "p b1", "b1 + b0", wide), wide),
                       Equivalent)
     refuted = check_triple(triple("hoare", "b3", "p", "b10", wide), wide)
-    assert refuted.string.first_atom.tests == ("b3", "b10")
+    assert refuted.string.atoms[0].tests == ("b3", "b10")
     assert member(refuted.string, parse("b3 p !b10", wide))
 
 

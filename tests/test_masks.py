@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import terms
+from conftest import reverse, terms
 import topkat
 from topkat import syntax
 from topkat.cli import main
@@ -90,7 +90,7 @@ def test_a_new_node_class_needs_no_hook_for_its_operands():
     assert t.kids == (pb, top)
     assert postorder(t) == [p, b, pb, top, t]
     assert syntax.rebuild(t, lambda s: syntax.ONE if s is top else s) == Pair(pb, syntax.ONE)
-    assert syntax.reverse(t) == Pair(syntax.Dot(b, p), top)
+    assert reverse(t) == Pair(syntax.Dot(b, p), top)
     assert (decode(t.acts), decode(t.tests)) == ({"p"}, {"b"})
     assert t.has_top and not Pair(p, b).has_top
     assert Pair(b, syntax.ONE).test_only and not Pair(p, b).test_only

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import ALPHABET, terms, boolean_terms
+from conftest import ALPHABET, fuse, terms, boolean_terms
 from topkat.errors import ParseError, ResourceLimitError, SortError, TopNotAllowedError
 from topkat.gen import random_term
 from topkat.semantics import (
-    Atom, GuardedString, all_atoms, fuse, gs_sort_key,
+    Atom, GuardedString, all_atoms, gs_sort_key,
     STRING_CAP, lang_bounded, parse_guarded_string,
 )
 from topkat.syntax import Alphabet, Dot, Not, Plus, parse
@@ -22,7 +22,7 @@ def test_atoms_are_interned_and_immutable():
     first, second = all_atoms(ALPHABET), all_atoms(ALPHABET)
     assert first is second  # one cached tuple per tests tuple
     assert all(a is b for a, b in zip(first, second))
-    assert parse_guarded_string("[b&!c]", ALPHABET).first_atom is atom((True, False))
+    assert parse_guarded_string("[b&!c]", ALPHABET).atoms[0] is atom((True, False))
     with pytest.raises(AttributeError):
         first[0].bits = (True, True)
 

@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import ALPHABET, terms
+from conftest import ALPHABET, reverse, terms
 from topkat import syntax
 from topkat.decide import Equivalent, equivalent
 from topkat.errors import ParseError, SortError
 from topkat.gen import random_term
 from topkat.syntax import (
     Act, Alphabet, Dot, Not, ONE, Plus, Star, TOP, ZERO,
-    contains_top, declare_alphabet, parse, render, reverse, scan_identifiers,
+    contains_top, declare_alphabet, parse, render, scan_identifiers,
 )
 
 
