@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         error, code = f"internal error: {exc}", 3
     except MemoryError:  # its traceback holds the memory until this clause ends: build nothing
-        error, code = "MemoryError", 3
+        error, code = "out of memory", 3
     except ResourceLimitError as exc:  # too large to decide: no verdict was computed
         error, code = str(exc), 3
     except (TopkatError, ValueError, OSError) as exc:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import hypothesis
 import hypothesis.strategies as st
 
+import topkat
 from topkat import syntax
 from topkat.relmodel import evaluate
 from topkat.semantics import GuardedString
@@ -9,6 +13,16 @@ hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("suite")
 
 ALPHABET = syntax.Alphabet(("p", "q"), ("b", "c"))
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a Python child process: os.environ plus
+    `extra`, with the directory that holds the imported topkat first on
+    PYTHONPATH, so that the child imports the topkat these tests import,
+    from a checkout's src/ or from an installed copy."""
+    here = str(Path(topkat.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))}
 
 
 def fuse(s1, s2):

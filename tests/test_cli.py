@@ -11,6 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import topkat
+from conftest import child_env
 from topkat import cli, decide, relmodel
 from topkat.cli import COMMANDS, Command, main
 from topkat.relmodel import Relation, RelInterpretation, SearchHit
@@ -471,7 +473,7 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("error, message", [
-    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError(), "error: out of memory\n"),
     # no pass over a term recurses, so a RecursionError is a fault in topkat
     (RecursionError("maximum recursion depth exceeded"),
      "error: internal error: RecursionError: maximum recursion depth exceeded\n"),
@@ -490,7 +492,7 @@ def test_building_the_json_falls_under_the_same_guard(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(cli.json, "dumps", failing)
-    assert run(capsys, "decide", "--json", "p", "p") == (3, "", "error: MemoryError\n")
+    assert run(capsys, "decide", "--json", "p", "p") == (3, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -501,12 +503,9 @@ def test_building_the_json_falls_under_the_same_guard(capsys, monkeypatch):
     (["decide", "--help"], 0, 0),
 ], ids=["lang-reads-one-line", "decide-reads-none", "help-reads-none", "decide-help-reads-none"])
 def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, lines, exit_code, unbuffered):
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(pathlib.Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    child = subprocess.Popen([sys.executable, "-m", "topkat", *argv], env=env,
+    # an empty PYTHONUNBUFFERED counts as unset
+    child = subprocess.Popen([sys.executable, "-m", "topkat", *argv],
+                             env=child_env(PYTHONUNBUFFERED="1" if unbuffered else ""),
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         for _ in range(lines):
@@ -516,6 +515,23 @@ def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, lines, exit_code, 
     finally:
         child.kill()
     assert (child.returncode, err) == (exit_code, b"")
+
+
+def test_a_child_imports_the_topkat_these_tests_import(tmp_path):
+    done = subprocess.run([sys.executable, "-c", "import topkat; print(topkat.__file__)"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert pathlib.Path(done.stdout.strip()).resolve() == pathlib.Path(topkat.__file__).resolve()
+
+
+# `-m topkat.cli` runs cli.py as __main__, so it needs the guard at its end
+@pytest.mark.parametrize("module", ["topkat", "topkat.cli"])
+def test_either_module_run_keeps_the_exit_contract(module):
+    done = subprocess.run([sys.executable, "-m", module, "decide", "p", "q"], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "not equivalent\nwitness: [] p []\nside: left\n", "")
 
 
 STREAM_COMMANDS = [
@@ -539,9 +555,6 @@ def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch
                                                              fd, how):
     if how == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
-    env = {**os.environ, "COLUMNS": "80"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(pathlib.Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
     if how == "object-closed":
         stream = ("stdout", "stderr")[fd - 1]
         command = [sys.executable, "-c", f"import sys; sys.{stream}.close(); "
@@ -549,7 +562,7 @@ def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch
     else:
         redirect = f"{fd}>&-" if how == "closed" else f"{fd}>/dev/full"
         command = ["sh", "-c", f'exec "$0" -m topkat "$@" {redirect}', sys.executable, *argv]
-    child = subprocess.run(command, env=env, capture_output=True, timeout=60)
+    child = subprocess.run(command, env=child_env(COLUMNS="80"), capture_output=True, timeout=60)
     assert child.returncode == exit_code
     assert b"Traceback" not in child.stdout and b"Traceback" not in child.stderr
     if fd == 2:  # stdout holds the verdict's lines and nothing else

@@ -8,7 +8,6 @@ holds when memory runs out: each command's worst known shape, in a child
 whose address space is limited, exits 0-3 with no traceback."""
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from topkat.cli import COMMANDS, main
 from topkat.gen import random_term, random_test_term
 from topkat.logic import RULES
@@ -154,7 +154,6 @@ def test_every_invocation_keeps_the_exit_contract(capsys, tmp_path):
 
 
 MB = 1 << 20
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLOWUP = 16  # the subset blow-up: the automaton of (p+q)* p (p+q)^n has 2^n states
 
 
@@ -166,9 +165,7 @@ def limited(megabytes: int, cwd: Path, *argv: str) -> subprocess.CompletedProces
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (megabytes * MB, megabytes * MB))
 
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=child_env(), capture_output=True,
                           text=True, preexec_fn=cap, timeout=60)
 
 

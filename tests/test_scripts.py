@@ -1,19 +1,17 @@
 """The experiment scripts under scripts/ run to completion on small inputs."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_incompleteness_frontier_runs():

@@ -1,18 +1,16 @@
 import copy
 import gc
-import os
 import pickle
 import random
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from conftest import ALPHABET, reverse, terms
+from conftest import ALPHABET, child_env, reverse, terms
 from topkat import syntax
 from topkat.decide import Equivalent, equivalent
 from topkat.errors import ParseError, SortError
@@ -188,8 +186,7 @@ print(tracemalloc.get_traced_memory()[0] / len(nodes))
 
 
 def test_a_live_node_takes_no_more_memory():
-    env = dict(os.environ, PYTHONPATH=str(Path(syntax.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", PER_NODE], env=env,
+    done = subprocess.run([sys.executable, "-c", PER_NODE], env=child_env(),
                           capture_output=True, text=True, timeout=60, check=True)
     assert float(done.stdout) < 375.8 * 1.10, done.stdout
 

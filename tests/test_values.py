@@ -4,7 +4,6 @@ quick tour runs, and importing the CLI generates no code."""
 import ast
 import copy
 import inspect
-import os
 import pickle
 import re
 import subprocess
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import topkat
+from conftest import child_env
 from topkat import cli, decide, domain, logic, reduction, relmodel, semantics, syntax
 from topkat.syntax import Value, parse
 
@@ -143,9 +142,8 @@ def test_readme_quick_tour_runs_as_documented():
 
 def test_importing_the_cli_generates_no_code():
     # -S: what site-packages' .pth files import is not topkat's doing
-    env = dict(os.environ, PYTHONPATH=str(Path(topkat.__file__).resolve().parents[1]))
     code = ("import sys, topkat.cli; topkat.cli.build_parser(); "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
