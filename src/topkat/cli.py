@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 from typing import Callable
 
@@ -328,12 +329,21 @@ class _Parser(argparse.ArgumentParser):  # writes through `_written`, usage neve
         _written(file or sys.stderr, [message.removesuffix("\n")] if message else [], 0)
 
 
+_USAGES: dict[tuple[str, int], str] = {}  # (command, columns): usage; racing misses agree
+
+
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """A new parser per call: `parse_intermixed_args` changes its parser
-    while it parses, so a shared one would need a lock."""
+    while it parses, so a shared one would need a lock.  It would also
+    format the usage on every call, so the usage is kept per terminal
+    width, as argparse formats it, with `%` doubled for its %-formatting."""
     parser = _Parser(prog=f"topkat {name}", description=COMMANDS[name].help)
     for names, options in COMMON_ARGS + COMMANDS[name].args:
         parser.add_argument(*names, **options)
+    key = name, shutil.get_terminal_size().columns
+    if key not in _USAGES:
+        _USAGES[key] = parser.format_usage()[7:].replace("%", "%%")
+    parser.usage = _USAGES[key]
     return parser
 
 

@@ -352,12 +352,12 @@ def _draw_blocks(seed: int, samples: int, max_n: int, actions: int, tests: int,
     for n in range(1, max_n + 1):
         widths = [n * n] * actions + [n] * tests
         sizes.append((n, widths, 32 * sum(-(-w // 32) for w in widths) if n in skip else None))
-    size, cap = 1, max(1, _BLOCK_BITS // (max_n * max_n))
+    size, cap, step = 1, max(1, _BLOCK_BITS // (max_n * max_n)), actions + tests
     while samples:
         count = min(size, samples)
         samples -= count
         size = min(2 * size, cap)
-        groups: dict[int, tuple[list[int], list]] = {}  # n: its places and fields
+        groups: dict[int, tuple[list[int], list[int]]] = {}  # n: its places, its draws' fields
         for position in range(count):
             r = getrandbits(k)
             while r >= max_n:
@@ -366,11 +366,11 @@ def _draw_blocks(seed: int, samples: int, max_n: int, actions: int, tests: int,
             if skipped is not None:
                 getrandbits(skipped)
                 continue
-            positions, members = groups.setdefault(n, ([], []))
+            positions, fields = groups.get(n) or groups.setdefault(n, ([], []))
             positions.append(position)
-            members.append(list(map(getrandbits, widths)))
-        yield [(n, positions, [_pack(n * n, column) for column in zip(*members)])
-               for n, (positions, members) in groups.items()]
+            fields += map(getrandbits, widths)
+        yield [(n, positions, [_pack(n * n, fields[f::step]) for f in range(step)])
+               for n, (positions, fields) in groups.items()]
 
 
 def _scan(kind: str, program: list[tuple[type, int, int]], checks: Sequence[tuple[int, int]],

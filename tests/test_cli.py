@@ -453,6 +453,40 @@ def test_help_follows_the_terminal_width_once_the_parser_is_built(capsys, monkey
     assert ("one of the commands below" in out) != wrapped
 
 
+def fresh_parser(name: str) -> argparse.ArgumentParser:
+    """The command's parser as argparse builds it, with no usage preset."""
+    parser = cli._Parser(prog=f"topkat {name}", description=COMMANDS[name].help)
+    for names, options in cli.COMMON_ARGS + COMMANDS[name].args:
+        parser.add_argument(*names, **options)
+    return parser
+
+
+def test_every_text_follows_the_terminal_width_once_the_usage_is_kept(capsys, monkeypatch):
+    # one process, back to a width whose usages are already kept
+    for columns in ("40", "200", "80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name in COMMANDS:
+            for argv in ([name, "--bogus"], [name, "--help"], [name]):
+                kept = run(capsys, *argv)
+                with monkeypatch.context() as fresh:
+                    fresh.setattr(cli, "_command_parser", fresh_parser)
+                    assert kept == run(capsys, *argv), (columns, argv)
+
+
+def test_a_command_formats_its_usage_at_most_once_between_identical_calls(capsys, monkeypatch):
+    formatted = []
+    format_usage = argparse.ArgumentParser.format_usage
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage",
+                        lambda self: formatted.append(1) or format_usage(self))
+    monkeypatch.setenv("COLUMNS", "97")
+    counts = []
+    for _ in range(2):
+        formatted.clear()
+        assert run(capsys, "cod-geq", "--tests", "b", "p b", "p")[0] == 1
+        counts.append(len(formatted))
+    assert counts[0] <= 1 and counts[1] == 0
+
+
 def test_an_unsound_witness_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(decide, "_member", lambda *args: True)  # both sides accept
     code, out, err = run(capsys, "decide", "--tests", "", "p", "q")
