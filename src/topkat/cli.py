@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import shutil
 import sys
@@ -337,10 +336,12 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     while it parses, so a shared one would need a lock.  It would also
     format the usage on every call, so the usage is kept per terminal
     width, as argparse formats it, with `%` doubled for its %-formatting."""
-    parser = _Parser(prog=f"topkat {name}", description=COMMANDS[name].help)
+    columns = shutil.get_terminal_size().columns  # read once: each formatter gets argparse's width
+    parser = _Parser(prog=f"topkat {name}", description=COMMANDS[name].help,
+                     formatter_class=functools.partial(argparse.HelpFormatter, width=columns - 2))
     for names, options in COMMON_ARGS + COMMANDS[name].args:
         parser.add_argument(*names, **options)
-    key = name, shutil.get_terminal_size().columns
+    key = name, columns
     if key not in _USAGES:
         _USAGES[key] = parser.format_usage()[7:].replace("%", "%%")
     parser.usage = _USAGES[key]
@@ -350,8 +351,12 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         top = build_parser().parse_args(argv)
-        # terms may come before, between or after the flags
-        args = _command_parser(top.command).parse_intermixed_args(top.args)
+        parser = _command_parser(top.command)
+        try:  # terms may come before, between or after the flags
+            args = parser.parse_intermixed_args(top.args)
+        finally:  # each action's group holds the action list, a cycle left to the GC
+            for action in parser._actions:
+                action.container = None
     except SystemExit as exc:  # usage or help text, already written
         return _written(sys.stdout, [], exc.code if isinstance(exc.code, int) else 2)
     command = COMMANDS[top.command]
@@ -360,7 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         alphabet = _build_alphabet(args, [t for _, t in lines] + [getattr(args, "string", "")])
         human, payload, code = command.handler(
             args, alphabet, *(_on_line(n, parse, text, alphabet) for n, text in lines))
-        return _written(sys.stdout, [json.dumps({"v": 1, **payload})] if args.json else human, code)
+        if args.json:
+            import json  # here, since most calls print human lines
+            human = [json.dumps({"v": 1, **payload})]
+        return _written(sys.stdout, human, code)
     except InternalError as exc:
         error, code = f"internal error: {exc}", 3
     except MemoryError:  # its traceback holds the memory until this clause ends: build nothing

@@ -14,7 +14,6 @@ absence of one proves nothing beyond the explored budget.
 from __future__ import annotations
 
 import functools
-import random
 import re
 from typing import Sequence
 
@@ -346,6 +345,7 @@ def _draw_blocks(seed: int, samples: int, max_n: int, actions: int, tests: int,
     from the stream, rounded up, so a skipped draw's fields are taken by
     one call for all their words.
     """
+    import random  # here, since only sampled search draws
     getrandbits = random.Random(seed).getrandbits
     k = max_n.bit_length()
     sizes = []

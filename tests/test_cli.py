@@ -1,12 +1,15 @@
 import argparse
+import gc
 import json
 import os
 import pathlib
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -487,6 +490,59 @@ def test_a_command_formats_its_usage_at_most_once_between_identical_calls(capsys
     assert counts[0] <= 1 and counts[1] == 0
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["decide", "p", "q"], 1),
+    (["search", "--kind", "leq", "--exhaustive", "p", "q"], 1),
+    (["decide", "--help"], 0),
+    (["decide", "--bogus", "p", "p"], 2),
+], ids=["decide", "search", "help", "usage-error"])
+def test_a_call_reads_the_terminal_once(capsys, monkeypatch, argv, exit_code):
+    cli.build_parser()  # shared: its one build reads the terminal too
+    reads = []
+    get_terminal_size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *args: reads.append(args) or get_terminal_size(*args))
+    assert run(capsys, *argv)[0] == exit_code
+    assert reads == [()]
+
+
+@pytest.mark.parametrize("argv, exit_code, formats_text", [
+    (["decide", "p", "q"], 1, False),
+    (["decide", "--bogus", "p", "p"], 2, True),
+    (["decide", "--help"], 0, True),
+], ids=["verdict", "usage-error", "help"])
+def test_a_calls_parser_is_freed_without_the_cyclic_collector(capsys, monkeypatch, argv,
+                                                               exit_code, formats_text):
+    # each action's container is a group of the parser, which holds the
+    # action list: a cycle.  A usage or help text's formatter, a cycle of
+    # argparse's own, holds the action list too, so a verdict frees it all
+    groups, actions = [], []
+    command_parser = cli._command_parser
+
+    def watched(name):
+        parser = command_parser(name)
+        groups.extend(map(weakref.ref, [parser, *parser._action_groups]))
+        actions.extend(map(weakref.ref, parser._actions))
+        return parser
+
+    monkeypatch.setattr(cli, "_command_parser", watched)
+    main(argv)  # keeps the command's usage
+    groups.clear()
+    actions.clear()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main(argv)
+        groups_alive = sum(part() is not None for part in groups)
+        actions_alive = sum(part() is not None for part in actions)
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert (code, len(groups), groups_alive) == (exit_code, 3, 0)
+    assert actions and (actions_alive == 0 or formats_text)
+
+
 def test_an_unsound_witness_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(decide, "_member", lambda *args: True)  # both sides accept
     code, out, err = run(capsys, "decide", "--tests", "", "p", "q")
@@ -525,7 +581,7 @@ def test_building_the_json_falls_under_the_same_guard(capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli.json, "dumps", failing)
+    monkeypatch.setattr(json, "dumps", failing)
     assert run(capsys, "decide", "--json", "p", "p") == (3, "", "error: out of memory\n")
 
 

@@ -18,15 +18,15 @@ CORPUS_DIR = TESTS.parent / "perfbench" / "corpus"
 
 # argv: the corpus file and a directory for its files; prints the counts as JSON
 REPLAY = """
-import argparse, contextlib, io, json, sys
+import argparse, contextlib, io, json, shutil, sys
 from pathlib import Path
 from topkat import cli, decide
 
 corpus, directory = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")), Path(sys.argv[2])
 counts = dict.fromkeys(["engine_steps", "linear_entries_scanned", "parsers_built",
-                        "usages_formatted"], 0)
+                        "usages_formatted", "terminal_reads"], 0)
 step, init = decide._Engine.step, argparse.ArgumentParser.__init__
-format_usage = argparse.ArgumentParser.format_usage
+format_usage, get_terminal_size = argparse.ArgumentParser.format_usage, shutil.get_terminal_size
 WORK = "perfbench/_work/"
 
 def counted_step(self, states, *args):
@@ -43,9 +43,14 @@ def counted_format_usage(self):
     counts["usages_formatted"] += 1
     return format_usage(self)
 
+def counted_get_terminal_size(*args):
+    counts["terminal_reads"] += 1
+    return get_terminal_size(*args)
+
 decide._Engine.step = counted_step
 argparse.ArgumentParser.__init__ = counted_init
 argparse.ArgumentParser.format_usage = counted_format_usage
+shutil.get_terminal_size = counted_get_terminal_size
 for name, text in corpus["files"].items():
     (directory / name).write_text(text, encoding="utf-8")
 for query in corpus["queries"]:

@@ -610,7 +610,7 @@ def test_sampled_rule_covering_the_space_draws_nothing(monkeypatch, capsys):
             calls.append(k)
             return super().getrandbits(k)
 
-    monkeypatch.setattr(relmodel.random, "Random", Counting)
+    monkeypatch.setattr(random, "Random", Counting)
     lanes = count_lanes(monkeypatch)
     assert cli.main(CONSEQUENCE + ["--samples", "5967", "--seed", "120"]) == 0
     assert capsys.readouterr().out.endswith(

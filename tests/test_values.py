@@ -141,9 +141,10 @@ def test_readme_quick_tour_runs_as_documented():
 
 
 def test_importing_the_cli_generates_no_code():
-    # -S: what site-packages' .pth files import is not topkat's doing
+    # -S: what site-packages' .pth files import is not topkat's doing; json
+    # and random wait for a --json call and a sampled search
     code = ("import sys, topkat.cli; topkat.cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json', 'random'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
