@@ -9,9 +9,7 @@ from .errors import (
     UndeclaredIdentifierError,
 )
 from .logic import Triple, check_triple
-from .reduction import (
-    TOP_ACTION, ExtendedAlphabet, embed_back, reduce, topkat_equivalent, topkat_leq,
-)
+from .reduction import TOP_ACTION, topkat_equivalent, topkat_leq
 from .relmodel import (
     Relation, RelInterpretation, SearchBudget, evaluate,
     falsify_implication, search_countermodel,

@@ -19,10 +19,12 @@ from typing import Callable
 
 from . import decide, domain, logic, relmodel
 from .errors import InternalError, ResourceLimitError, TopkatError
-from .reduction import reduce, topkat_equivalent, topkat_leq
+from .reduction import TOP_ACTION, topkat_equivalent, topkat_leq
 from .relmodel import SearchBudget, SearchHit
 from .semantics import lang_bounded, parse_guarded_string, render_sorted
-from .syntax import Alphabet, Value, declare_alphabet, parse, render, scan_identifiers
+from .syntax import (
+    Act, Alphabet, Plus, Star, Value, declare_alphabet, parse, render, scan_identifiers,
+)
 
 # A handler takes the parsed arguments, the alphabet and the parsed terms,
 # and returns the human-readable lines, the JSON payload and the exit code.
@@ -180,7 +182,9 @@ def _cmd_dom_geq(args, alphabet, t1, t2) -> Output:
 
 
 def _cmd_reduce(args, alphabet, t) -> Output:
-    reduct = render(reduce(t, alphabet))
+    # T reduces to (a1 + ... + ak + __top__)*, over every declared action, used or not
+    sum_star = Star(functools.reduce(Plus, map(Act, alphabet.actions + (TOP_ACTION,))))
+    reduct = render(t, top=render(sum_star))
     return [reduct], {"reduct": reduct}, 0
 
 

@@ -1,63 +1,33 @@
-"""The reduction of TopKAT to plain KAT over an extended alphabet.
+"""The TopKAT deciders.
 
-T is the sum-star of every action over the alphabet extended with one
-reserved action (Zhang, de Amorim and Gaboardi, POPL 2022).  `decide`
-steps T as that sum-star; `reduce` writes it out, `embed_back` undoes it.
+A TopKAT term reduces to a plain KAT term over the alphabet extended
+with one reserved action: T becomes the sum-star of every action of the
+extension (Zhang, de Amorim and Gaboardi, POPL 2022).  The deciders hand
+the terms to `decide` unchanged, over the extended alphabet, and `decide`
+steps T as that sum-star, so no reduct is ever built; the `reduce`
+command only prints one, through `render`.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .decide import Verdict, equivalent, leq
-from .syntax import (
-    Act, Alphabet, Plus, Star, Term, TOP, Top, Value,
-    check_over, prune_alphabet, rebuild,
-)
+from .syntax import Alphabet, Term, check_over, prune_alphabet
 
 TOP_ACTION = "__top__"
-
-class ExtendedAlphabet(Value):
-    """A base alphabet plus the reserved action TOP_ACTION standing in for T."""
-
-    __slots__ = ("base",)
-
-    def _check(self) -> None:
-        if TOP_ACTION in self.base.actions or TOP_ACTION in self.base.tests:
-            raise ValueError(f"{TOP_ACTION!r} must not be declared in the base alphabet")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.base.actions + (TOP_ACTION,), self.base.tests)
-
-    def sum_star(self) -> Term:
-        """The largest element of the extended KAT: (a1 + ... + ak + top)*."""
-        return Star(functools.reduce(Plus, map(Act, self.base.actions + (TOP_ACTION,))))
-
-
-def reduce(t: Term, alphabet: Alphabet) -> Term:
-    """Replace every T with the extended sum-star; homomorphic elsewhere."""
-    check_over(t, alphabet)
-    if not t.has_top:
-        return t
-    sum_star = ExtendedAlphabet(alphabet).sum_star()
-    return rebuild(t, lambda s: sum_star if isinstance(s, Top) else s)
-
-
-def embed_back(t: Term) -> Term:
-    """Map the reserved action back to T; homomorphic on everything else."""
-    return rebuild(t, lambda s: TOP if s == Act(TOP_ACTION) else s)
 
 
 def _extended(t1: Term, t2: Term, alphabet: Alphabet) -> Alphabet:
     """The extension of the alphabet pruned to both terms' names.  Each
     term is checked over the pruned alphabet, so an undeclared or
     mis-sorted name, the reserved action too, fails at the same node, with
-    the same message, as over the full one."""
+    the same message, as over the full one.  A pruned alphabet that
+    declares the reserved action is refused."""
     pruned = prune_alphabet(alphabet, t1, t2)
     for t in (t1, t2):
         check_over(t, pruned)
-    return ExtendedAlphabet(pruned).alphabet
+    if TOP_ACTION in pruned.actions or TOP_ACTION in pruned.tests:
+        raise ValueError(f"{TOP_ACTION!r} must not be declared in the base alphabet")
+    return Alphabet(pruned.actions + (TOP_ACTION,), pruned.tests)
 
 
 def topkat_equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:

@@ -1,4 +1,4 @@
-"""Alphabets, term abstract syntax, traversals (rebuilding, alphabet
+"""Alphabets, term abstract syntax, traversals (postorder, alphabet
 pruning), parsing, and printing.
 
 Terms are immutable, hash-consed trees: equal terms are the same object.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from typing import Callable
 
 from _weakref import _remove_dead_weakref
 
@@ -352,14 +351,6 @@ def postorder(*terms: Term) -> list[Term]:
     return list(done)
 
 
-def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
-    """Copy t bottom-up with every leaf s replaced by leaf(s)."""
-    new: dict[Term, Term] = {}
-    for s in postorder(t):
-        new[s] = type(s)(*(new[k] for k in s.kids)) if s.kids else leaf(s)
-    return new[t]
-
-
 def prune_alphabet(alphabet: Alphabet, *terms: Term) -> Alphabet:
     """Drop primitives that occur in none of the terms, keeping order."""
     acts = tests = 0
@@ -487,8 +478,10 @@ _PREC_PLUS, _PREC_DOT, _PREC_STAR = 0, 1, 2
 _PREC = {Plus: _PREC_PLUS, Dot: _PREC_DOT, Star: _PREC_STAR}  # other terms: 3
 
 
-def render(t: Term) -> str:
+def render(t: Term, top: str = "T") -> str:
     """Deterministic minimal-parenthesis rendering; parse(render(t)) == t.
+    T prints as `top`, which stands as a leaf: T never lies under `!`, so
+    text that prints at star precedence needs no parentheses for it.
     The stack holds the pieces still to print, last first: text, or a term
     and the least precedence it prints at without parentheses."""
     out: list[str] = []
@@ -505,7 +498,7 @@ def render(t: Term) -> str:
             continue
         match t:
             case Zero() | One() | Top():
-                out.append(_LEAF_TEXT[t])
+                out.append(top if t is TOP else _LEAF_TEXT[t])
             case Act(name) | Test(name):
                 out.append(name)
             case Not(arg):

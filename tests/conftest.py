@@ -1,3 +1,4 @@
+import functools
 import os
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import hypothesis.strategies as st
 
 import topkat
 from topkat import syntax
+from topkat.reduction import TOP_ACTION
 from topkat.relmodel import evaluate
 from topkat.semantics import GuardedString
 
@@ -43,6 +45,37 @@ def reverse(t):
             kids.reverse()
         new[s] = type(s)(*kids) if kids else s
     return new[t]
+
+
+def rebuild(t, leaf):
+    """Copy t bottom-up with every leaf s replaced by leaf(s)."""
+    new = {}
+    for s in syntax.postorder(t):
+        new[s] = type(s)(*(new[k] for k in s.kids)) if s.kids else leaf(s)
+    return new[t]
+
+
+def extended(alphabet):
+    """The alphabet plus the reserved action TOP_ACTION standing in for T."""
+    return syntax.Alphabet(alphabet.actions + (TOP_ACTION,), alphabet.tests)
+
+
+def sum_star(alphabet):
+    """The largest element of the extended KAT: (a1 + ... + ak + __top__)*."""
+    return syntax.Star(functools.reduce(syntax.Plus, map(syntax.Act, extended(alphabet).actions)))
+
+
+def reduce(t, alphabet):
+    """The reduct of t (Zhang, de Amorim and Gaboardi, POPL 2022): every T
+    replaced with the extended sum-star; homomorphic elsewhere."""
+    syntax.check_over(t, alphabet)
+    top = sum_star(alphabet)
+    return rebuild(t, lambda s: top if s is syntax.TOP else s)
+
+
+def embed_back(t):
+    """Map the reserved action back to T; homomorphic on everything else."""
+    return rebuild(t, lambda s: syntax.TOP if s is syntax.Act(TOP_ACTION) else s)
 
 
 def encoding_sides(interp, t1, t2):

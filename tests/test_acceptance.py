@@ -9,14 +9,12 @@ and finite-model oracles.
 import random
 import time
 
-from conftest import encoding_sides, fuse, reverse
+from conftest import embed_back, encoding_sides, extended, fuse, reduce, reverse, sum_star
 from topkat.cli import main as cli_main
 from topkat.decide import Equivalent, equivalent, leq, member
 from topkat.domain import Provable, RelCountermodel, cod_geq, dom_geq
 from topkat.gen import random_interpretation, random_relation, random_term
-from topkat.reduction import (
-    ExtendedAlphabet, embed_back, prune_alphabet, reduce, topkat_equivalent,
-)
+from topkat.reduction import prune_alphabet, topkat_equivalent
 from topkat.relmodel import Relation, SearchBudget, evaluate, search_countermodel
 from topkat.semantics import lang_bounded
 from topkat.syntax import Alphabet, Dot, TOP, parse
@@ -42,12 +40,12 @@ def test_criterion_01_reduction_round_trip():
 
 def test_criterion_02_top_reduct_is_largest():
     rng = random.Random(0xA2)
-    ext = ExtendedAlphabet(ALPH)
+    ext = extended(ALPH)
     top_reduct = reduce(TOP, ALPH)
     ok = True
     for _ in range(200):
-        t = random_term(rng, ext.alphabet, 5)
-        ok = ok and isinstance(leq(t, top_reduct, ext.alphabet), Equivalent)
+        t = random_term(rng, ext, 5)
+        ok = ok and isinstance(leq(t, top_reduct, ext), Equivalent)
     report("2 (largest element, 200 terms)", ok)
 
 
@@ -123,15 +121,15 @@ def test_criterion_07_bounded_prefix_image_equality():
         base = alphabets[i % 2]
         t = random_term(rng, base, 3)
         pruned = prune_alphabet(base, t)
-        ext = ExtendedAlphabet(pruned)
+        ext = extended(pruned)
         for n in range(4):
             image = set()
-            for s in lang_bounded(ext.sum_star(), ext.alphabet, n):
+            for s in lang_bounded(sum_star(pruned), ext, n):
                 for s2 in lang_bounded(t, pruned, n - s.num_actions):
                     fused = fuse(s, s2)
                     if fused is not None:
                         image.add(fused)
-            direct = lang_bounded(reduce(Dot(TOP, t), pruned), ext.alphabet, n)
+            direct = lang_bounded(reduce(Dot(TOP, t), pruned), ext, n)
             ok = ok and image == direct
     report("7 (bounded prefix-image equality, 50 terms, n <= 3)", ok)
 

@@ -20,12 +20,12 @@ CORPUS_DIR = TESTS.parent / "perfbench" / "corpus"
 REPLAY = """
 import argparse, contextlib, io, json, shutil, sys
 from pathlib import Path
-from topkat import cli, decide
+from topkat import cli, decide, syntax
 
 corpus, directory = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")), Path(sys.argv[2])
 counts = dict.fromkeys(["engine_steps", "linear_entries_scanned", "parsers_built",
-                        "usages_formatted", "terminal_reads"], 0)
-step, init = decide._Engine.step, argparse.ArgumentParser.__init__
+                        "usages_formatted", "terminal_reads", "term_nodes_built"], 0)
+step, init, check = decide._Engine.step, argparse.ArgumentParser.__init__, syntax.Term._check
 format_usage, get_terminal_size = argparse.ArgumentParser.format_usage, shutil.get_terminal_size
 WORK = "perfbench/_work/"
 
@@ -47,10 +47,15 @@ def counted_get_terminal_size(*args):
     counts["terminal_reads"] += 1
     return get_terminal_size(*args)
 
+def counted_check(self):
+    counts["term_nodes_built"] += 1
+    check(self)
+
 decide._Engine.step = counted_step
 argparse.ArgumentParser.__init__ = counted_init
 argparse.ArgumentParser.format_usage = counted_format_usage
 shutil.get_terminal_size = counted_get_terminal_size
+syntax.Term._check = counted_check
 for name, text in corpus["files"].items():
     (directory / name).write_text(text, encoding="utf-8")
 for query in corpus["queries"]:

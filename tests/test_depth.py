@@ -14,11 +14,11 @@ import tracemalloc
 
 import pytest
 
-from conftest import reverse
+from conftest import rebuild, reverse
 from topkat import decide, syntax
 from topkat.cli import COMMANDS, main
 from topkat.logic import Triple, check_triple
-from topkat.syntax import Alphabet, parse, postorder, rebuild, render
+from topkat.syntax import Alphabet, parse, postorder, render
 
 
 def _alternating(depth: int) -> str:

@@ -64,14 +64,14 @@ def test_oracles_do_not_import_the_engine():
 # package depends on what has been imported.
 PUBLIC_API = [
     "Act", "Alphabet", "Atom", "ComparisonVerdict", "Dot", "Equivalent",
-    "ExtendedAlphabet", "GuardedString", "Not", "One", "ParseError", "Plus",
+    "GuardedString", "Not", "One", "ParseError", "Plus",
     "Provable", "RelCountermodel", "RelInterpretation", "Relation",
     "ResourceLimitError", "SearchBudget", "SortError", "Star", "TOP_ACTION", "Term",
     "Test", "Top", "TopNotAllowedError", "TopkatError", "Triple",
     "UndeclaredIdentifierError", "Verdict", "Witness", "Zero", "all_atoms",
     "check_triple", "cod_geq", "contains_top",
-    "declare_alphabet", "dom_geq", "embed_back", "equivalent", "evaluate",
-    "falsify_implication", "lang_bounded", "leq", "member", "parse", "reduce",
+    "declare_alphabet", "dom_geq", "equivalent", "evaluate",
+    "falsify_implication", "lang_bounded", "leq", "member", "parse",
     "render", "search_countermodel", "topkat_equivalent",
     "topkat_leq",
 ]

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import reverse, terms
+from conftest import rebuild, reverse, terms
 import topkat
 from topkat import syntax
 from topkat.cli import main
@@ -89,7 +89,7 @@ def test_a_new_node_class_needs_no_hook_for_its_operands():
     t = Pair(pb, top)
     assert t.kids == (pb, top)
     assert postorder(t) == [p, b, pb, top, t]
-    assert syntax.rebuild(t, lambda s: syntax.ONE if s is top else s) == Pair(pb, syntax.ONE)
+    assert rebuild(t, lambda s: syntax.ONE if s is top else s) == Pair(pb, syntax.ONE)
     assert reverse(t) == Pair(syntax.Dot(b, p), top)
     assert (decode(t.acts), decode(t.tests)) == ({"p"}, {"b"})
     assert t.has_top and not Pair(p, b).has_top

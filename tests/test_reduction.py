@@ -1,15 +1,15 @@
+import json
 import random
 
 import pytest
 
-from conftest import ALPHABET
+from conftest import ALPHABET, embed_back, extended, reduce, sum_star
+from topkat import reduction, syntax
+from topkat.cli import main
 from topkat.decide import Equivalent, Witness, equivalent, leq, member
 from topkat.errors import UndeclaredIdentifierError
 from topkat.gen import random_term
-from topkat.reduction import (
-    TOP_ACTION, ExtendedAlphabet, embed_back, prune_alphabet, reduce,
-    topkat_equivalent, topkat_leq,
-)
+from topkat.reduction import TOP_ACTION, prune_alphabet, topkat_equivalent, topkat_leq
 from topkat.syntax import Act, Alphabet, Dot, TOP, parse, render
 
 
@@ -32,10 +32,9 @@ def test_reduce_output_is_top_free():
 
 
 def test_embed_back_examples():
-    ext = ExtendedAlphabet(AL_P)
     assert embed_back(Act(TOP_ACTION)) == TOP
     assert embed_back(parse("p", AL_P)) == parse("p", AL_P)
-    assert embed_back(ext.sum_star()) == parse("(p + T)*", AL_P)
+    assert embed_back(sum_star(AL_P)) == parse("(p + T)*", AL_P)
 
 
 def test_round_trip_is_topkat_equivalent():
@@ -47,12 +46,12 @@ def test_round_trip_is_topkat_equivalent():
 
 
 def test_top_is_largest():
-    ext = ExtendedAlphabet(ALPHABET)
+    ext = extended(ALPHABET)
     top_reduct = reduce(TOP, ALPHABET)
     rng = random.Random(41)
     for _ in range(50):
-        t = random_term(rng, ext.alphabet, 4)
-        assert isinstance(leq(t, top_reduct, ext.alphabet), Equivalent)
+        t = random_term(rng, ext, 4)
+        assert isinstance(leq(t, top_reduct, ext), Equivalent)
 
 
 def test_topkat_equivalent_same_reduct():
@@ -79,12 +78,12 @@ def test_incompleteness_instance():
 def test_topkat_monotone_in_bounded_language():
     # cross-check T p <= T (p + q) on bounded languages over the extended alphabet
     pruned = prune_alphabet(ALPHABET, parse("T p", ALPHABET), parse("T (p + q)", ALPHABET))
-    ext = ExtendedAlphabet(pruned)
+    ext = extended(pruned)
     from topkat.semantics import lang_bounded
     r1 = reduce(parse("T p", ALPHABET), pruned)
     r2 = reduce(parse("T (p + q)", ALPHABET), pruned)
     for n in range(3):
-        assert lang_bounded(r1, ext.alphabet, n) <= lang_bounded(r2, ext.alphabet, n)
+        assert lang_bounded(r1, ext, n) <= lang_bounded(r2, ext, n)
 
 
 def test_conservative_over_top_free_terms():
@@ -117,10 +116,19 @@ def test_witness_verifies_on_reducts():
 
 
 def test_extended_alphabet_guards_reserved_name():
-    with pytest.raises(ValueError):
-        ExtendedAlphabet(Alphabet((TOP_ACTION,), ()))
-    ext = ExtendedAlphabet(AL_P)
-    assert ext.alphabet.actions == ("p", TOP_ACTION)
+    # declared and used, the reserved name would clash with T's stand-in;
+    # declared but unused, it is pruned away before the extension
+    p = Act("p")
+    for declared, reserved in ((Alphabet(("p", TOP_ACTION), ()), Act(TOP_ACTION)),
+                               (Alphabet(("p",), (TOP_ACTION,)), syntax.Test(TOP_ACTION))):
+        for decision in (topkat_equivalent, topkat_leq):
+            for t1, t2 in ((reserved, TOP), (p, Dot(p, reserved))):
+                with pytest.raises(ValueError, match="^'__top__' must not be declared"
+                                                     " in the base alphabet$"):
+                    decision(t1, t2, declared)
+            assert isinstance(decision(p, Dot(p, TOP) if decision is topkat_leq else p,
+                                       declared), Equivalent)
+        assert reduction._extended(p, TOP, declared) == Alphabet(("p", TOP_ACTION), ())
 
 
 def test_reduce_with_no_declared_actions():
@@ -139,7 +147,7 @@ def test_the_engine_decides_top_as_its_reduct(tests):
     for _ in range(150):
         t1, t2 = (random_term(rng, alphabet, 4, allow_top=True) for _ in range(2))
         pruned = prune_alphabet(alphabet, t1, t2)
-        ext = ExtendedAlphabet(pruned).alphabet
+        ext = extended(pruned)
         r1, r2 = reduce(t1, pruned), reduce(t2, pruned)
         for native, oracle in ((equivalent, equivalent), (leq, leq),
                                (topkat_equivalent, equivalent), (topkat_leq, leq)):
@@ -157,3 +165,33 @@ def test_the_reserved_action_is_undeclared_in_a_topkat_decision(decision):
     for t1, t2 in ((reserved, TOP), (TOP, Dot(parse("p", AL_P), reserved))):
         with pytest.raises(UndeclaredIdentifierError, match="^undeclared action '__top__'$"):
             decision(t1, t2, AL_P)
+
+
+# (actions, tests, the actions the terms draw from): names that contain T,
+# no actions at all, and declared actions that no term uses, since the
+# sum-star runs over the whole declared alphabet
+PRINTER_ALPHABETS = [
+    (("p", "q"), ("b", "c"), ("p", "q")),
+    ((), ("b",), ()),
+    (("p",), (), ("p",)),
+    (("p", "q", "r"), (), ("q",)),
+    (("T1", "a_T"), ("Tb",), ("T1", "a_T")),
+    (("T1", "a_T", "p"), ("Tb",), ("a_T",)),
+]
+
+
+@pytest.mark.parametrize("actions, tests, drawn", PRINTER_ALPHABETS)
+def test_the_reduce_command_prints_the_reduct(capsys, actions, tests, drawn):
+    alphabet = Alphabet(actions, tests)
+    flags = ["--actions", ",".join(actions), "--tests", ",".join(tests)]
+    rng = random.Random(59 + len(actions) + len(tests))
+    with_top = 0
+    for _ in range(250):
+        t = random_term(rng, Alphabet(drawn, tests), 5, allow_top=True)
+        with_top += t.has_top
+        reduct = render(reduce(t, alphabet))
+        assert main(["reduce", *flags, render(t)]) == 0
+        assert capsys.readouterr().out == reduct + "\n"
+        assert main(["reduce", "--json", *flags, render(t)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"v": 1, "reduct": reduct}
+    assert with_top >= 50

@@ -19,8 +19,3 @@ def test_incompleteness_frontier_runs():
     assert done.returncode == 0, done.stderr
     assert "p T p T <= p T, equationally:" in done.stdout
 
-
-def test_roundtrip_stress_runs():
-    done = run_script("roundtrip_stress.py", "--count", "20", "--seed", "1")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.count("20/20") == 2

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
-from topkat import cli, decide, domain, logic, reduction, relmodel, semantics, syntax
+from topkat import cli, decide, domain, logic, relmodel, semantics, syntax
 from topkat.syntax import Value, parse
 
 AL = syntax.Alphabet(("p", "q"), ("b",))
@@ -36,7 +36,6 @@ def samples() -> list[Value]:
         relmodel.SearchBudget(exhaustive=False, samples=5, seed=1),
         relmodel.SearchHit(interp, (0, 1), None),
         logic.Triple("hoare", b, p, b),
-        reduction.ExtendedAlphabet(AL),
         cli.COMMANDS["lang"],
     ]
 
@@ -78,7 +77,7 @@ def test_samples_cover_every_value_class():
                 found.add(cls)
                 todo.append(cls)
     public = {cls for cls in found if not cls.__name__.startswith("_")}
-    assert {type(value) for value in samples()} == public and len(public) == 13
+    assert {type(value) for value in samples()} == public and len(public) == 12
 
 
 def test_values_of_different_classes_differ():
