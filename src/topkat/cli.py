@@ -203,7 +203,7 @@ def _cmd_triple(args, alphabet, *terms) -> Output:
     human, results = [], []
     for i, (lineno, kind) in enumerate(args.lines):
         tr = _on_line(lineno, logic.Triple, kind, *terms[3 * i:3 * i + 3])
-        verdict = _on_line(lineno, logic.check_triple, tr, alphabet, args.direction)
+        verdict = _on_line(lineno, logic.check_triple, tr, alphabet)
         word = "provable" if isinstance(verdict, decide.Equivalent) else "not provable"
         human.append(f"line {lineno}: {kind} {word}")
         results.append({"line": lineno, "kind": kind, "verdict": word.replace(" ", "-")})
@@ -288,8 +288,6 @@ COMMANDS: dict[str, Command] = {
         _arg("string", metavar="GSTRING", help="guarded string, e.g. '[b&!c] p [b&c]'"),)),
     "triple": Command("check Hoare/incorrectness triples from a file", _cmd_triple, None, (
         _arg("--file", required=True, help="triples, one per line"),
-        _arg("--direction", choices=logic.DIRECTIONS, default="under",
-             help="incorrectness encoding orientation (default under)"),
     ), read=_read_triple_file),
     "search": Command("search finite relational countermodels", _cmd_search, 2, TERM_ARGS + (
         _arg("--kind", required=True, choices=[k.replace("_", "-") for k in relmodel.KINDS],

@@ -44,8 +44,9 @@ ComparisonVerdict = Union[Provable, RelCountermodel]
 def cod_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
     """Does cod(t1) contain cod(t2) in every relational model?
 
-    Decided as T t2 <= T t1 over the extended alphabet; a failure yields
-    a verified prefix-model countermodel.
+    Decided as t2 <= T t1 over the extended alphabet, which has the verdict
+    and least witness of T t2 <= T t1 (1 <= T = T T); a failure yields a
+    verified prefix-model countermodel.
     """
     return _compare(t1, t2, alphabet, domain=False)
 
@@ -61,19 +62,21 @@ def dom_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
 
 
 def _compare(t1: Term, t2: Term, alphabet: Alphabet, domain: bool) -> ComparisonVerdict:
-    """Decide pad(t2) <= pad(t1), T padded on the right (domain) or left.
+    """Decide t2 T <= t1 T (domain) or t2 <= T t1 (codomain).
 
     The witness needs no membership check of its own: `equivalent(Plus(s,
-    l), l)`, for s = pad(t2) and l = pad(t1), returns it as its left side
-    only after re-checking that it lies in L(s) \\ L(l) on its own engine,
-    over these same interned terms and the extended pruned alphabet.
+    l), l)`, for the decided pair s <= l, returns it as its left side only
+    after re-checking that it lies in L(s) \\ L(l) on its own engine, over
+    these same interned terms and the extended pruned alphabet.
     """
     if t1.has_top or t2.has_top:
         raise TopNotAllowedError(
             "term contains T: (co)domain comparison is only complete for top-free terms")
-    pad = (lambda t: Dot(t, TOP)) if domain else (lambda t: Dot(TOP, t))
     pruned = prune_alphabet(alphabet, t1, t2)  # pruned once: pruning it again returns it
-    verdict = topkat_leq(pad(t2), pad(t1), pruned)
+    # a domain comparison keeps T on both sides: there T comes last, where it
+    # absorbs, so pairs merge early (the one-sided t2 <= t1 T steps more)
+    verdict = (topkat_leq(Dot(t2, TOP), Dot(t1, TOP), pruned) if domain
+               else topkat_leq(t2, Dot(TOP, t1), pruned))
     if isinstance(verdict, Equivalent):
         return Provable()
     build = build_dom_countermodel if domain else build_cod_countermodel

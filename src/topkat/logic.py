@@ -3,9 +3,8 @@
 A Hoare triple {b} p {c} becomes the equation b p !c = 0.  An
 incorrectness triple [b] p [c] asserts that every c-state is reachable
 from some b-state through p: the inclusion T c <= T (b p), which TopKAT
-decides completely, so the decider's verdict is the answer.  The
-printed-direction encoding T (b p) <= T c is available behind a flag.
-A rule instance's hypotheses and goal go to `falsify_implication` to refute.
+decides completely, so the decider's verdict is the answer.  A rule
+instance's hypotheses and goal go to `falsify_implication` to refute.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from .decide import Verdict
 from .errors import ParseError, SortError, TopNotAllowedError
 from .reduction import topkat_equivalent, topkat_leq
 from .syntax import Alphabet, Dot, Not, Plus, Term, TOP, Value, ZERO
-
-DIRECTIONS = ("under", "as-printed")
 
 
 class Triple(Value):
@@ -36,21 +33,18 @@ class Triple(Value):
             raise TopNotAllowedError("triple programs must be top-free")
 
 
-def check_triple(tr: Triple, alphabet: Alphabet, direction: str = "under") -> Verdict:
+def check_triple(tr: Triple, alphabet: Alphabet) -> Verdict:
     """A Hoare triple {b} p {c} is the equation b p !c = 0, decided by
     `topkat_equivalent`; an incorrectness triple [b] p [c] is T c <=
-    T (b p), decided by `topkat_leq` (`as-printed`: T (b p) <= T c).  Both
-    prune the alphabet to the names that occur, so a witness's atoms
-    assign only those tests.  For a relational countermodel to an
-    incorrectness line, call `domain.cod_geq(b p, c)` (as-printed:
-    `cod_geq(c, b p)`), whose `witness` is this verdict's string."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    T (b p), decided by `topkat_leq` as c <= T (b p), which has the same
+    verdict and least witness (1 <= T = T T).  Both prune the alphabet to
+    the names that occur, so a witness's atoms assign only those tests.
+    For a relational countermodel to an incorrectness line, call
+    `domain.cod_geq(b p, c)`, whose `witness` is this verdict's string."""
     reach = Dot(tr.pre, tr.prog)
     if tr.kind == "hoare":
         return topkat_equivalent(Dot(reach, Not(tr.post)), ZERO, alphabet)
-    sides = (Dot(TOP, tr.post), Dot(TOP, reach))
-    return topkat_leq(*(sides if direction == "under" else sides[::-1]), alphabet)
+    return topkat_leq(tr.post, Dot(TOP, reach), alphabet)
 
 
 # ---------------------------------------------------------------------------

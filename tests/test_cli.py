@@ -108,18 +108,19 @@ def test_triple_file(tmp_path, capsys):
     code, out, _ = run(capsys, "triple", "--file", str(path), "--tests", "b")
     assert code == 1
     assert out == "line 1: hoare provable\nline 2: incorrectness not provable\n"
-    code, out, _ = run(capsys, "triple", "--file", str(path), "--tests", "b",
-                       "--direction", "as-printed", "--json")
-    payload = json.loads(out)
-    assert [r["verdict"] for r in payload["results"]] == ["provable", "provable"]
+    # the printed orientation of an incorrectness line is a Hoare triple
+    code, out, err = run(capsys, "triple", "--file", str(path), "--tests", "b",
+                         "--direction", "as-printed", "--json")
+    assert code == 2 and out == "" and "--direction" in err
 
 
-@pytest.mark.parametrize("direction, verdicts", [
-    ("under", ["not provable", "not provable", "provable", "not provable"]),
-    ("as-printed", ["provable", "not provable", "provable", "not provable"]),
-])
+@pytest.mark.parametrize("line, verdicts", [
+    ("incorrectness [{}] {} [{}]", ["not provable", "not provable", "provable", "not provable"]),
+    # the same lines read as printed, T (b p) <= T c: Hoare triples
+    ("hoare {{{}}} {} {{{}}}", ["provable", "not provable", "provable", "not provable"]),
+], ids=["incorrectness", "as-hoare"])
 def test_triple_verdicts_evaluate_no_relational_model(tmp_path, capsys, monkeypatch,
-                                                      direction, verdicts):
+                                                      line, verdicts):
     # an incorrectness verdict is its decided inequation; a countermodel of
     # the long line would be evaluated on 401 points
     calls, evaluate = [], relmodel.evaluate
@@ -128,13 +129,12 @@ def test_triple_verdicts_evaluate_no_relational_model(tmp_path, capsys, monkeypa
             monkeypatch.setattr(module, "evaluate",
                                 lambda *args: calls.append(1) or evaluate(*args))
     path = tmp_path / "specs.txt"
-    path.write_text("incorrectness [1] p [1]\nincorrectness [b] p [c]\nhoare {b} p {1}\n"
-                    f"incorrectness [1] {' '.join(['p'] * 400)} [b]\n", encoding="utf-8")
-    kinds = ["incorrectness", "incorrectness", "hoare", "incorrectness"]
-    out = "".join(f"line {n}: {kind} {verdict}\n"
-                  for n, (kind, verdict) in enumerate(zip(kinds, verdicts), 1))
-    assert run(capsys, "triple", "--tests", "b,c", "--direction", direction,
-               "--file", str(path)) == (1, out, "")
+    lines = [line.format("1", "p", "1"), line.format("b", "p", "c"), "hoare {b} p {1}",
+             line.format("1", " ".join(["p"] * 400), "b")]
+    path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+    out = "".join(f"line {n}: {text.split()[0]} {verdict}\n"
+                  for n, (text, verdict) in enumerate(zip(lines, verdicts), 1))
+    assert run(capsys, "triple", "--tests", "b,c", "--file", str(path)) == (1, out, "")
     assert calls == []
 
 

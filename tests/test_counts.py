@@ -1,8 +1,10 @@
 """The count ledger: replay each benchmark corpus through `cli.main` in a
 fresh process, so that every process-wide table starts empty, count the
-work done, and compare the counts with the committed `counts.json`.
-Counts do not depend on the machine, so a change in one is a change in
-the work; a change that moves a count rewrites the file."""
+work done, and compare the counts with the committed `counts.json`.  The
+ledger also counts the worst known shapes, each at two sizes, so that a
+row's growth reads off as a ratio.  Counts do not depend on the machine,
+so a change in one is a change in the work; a change that moves a count
+rewrites the file."""
 
 import json
 import subprocess
@@ -16,18 +18,21 @@ from conftest import child_env
 TESTS = Path(__file__).resolve().parent
 CORPUS_DIR = TESTS.parent / "perfbench" / "corpus"
 
-# argv: the corpus file and a directory for its files; prints the counts as JSON
-REPLAY = """
-import argparse, contextlib, io, json, shutil, sys
+# wraps the counted functions; `counts` holds every count, `reset` zeroes them
+COUNTED = """
+import argparse, collections, contextlib, io, json, shutil, sys
 from pathlib import Path
-from topkat import cli, decide, syntax
+from topkat import cli, decide, domain, relmodel, syntax
 
-corpus, directory = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")), Path(sys.argv[2])
 counts = dict.fromkeys(["engine_steps", "linear_entries_scanned", "parsers_built",
-                        "usages_formatted", "terminal_reads", "term_nodes_built"], 0)
+                        "usages_formatted", "terminal_reads", "term_nodes_built",
+                        "pairs_popped", "pairs_merged", "compose_calls"], 0)
 step, init, check = decide._Engine.step, argparse.ArgumentParser.__init__, syntax.Term._check
 format_usage, get_terminal_size = argparse.ArgumentParser.format_usage, shutil.get_terminal_size
-WORK = "perfbench/_work/"
+union, compose = decide._UnionFind.union, relmodel._compose
+
+def reset():
+    counts.update(dict.fromkeys(counts, 0))
 
 def counted_step(self, states, *args):
     counts["engine_steps"] += 1
@@ -51,11 +56,33 @@ def counted_check(self):
     counts["term_nodes_built"] += 1
     check(self)
 
+class CountedQueue(collections.deque):
+    def popleft(self):
+        counts["pairs_popped"] += 1
+        return super().popleft()
+
+def counted_union(self, *args):
+    counts["pairs_merged"] += 1
+    union(self, *args)
+
+def counted_compose(*args):
+    counts["compose_calls"] += 1
+    return compose(*args)
+
 decide._Engine.step = counted_step
 argparse.ArgumentParser.__init__ = counted_init
 argparse.ArgumentParser.format_usage = counted_format_usage
 shutil.get_terminal_size = counted_get_terminal_size
 syntax.Term._check = counted_check
+decide.deque = CountedQueue
+decide._UnionFind.union = counted_union
+relmodel._compose = counted_compose
+"""
+
+# argv: the corpus file and a directory for its files; prints the counts as JSON
+REPLAY = COUNTED + """
+WORK = "perfbench/_work/"
+corpus, directory = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")), Path(sys.argv[2])
 for name, text in corpus["files"].items():
     (directory / name).write_text(text, encoding="utf-8")
 for query in corpus["queries"]:
@@ -63,15 +90,49 @@ for query in corpus["queries"]:
             for arg in query["argv"]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
+del counts["compose_calls"]
 sys.__stdout__.write(json.dumps(counts))
 """
+
+# (comparison, t1, t2), with p^n for n copies of p, at each n in SIZES
+FAMILIES = [("cod_geq", "p^n b", "p^n"), ("cod_geq", "p^n", "p^n b"),
+            ("dom_geq", "b p^n", "p^n"), ("dom_geq", "p^n", "b p^n")]
+SIZES = [50, 100]
+
+# argv: FAMILIES and SIZES as JSON; counts each comparison, after parsing
+# its terms with `--tests b`, and prints one row per (family, size)
+FAMILY_ROWS = COUNTED + """
+alphabet, rows = syntax.Alphabet(("p",), ("b",)), {}
+for name, text1, text2 in json.loads(sys.argv[1]):
+    for n in json.loads(sys.argv[2]):
+        t1, t2 = (syntax.parse(text.replace("p^n", " ".join(["p"] * n)), alphabet)
+                  for text in (text1, text2))
+        reset()
+        getattr(domain, name)(t1, t2, alphabet)
+        rows[f"{name}({text1}, {text2}) n={n}"] = {
+            key: counts[key] for key in ("engine_steps", "linear_entries_scanned",
+                                         "term_nodes_built", "compose_calls")}
+sys.__stdout__.write(json.dumps(rows))
+"""
+
+
+def _ledger():
+    return json.loads((TESTS / "counts.json").read_text(encoding="utf-8"))
+
+
+def _counted(script, *argv):
+    child = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 @pytest.mark.parametrize("workload", ["desk-mix", "wide-guards", "relsearch"])
 def test_a_corpus_replay_does_the_work_the_ledger_records(tmp_path, workload):
-    child = subprocess.run(
-        [sys.executable, "-c", REPLAY, str(CORPUS_DIR / f"{workload}.json"), str(tmp_path)],
-        env=child_env(), capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0, child.stderr
-    ledger = json.loads((TESTS / "counts.json").read_text(encoding="utf-8"))
-    assert json.loads(child.stdout) == ledger[workload]
+    assert _counted(REPLAY, str(CORPUS_DIR / f"{workload}.json"), str(tmp_path)) == \
+        _ledger()[workload]
+
+
+def test_the_path_families_do_the_work_the_ledger_records():
+    assert _counted(FAMILY_ROWS, json.dumps(FAMILIES), json.dumps(SIZES)) == \
+        _ledger()["path families"]

@@ -14,7 +14,7 @@ from topkat.gen import random_term
 from topkat.reduction import prune_alphabet, topkat_equivalent, topkat_leq
 from topkat.relmodel import SearchBudget, evaluate, search_countermodel
 from topkat.semantics import lang_bounded
-from topkat.syntax import Act, Alphabet, Dot, TOP, parse
+from topkat.syntax import Act, Alphabet, Dot, Plus, TOP, parse
 
 
 AL_PB = Alphabet(("p",), ("b",))
@@ -75,6 +75,27 @@ def test_dom_geq_agrees_with_reversed_cod_geq():
     assert len(lengths) > 1
 
 
+def test_cod_geq_decides_as_the_padded_inequation():
+    # t2 <= T t1 holds exactly when T t2 <= T t1 does, and has the same
+    # least witness
+    rng, provable, lengths = random.Random(97), 0, set()
+    for actions, tests in ((("p",), ()), (("p",), ("b",)), (("p", "q"), ("b", "c")),
+                           (("p", "q"), ("b", "c", "d"))):
+        alphabet = Alphabet(actions, tests)
+        for _ in range(500):
+            t1, t2 = random_term(rng, alphabet, 4), random_term(rng, alphabet, 4)
+            padded = topkat_leq(Dot(TOP, t2), Dot(TOP, t1), alphabet)
+            verdict = cod_geq(t1, t2, alphabet)
+            if isinstance(padded, Witness):
+                assert isinstance(verdict, RelCountermodel) and verdict.witness == padded.string
+                lengths.add(padded.string.num_actions)
+            else:
+                assert isinstance(verdict, Provable)
+                provable += 1
+    assert 0 < provable < 2000
+    assert len(lengths) > 1
+
+
 @pytest.mark.parametrize("compare", [cod_geq, dom_geq])
 def test_each_comparison_makes_one_decision(monkeypatch, compare):
     calls, engines = [], []
@@ -95,12 +116,13 @@ def test_each_comparison_makes_one_decision(monkeypatch, compare):
         calls.clear()
         engines.clear()
         assert isinstance(compare(t1, t2, AL_PB), verdict)
-        assert len(calls) == 1
+        # the engine steps T itself, so the decided pair reaches it
+        # unrewritten: t2 <= T t1 for codomains, t2 T <= t1 T for domains
+        small, large = (t2, Dot(TOP, t1)) if compare is cod_geq else (Dot(t2, TOP), Dot(t1, TOP))
+        assert calls == [(Plus(small, large), large)]
         # the decision re-checks its witness on its own engine; the
         # countermodel is built from that witness without another check
         assert len(engines) == 1
-        # the engine steps T itself: the padded terms reach it unrewritten
-        assert all(t.has_top for t in calls[0])
 
 
 # An identifier error names the first bad node of the term decided on the
@@ -134,7 +156,8 @@ def test_an_undeclared_name_beside_top():
 
 
 # Each countermodel direction: its comparison, its builder, how a compared
-# term is padded with T for the decision, and where the violating point lies.
+# term is padded with T so that the witness separates the padded terms, and
+# where the violating point lies.
 DIRECTIONS = {
     "cod": (cod_geq, build_cod_countermodel, lambda t: Dot(TOP, t), lambda n: n - 1),
     "dom": (dom_geq, build_dom_countermodel, lambda t: Dot(t, TOP), lambda n: 0),

@@ -45,13 +45,11 @@ def test_check_triple_decides_what_its_docstring_states(monkeypatch):
                            random_test_term(rng, AL_PB, 2))
         reach = Dot(pre, prog)
         hoare = topkat_equivalent(Dot(reach, Not(post)), ZERO, AL_PB)
-        cod_post, cod_reach = Dot(TOP, post), Dot(TOP, reach)
-        expected = {("hoare", "under"): hoare, ("hoare", "as-printed"): hoare,
-                    ("incorrectness", "under"): topkat_leq(cod_post, cod_reach, AL_PB),
-                    ("incorrectness", "as-printed"): topkat_leq(cod_reach, cod_post, AL_PB)}
-        for (kind, direction), verdict in expected.items():
+        expected = {"hoare": hoare,
+                    "incorrectness": topkat_leq(post, Dot(TOP, reach), AL_PB)}
+        for kind, verdict in expected.items():
             calls.clear()
-            assert check_triple(Triple(kind, pre, prog, post), AL_PB, direction) == verdict
+            assert check_triple(Triple(kind, pre, prog, post), AL_PB) == verdict
             assert len(calls) == 1
             seen.add(type(verdict))
     assert seen == {Equivalent, Witness}
@@ -84,12 +82,23 @@ def test_check_triple_incorrectness():
     assert refuted.string.num_actions == 0  # an atom outside the codomain
 
 
-def test_check_triple_as_printed_direction_differs():
-    tr = triple("incorrectness", "1", "p", "1")
-    under = check_triple(tr, AL_PB)
-    printed = check_triple(tr, AL_PB, direction="as-printed")
-    assert isinstance(under, Witness)
-    assert isinstance(printed, Equivalent)  # cod(1 p) <= cod(1) holds trivially
+def test_the_printed_incorrectness_orientation_is_the_hoare_triple():
+    # T (b p) <= T c, the incorrectness line read as printed, is
+    # cod(b p) <= c: the Hoare triple {b} p {c}, witness included
+    rng, seen, lengths = random.Random(89), set(), set()
+    for actions, tests in ((("p",), ()), (("p",), ("b",)), (("p", "q"), ("b", "c")),
+                           (("p", "q"), ("b", "c", "d"))):
+        alphabet = Alphabet(actions, tests)
+        for _ in range(500):
+            pre, prog, post = (random_test_term(rng, alphabet, 2), random_term(rng, alphabet, 4),
+                               random_test_term(rng, alphabet, 2))
+            printed = topkat_leq(Dot(TOP, Dot(pre, prog)), Dot(TOP, post), alphabet)
+            assert check_triple(Triple("hoare", pre, prog, post), alphabet) == printed
+            seen.add(type(printed))
+            if isinstance(printed, Witness):
+                lengths.add(printed.string.num_actions)
+    assert seen == {Equivalent, Witness}
+    assert len(lengths) > 1
 
 
 def test_incorrectness_verdicts_match_relational_search_at_n2():
@@ -150,12 +159,6 @@ def test_rule_parameters_must_be_top_free():
     one, p = parse("1", AL_PB), parse("p", AL_PB)
     with pytest.raises(TopNotAllowedError, match="^rule parameters must be top-free$"):
         rule_instance("choice", [one, one, TOP, p])
-
-
-def test_check_triple_rejects_an_unknown_direction():
-    with pytest.raises(ValueError, match="^unknown direction 'sideways'$") as caught:
-        check_triple(triple("incorrectness", "b", "p", "c"), AL_PB, direction="sideways")
-    assert type(caught.value) is ValueError
 
 
 def test_named_rules_survive_exhaustive_search():
