@@ -2,14 +2,14 @@
 languages, (co)domain comparison of top-free terms, and extraction of
 finite relational countermodels."""
 
-from .decide import Equivalent, Verdict, Witness, equivalent, leq, member
+from .decide import TOP_ACTION, Equivalent, Verdict, Witness, equivalent, leq, member
 from .domain import ComparisonVerdict, Provable, RelCountermodel, cod_geq, dom_geq
 from .errors import (
     ParseError, ResourceLimitError, SortError, TopNotAllowedError, TopkatError,
     UndeclaredIdentifierError,
 )
 from .logic import Triple, check_triple
-from .reduction import TOP_ACTION, topkat_equivalent, topkat_leq
+from .reduction import topkat_equivalent, topkat_leq
 from .relmodel import (
     Relation, RelInterpretation, SearchBudget, evaluate,
     falsify_implication, search_countermodel,

@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import decide, domain, logic, relmodel
 from .errors import InternalError, ResourceLimitError, TopkatError
-from .reduction import TOP_ACTION, topkat_equivalent, topkat_leq
+from .reduction import topkat_equivalent, topkat_leq
 from .relmodel import SearchBudget, SearchHit
 from .semantics import lang_bounded, parse_guarded_string, render_sorted
 from .syntax import (
@@ -183,7 +183,7 @@ def _cmd_dom_geq(args, alphabet, t1, t2) -> Output:
 
 def _cmd_reduce(args, alphabet, t) -> Output:
     # T reduces to (a1 + ... + ak + __top__)*, over every declared action, used or not
-    sum_star = Star(functools.reduce(Plus, map(Act, alphabet.actions + (TOP_ACTION,))))
+    sum_star = Star(functools.reduce(Plus, map(Act, alphabet.actions + (decide.TOP_ACTION,))))
     reduct = render(t, top=render(sum_star))
     return [reduct], {"reduct": reduct}, 0
 
@@ -387,7 +387,8 @@ def main(argv: list[str] | None = None) -> int:
 def _written(stream, lines: list[str], code: int) -> int:
     """code, once lines and whatever `stream` holds are written.  A stream
     that cannot be written leaves the code as it stands: one closed before
-    start (None) or by the caller, one that is full, and one whose reader left early."""
+    start (None) or by the caller, one that is full, one whose reader left
+    early, and a stream object with no descriptor."""
     if stream is None:
         return code
     try:
@@ -395,10 +396,13 @@ def _written(stream, lines: list[str], code: int) -> int:
             print(line, file=stream)
         stream.flush()
     except (OSError, ValueError):  # the flush at exit writes to /dev/null, not failing again
-        if not stream.closed:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, stream.fileno())
-            os.close(devnull)
+        try:  # a closed stream, or one with no descriptor, is left as it is
+            fd = stream.fileno()
+        except (OSError, ValueError):
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
     return code
 
 

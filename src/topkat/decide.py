@@ -2,14 +2,15 @@
 
 Uses Antimirov-style partial derivatives (sets of terms as determinized
 states) and a breadth-first bisimulation with eagerly merged classes.
-T accepts at every atom and steps to itself by every action, as its
-sum-star reduct does (Zhang, de Amorim and Gaboardi, POPL 2022).  Atoms
-are bits of an int mask, and the engine knows a test only by the mask of
-atoms where it holds.  A pair of state sets steps once per atom class:
-the atoms that no derivative guard of its states tells apart (Pous,
-"Symbolic Algorithms for Language Equivalence and KAT", POPL 2015, with
-bit masks in place of BDDs).  Inequivalence comes with a shortest
-distinguishing guarded string, re-checked by membership.
+T is TopKAT's top: it accepts at every atom and steps to itself by every
+action, and by `TOP_ACTION`, which no alphabet names, as its sum-star
+reduct does (Zhang, de Amorim and Gaboardi, POPL 2022).  Atoms are bits
+of an int mask, and the engine knows a test only by the mask of atoms
+where it holds.  A pair of state sets steps once per atom class: the
+atoms that no derivative guard of its states tells apart (Pous, "Symbolic
+Algorithms for Language Equivalence and KAT", POPL 2015, with bit masks
+in place of BDDs).  Inequivalence comes with a shortest distinguishing
+guarded string, re-checked by membership.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class Witness(Value):
 Verdict = Union[Equivalent, Witness]
 
 StateSet = frozenset  # of Term
+
+TOP_ACTION = "__top__"
 
 
 class _Engine:
@@ -165,7 +168,9 @@ class _UnionFind:
 
 
 def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
-    """Decide language equality; T is every guarded string over the alphabet.
+    """Decide language equality, reading T as TopKAT's top: T also steps by
+    `TOP_ACTION`, last in the witness order, which the alphabet may declare
+    only when no term has T.
 
     Breadth-first exploration of state-set pairs with union-find merging;
     the returned witness is shortest, with ties broken by atom bit order
@@ -189,8 +194,11 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
     """
     for t in (t1, t2):
         check_over(t, alphabet)
+    if (t1.has_top or t2.has_top) and alphabet.sort_of(TOP_ACTION):
+        raise ValueError(f"{TOP_ACTION!r} must not be declared in the base alphabet")
     atoms = all_atoms(alphabet)
-    order = {act: n for n, act in enumerate(alphabet.actions)}
+    actions = tuple(dict.fromkeys(alphabet.actions + (TOP_ACTION,)))
+    order = {act: n for n, act in enumerate(actions)}
     # in the all_atoms order, test j of k holds on every other run of
     # 2^(k-1-j) atoms: a repunit of period twice the run times one run
     full, tests = (1 << len(atoms)) - 1, {}
@@ -198,7 +206,7 @@ def equivalent(t1: Term, t2: Term, alphabet: Alphabet) -> Verdict:
         run = 1 << len(alphabet.tests) - 1 - j
         tests[name] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
 
-    engine = _Engine(len(atoms), tests, alphabet.actions)
+    engine = _Engine(len(atoms), tests, actions)
     start = (frozenset((t1,)), frozenset((t2,)))
     parents: dict[tuple, tuple | None] = {start: None}
     classes = _UnionFind()

@@ -1,7 +1,7 @@
 """Codomain/domain comparison of top-free terms, with countermodels.
 
 A comparison is decided as one TopKAT inequation.  A failure's witness, a
-guarded string over the extended alphabet that the decision re-checked,
+guarded string that the decision re-checked, which may step by T's action,
 is turned into a finite relational interpretation whose carrier is its
 atom-aligned prefixes (codomain case) or suffixes (domain case), and the
 countermodel is verified by relational evaluation before being returned.
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from .decide import Equivalent
+from .decide import TOP_ACTION, Equivalent
 from .errors import InternalError, TopNotAllowedError
-from .reduction import TOP_ACTION, topkat_leq
+from .reduction import topkat_leq
 from .relmodel import Relation, RelInterpretation, evaluate
 from .semantics import GuardedString
 from .syntax import Alphabet, Dot, Term, TOP, Value, prune_alphabet
@@ -44,9 +44,9 @@ ComparisonVerdict = Union[Provable, RelCountermodel]
 def cod_geq(t1: Term, t2: Term, alphabet: Alphabet) -> ComparisonVerdict:
     """Does cod(t1) contain cod(t2) in every relational model?
 
-    Decided as t2 <= T t1 over the extended alphabet, which has the verdict
-    and least witness of T t2 <= T t1 (1 <= T = T T); a failure yields a
-    verified prefix-model countermodel.
+    Decided as t2 <= T t1, which has the verdict and least witness of
+    T t2 <= T t1 (1 <= T = T T); a failure yields a verified prefix-model
+    countermodel.
     """
     return _compare(t1, t2, alphabet, domain=False)
 
@@ -67,7 +67,7 @@ def _compare(t1: Term, t2: Term, alphabet: Alphabet, domain: bool) -> Comparison
     The witness needs no membership check of its own: `equivalent(Plus(s,
     l), l)`, for the decided pair s <= l, returns it as its left side only
     after re-checking that it lies in L(s) \\ L(l) on its own engine, over
-    these same interned terms and the extended pruned alphabet.
+    these same interned terms and the pruned alphabet.
     """
     if t1.has_top or t2.has_top:
         raise TopNotAllowedError(

@@ -138,7 +138,7 @@ def lang_bounded(t: Term, alphabet: Alphabet, max_actions: int) -> frozenset[Gua
     """Exactly the guarded strings of t's language with <= max_actions actions;
     ResourceLimitError once any set built on the way exceeds STRING_CAP."""
     if t.has_top:
-        raise TopNotAllowedError("term contains T; eliminate it first")
+        raise TopNotAllowedError("the bounded language is defined for top-free terms")
     check_over(t, alphabet)
     if max_actions < 0:
         raise ValueError("max_actions must be >= 0")

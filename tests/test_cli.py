@@ -1,5 +1,6 @@
 import argparse
 import gc
+import io
 import json
 import os
 import pathlib
@@ -84,6 +85,16 @@ def test_member(capsys):
 def test_lang_sorted_output(capsys):
     code, out, _ = run(capsys, "lang", "--tests", "b", "--max-actions", "0", "1")
     assert code == 0 and out == "[!b]\n[b]\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lang", "--max-actions", "1", "T p"], "the bounded language is defined for top-free terms"),
+    (["member", "T p", "[] p []"], "membership is defined for top-free terms"),
+], ids=["lang", "member"])
+def test_a_command_that_refuses_top_says_what_it_is_defined_for(capsys, argv, message):
+    # no command eliminates T: `reduce` prints its reduct with the reserved
+    # action, which no command reads back
+    assert run(capsys, argv[0], "--tests", "", *argv[1:]) == (2, "", f"error: {message}\n")
 
 
 def test_lang_refuses_an_oversized_language(capsys):
@@ -633,18 +644,38 @@ STREAM_COMMANDS = [
 ]
 
 
+class _Unwritable(io.TextIOBase):
+    """A stream object with no descriptor, whose reader has left."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def close(self):  # collecting it would close it, and flush
+        pass
+
+
 # closed: the descriptor is closed before start; full: it is /dev/full;
 # object-closed: `sys.stdout` or `sys.stderr` is a closed file object, as
-# a caller of `main` may leave it
+# a caller of `main` may leave it; object-unwritable: it is an `_Unwritable`,
+# in process, so that the descriptors left open can be counted
 @pytest.mark.parametrize("argv, exit_code, fd, how", [
     pytest.param(argv, exit_code, fd, how, id=f"{name}-{('stdout', 'stderr')[fd - 1]}-{how}")
     for name, argv, exit_code in STREAM_COMMANDS for fd in (1, 2)
-    for how in ("closed", "full", "object-closed")
+    for how in ("closed", "full", "object-closed", "object-unwritable")
 ])
 def test_a_stream_that_cannot_be_written_keeps_the_exit_code(capsys, monkeypatch, argv, exit_code,
                                                              fd, how):
     if how == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
+    if how == "object-unwritable":
+        monkeypatch.setattr(sys, ("stdout", "stderr")[fd - 1], _Unwritable())
+        descriptors = len(os.listdir("/dev/fd"))
+        assert main(argv) == exit_code
+        assert len(os.listdir("/dev/fd")) == descriptors
+        return
     if how == "object-closed":
         stream = ("stdout", "stderr")[fd - 1]
         command = [sys.executable, "-c", f"import sys; sys.{stream}.close(); "

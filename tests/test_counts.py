@@ -22,14 +22,17 @@ CORPUS_DIR = TESTS.parent / "perfbench" / "corpus"
 COUNTED = """
 import argparse, collections, contextlib, io, json, shutil, sys
 from pathlib import Path
-from topkat import cli, decide, domain, relmodel, syntax
+import topkat
+from topkat import cli, decide, relmodel, syntax
 
 counts = dict.fromkeys(["engine_steps", "linear_entries_scanned", "parsers_built",
                         "usages_formatted", "terminal_reads", "term_nodes_built",
-                        "pairs_popped", "pairs_merged", "compose_calls"], 0)
+                        "pairs_popped", "pairs_merged", "alphabets_built", "terms_checked",
+                        "compose_calls"], 0)
 step, init, check = decide._Engine.step, argparse.ArgumentParser.__init__, syntax.Term._check
 format_usage, get_terminal_size = argparse.ArgumentParser.format_usage, shutil.get_terminal_size
 union, compose = decide._UnionFind.union, relmodel._compose
+alphabet_check, check_over = syntax.Alphabet._check, syntax.check_over
 
 def reset():
     counts.update(dict.fromkeys(counts, 0))
@@ -69,6 +72,14 @@ def counted_compose(*args):
     counts["compose_calls"] += 1
     return compose(*args)
 
+def counted_alphabet_check(self):
+    counts["alphabets_built"] += 1
+    alphabet_check(self)
+
+def counted_check_over(*args):
+    counts["terms_checked"] += 1
+    check_over(*args)
+
 decide._Engine.step = counted_step
 argparse.ArgumentParser.__init__ = counted_init
 argparse.ArgumentParser.format_usage = counted_format_usage
@@ -77,6 +88,10 @@ syntax.Term._check = counted_check
 decide.deque = CountedQueue
 decide._UnionFind.union = counted_union
 relmodel._compose = counted_compose
+syntax.Alphabet._check = counted_alphabet_check
+for module in [m for name, m in sys.modules.items() if name.startswith("topkat.")]:
+    if getattr(module, "check_over", None) is check_over:  # wherever it is imported
+        module.check_over = counted_check_over
 """
 
 # argv: the corpus file and a directory for its files; prints the counts as JSON
@@ -94,24 +109,29 @@ del counts["compose_calls"]
 sys.__stdout__.write(json.dumps(counts))
 """
 
-# (comparison, t1, t2), with p^n for n copies of p, at each n in SIZES
+# (decision, t1, t2), with p^n for n copies of p and S for the nested
+# star (…((p)* q)* …)* q with n stars, at each n in SIZES
 FAMILIES = [("cod_geq", "p^n b", "p^n"), ("cod_geq", "p^n", "p^n b"),
             ("dom_geq", "b p^n", "p^n"), ("dom_geq", "p^n", "b p^n")]
+NESTED_STAR = [("topkat_equivalent", "(S)*", "(S)* (S)*")]
 SIZES = [50, 100]
 
-# argv: FAMILIES and SIZES as JSON; counts each comparison, after parsing
-# its terms with `--tests b`, and prints one row per (family, size)
+# argv: families and SIZES as JSON; counts each decision, after parsing its
+# terms with `--actions p,q --tests b`, and prints one row per (family, size)
 FAMILY_ROWS = COUNTED + """
-alphabet, rows = syntax.Alphabet(("p",), ("b",)), {}
+alphabet, rows = syntax.Alphabet(("p", "q"), ("b",)), {}
 for name, text1, text2 in json.loads(sys.argv[1]):
     for n in json.loads(sys.argv[2]):
-        t1, t2 = (syntax.parse(text.replace("p^n", " ".join(["p"] * n)), alphabet)
-                  for text in (text1, text2))
+        nested = "p"
+        for _ in range(n):
+            nested = f"({nested})* q"
+        t1, t2 = (syntax.parse(text.replace("p^n", " ".join(["p"] * n)).replace("S", nested),
+                               alphabet) for text in (text1, text2))
         reset()
-        getattr(domain, name)(t1, t2, alphabet)
+        getattr(topkat, name)(t1, t2, alphabet)
         rows[f"{name}({text1}, {text2}) n={n}"] = {
             key: counts[key] for key in ("engine_steps", "linear_entries_scanned",
-                                         "term_nodes_built", "compose_calls")}
+                                         "pairs_popped", "term_nodes_built", "compose_calls")}
 sys.__stdout__.write(json.dumps(rows))
 """
 
@@ -136,3 +156,8 @@ def test_a_corpus_replay_does_the_work_the_ledger_records(tmp_path, workload):
 def test_the_path_families_do_the_work_the_ledger_records():
     assert _counted(FAMILY_ROWS, json.dumps(FAMILIES), json.dumps(SIZES)) == \
         _ledger()["path families"]
+
+
+def test_the_nested_star_does_the_work_the_ledger_records():
+    assert _counted(FAMILY_ROWS, json.dumps(NESTED_STAR), json.dumps(SIZES)) == \
+        _ledger()["nested star"]

@@ -142,12 +142,12 @@ def test_witnesses_are_deterministic_and_minimal():
             assert first.string == min(separating, key=gs_sort_key(ALPHABET))
 
 
-def test_equivalent_reads_top_as_every_guarded_string_over_its_alphabet():
-    # over ({p}, {}), T and p* are the same language; a TopKAT decision
-    # extends the alphabet by the reserved action, which only T takes
+def test_equivalent_reads_top_as_topkat_equivalent_does():
+    # over ({p}, {}), T is not p*: T also steps by the reserved action,
+    # which no alphabet names, and the decider supplies it
     t, p_star = parse("T", AL_P), parse("p*", AL_P)
-    assert isinstance(equivalent(t, p_star, AL_P), Equivalent)
-    verdict = topkat_equivalent(t, p_star, AL_P)
+    verdict = equivalent(t, p_star, AL_P)
+    assert verdict == topkat_equivalent(t, p_star, AL_P)
     assert isinstance(verdict, Witness) and verdict.side == "left"
     assert verdict.string.render() == f"[] {TOP_ACTION} []"
 

@@ -171,20 +171,21 @@ def test_walks_per_query(monkeypatch, capsys, argv, walks):
     assert len(calls) == walks
 
 
-# The alphabets built in a query: the declared one, the pruned one when
+# The alphabets built in a query: the declared one, and the pruned one when
 # pruning drops a name (the test b of the leq query and of the last two),
-# and the pruned one's extension by the reserved action, over which the
-# terms are decided.  Building an extension for each T's sum-star made the
-# first four counts 2, 5, 4, 4.  A refuted comparison prunes once, for its
-# decision and its countermodel: pruning again for the countermodel made
-# the last two 4.
+# over which the terms are decided.  No extension by the reserved action is
+# built: the decider steps T by it itself.  Building an extension for each
+# decision made these counts 2, 3, 2, 2, 3, 3, and one for each T's
+# sum-star made the first four 2, 5, 4, 4.  A refuted comparison prunes
+# once, for its decision and its countermodel: pruning again for the
+# countermodel made the last two 4.
 ALPHABET_BUILDS = [
-    (["decide", "b + 1", "1"], 2),
-    (["leq", "T p", "p T"], 3),
-    (["cod-geq", "p b", "p"], 2),
-    (["dom-geq", "b p", "p"], 2),
-    (["cod-geq", "p", "p q"], 3),
-    (["dom-geq", "p", "q p"], 3),
+    (["decide", "b + 1", "1"], 1),
+    (["leq", "T p", "p T"], 2),
+    (["cod-geq", "p b", "p"], 1),
+    (["dom-geq", "b p", "p"], 1),
+    (["cod-geq", "p", "p q"], 2),
+    (["dom-geq", "p", "q p"], 2),
 ]
 
 

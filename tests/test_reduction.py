@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import ALPHABET, embed_back, extended, reduce, sum_star
-from topkat import reduction, syntax
+from topkat import syntax
 from topkat.cli import main
 from topkat.decide import Equivalent, Witness, equivalent, leq, member
 from topkat.errors import UndeclaredIdentifierError
@@ -116,19 +116,21 @@ def test_witness_verifies_on_reducts():
 
 
 def test_extended_alphabet_guards_reserved_name():
-    # declared and used, the reserved name would clash with T's stand-in;
-    # declared but unused, it is pruned away before the extension
+    # declared beside a T, the reserved name would clash with T's own
+    # action; with no T it is a name like any other, and declared but
+    # unused it is pruned away before the decision
     p = Act("p")
+    refused = "^'__top__' must not be declared in the base alphabet$"
     for declared, reserved in ((Alphabet(("p", TOP_ACTION), ()), Act(TOP_ACTION)),
                                (Alphabet(("p",), (TOP_ACTION,)), syntax.Test(TOP_ACTION))):
         for decision in (topkat_equivalent, topkat_leq):
-            for t1, t2 in ((reserved, TOP), (p, Dot(p, reserved))):
-                with pytest.raises(ValueError, match="^'__top__' must not be declared"
-                                                     " in the base alphabet$"):
-                    decision(t1, t2, declared)
+            with pytest.raises(ValueError, match=refused):
+                decision(reserved, TOP, declared)
+            assert isinstance(decision(p, Dot(p, reserved), declared), Witness)
             assert isinstance(decision(p, Dot(p, TOP) if decision is topkat_leq else p,
                                        declared), Equivalent)
-        assert reduction._extended(p, TOP, declared) == Alphabet(("p", TOP_ACTION), ())
+        with pytest.raises(ValueError, match=refused):  # `equivalent` does not prune
+            equivalent(p, Dot(p, TOP), declared)
 
 
 def test_reduce_with_no_declared_actions():
@@ -140,7 +142,8 @@ def test_reduce_with_no_declared_actions():
 
 @pytest.mark.parametrize("tests", [(), ("b",), ("b", "c", "d")])
 def test_the_engine_decides_top_as_its_reduct(tests):
-    # the engine steps T itself; deciding the written-out reducts is the oracle
+    # the engine steps T itself, by the reserved action too; deciding the
+    # written-out reducts over the extended alphabet is the oracle
     alphabet = Alphabet(("p", "q"), tests)
     rng = random.Random(53 + len(tests))
     witnesses = 0
@@ -151,7 +154,7 @@ def test_the_engine_decides_top_as_its_reduct(tests):
         r1, r2 = reduce(t1, pruned), reduce(t2, pruned)
         for native, oracle in ((equivalent, equivalent), (leq, leq),
                                (topkat_equivalent, equivalent), (topkat_leq, leq)):
-            verdict = native(t1, t2, ext if native in (equivalent, leq) else alphabet)
+            verdict = native(t1, t2, pruned if native in (equivalent, leq) else alphabet)
             assert verdict == oracle(r1, r2, ext)
             witnesses += isinstance(verdict, Witness)
     assert 0 < witnesses < 600
